@@ -26,10 +26,7 @@ from .precond import (
     SchurOperator,
     dense_preconditioner_matrix,
     form_schur_dense,
-    hss_apply,
     make_preconditioner,
-    mgss_apply,
-    rmgss_apply,
 )
 from .problems import (
     StokesConfig,
@@ -45,8 +42,6 @@ from .sparse import (
     CsrMatrix,
     SaddleSystem,
     assemble_block_saddle,
-    axpy,
-    dot,
     norm2,
     spmv,
     spmv_transpose,
@@ -61,6 +56,6 @@ from .spectral import (
     predicted_rmgss_spectrum,
     iteration_matrix_check,
 )
-from .stationary import IterationMatrixOperator, gamma_apply, run_mgss_iteration
+from .stationary import IterationMatrixOperator, run_mgss_iteration
 
 __version__ = "0.1.0"

@@ -2,9 +2,8 @@
 
 Two backends share one interface: a vectorized dense factorization for
 matrices up to ``dense_cutoff`` rows and an up-looking sparse
-factorization (elimination-tree reach, row by row) above it.  Reverse
-Cuthill-McKee preordering is available for the sparse path; the default
-is natural ordering because the shifted stabilization blocks this
+factorization (elimination-tree reach, row by row) above it.  Both
+factor in the natural ordering: the shifted stabilization blocks this
 module mostly factors are already tightly banded.
 """
 
@@ -18,7 +17,6 @@ __all__ = [
     "cholesky",
     "cholesky_dense",
     "solve",
-    "reverse_cuthill_mckee",
 ]
 
 _PIVOT_RTOL = 1e-14
@@ -30,20 +28,15 @@ class NotPositiveDefiniteError(ValueError):
 
 
 class CholeskyFactor:
-    """Lower-triangular factor L with optional symmetric permutation.
+    """Lower-triangular factor L with M = L L^T.  Immutable after construction."""
 
-    Satisfies P M P^T = L L^T where P reorders by ``perm``; ``solve``
-    applies the permutations internally.  Immutable after construction.
-    """
-
-    def __init__(self, kind, L, perm, size):
+    def __init__(self, kind, L, size):
         self.kind = kind        # "dense" or "sparse"
         self.L = L              # ndarray or CsrMatrix
-        self.perm = perm        # None for natural ordering
         self.size = size
 
 
-def cholesky(M, ordering="natural", dense_cutoff=DENSE_CUTOFF):
+def cholesky(M, dense_cutoff=DENSE_CUTOFF):
     """Factor a symmetric positive definite CsrMatrix.
 
     Parameters
@@ -51,8 +44,6 @@ def cholesky(M, ordering="natural", dense_cutoff=DENSE_CUTOFF):
     M : CsrMatrix
         Symmetric; symmetry is verified, definiteness is discovered
         through the pivots.
-    ordering : str
-        "natural" or "rcm" (reverse Cuthill-McKee).
     dense_cutoff : int
         Matrices with at most this many rows are factored densely.
         Pass 0 to force the sparse path.
@@ -66,17 +57,9 @@ def cholesky(M, ordering="natural", dense_cutoff=DENSE_CUTOFF):
         raise ValueError("matrix must be square")
     _check_symmetric(M, "matrix")
     n = M.nrows
-    perm = None
-    if ordering == "rcm":
-        perm = reverse_cuthill_mckee(M)
-    elif ordering != "natural":
-        raise ValueError(f"unknown ordering {ordering!r}")
     if n <= dense_cutoff:
-        a = to_dense(M)
-        if perm is not None:
-            a = a[np.ix_(perm, perm)]
-        return CholeskyFactor("dense", _dense_lower(a), perm, n)
-    return CholeskyFactor("sparse", _sparse_lower(M, perm), perm, n)
+        return CholeskyFactor("dense", _dense_lower(to_dense(M)), n)
+    return CholeskyFactor("sparse", _sparse_lower(M), n)
 
 
 def cholesky_dense(a):
@@ -84,7 +67,7 @@ def cholesky_dense(a):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    return CholeskyFactor("dense", _dense_lower(a.copy()), None, a.shape[0])
+    return CholeskyFactor("dense", _dense_lower(a.copy()), a.shape[0])
 
 
 def solve(fac, b):
@@ -92,18 +75,9 @@ def solve(fac, b):
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != fac.size:
         raise ValueError(f"dimension mismatch: factor of size {fac.size}, rhs of length {b.shape[0]}")
-    y = b[fac.perm] if fac.perm is not None else b.copy()
     if fac.kind == "dense":
-        x = _dense_forward(fac.L, y)
-        x = _dense_backward(fac.L, x)
-    else:
-        x = _sparse_forward(fac.L, y)
-        x = _sparse_backward(fac.L, x)
-    if fac.perm is not None:
-        out = np.empty_like(x)
-        out[fac.perm] = x
-        return out
-    return x
+        return _dense_backward(fac.L, _dense_forward(fac.L, b))
+    return _sparse_backward(fac.L, _sparse_forward(fac.L, b))
 
 
 # -- dense backend ------------------------------------------------------
@@ -152,16 +126,8 @@ def _dense_backward(L, b):
 # -- sparse backend (up-looking) -----------------------------------------
 
 
-def _permuted_csr(M, perm):
-    rows, cols, vals = M.to_triplets()
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    return CsrMatrix.from_triplets(M.nrows, M.ncols, inv[rows], inv[cols], vals)
-
-
-def _sparse_lower(M, perm):
+def _sparse_lower(A):
     """Up-looking factorization; the elimination tree is grown on the fly."""
-    A = _permuted_csr(M, perm) if perm is not None else M
     n = A.nrows
     max_diag = float(np.max(np.abs(A.diagonal()))) if n else 0.0
     tol = _PIVOT_RTOL * max(max_diag, 1.0)
@@ -239,66 +205,3 @@ def _sparse_backward(L, b):
         if cols.size > 1:
             x[cols[:-1]] -= np.multiply.outer(vals[:-1], x[i]) if x.ndim > 1 else vals[:-1] * x[i]
     return x
-
-
-# -- reverse Cuthill-McKee ------------------------------------------------
-
-
-def _adjacency(M):
-    rows, cols, _ = M.to_triplets()
-    off = rows != cols
-    rows, cols = rows[off], cols[off]
-    adj = [[] for _ in range(M.nrows)]
-    for r, c in zip(rows, cols):
-        adj[r].append(c)
-    return [np.array(sorted(a), dtype=np.int64) for a in adj]
-
-
-def _bfs_levels(adj, start, n):
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    order = [start]
-    last = start
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(v)
-        if nxt:
-            order.extend(nxt)
-            last = nxt[-1]
-        frontier = nxt
-    return order, last, seen
-
-
-def reverse_cuthill_mckee(M):
-    """Symmetric bandwidth-reducing permutation (new index -> old index)."""
-    if M.nrows != M.ncols:
-        raise ValueError("matrix must be square")
-    n = M.nrows
-    adj = _adjacency(M)
-    degree = np.array([a.size for a in adj])
-    visited = np.zeros(n, dtype=bool)
-    order = []
-    for comp_seed in np.argsort(degree, kind="stable"):
-        if visited[comp_seed]:
-            continue
-        # pseudo-peripheral start: two BFS passes from the low-degree seed
-        _, far, _ = _bfs_levels(adj, int(comp_seed), n)
-        start = far
-        comp = [start]
-        visited[start] = True
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            nbrs = [v for v in adj[u] if not visited[v]]
-            nbrs.sort(key=lambda v: (degree[v], v))
-            for v in nbrs:
-                visited[v] = True
-                comp.append(v)
-                queue.append(v)
-        order.extend(comp)
-    return np.array(order[::-1], dtype=np.int64)

@@ -167,7 +167,8 @@ def gmres_restarted(op, b, precond=None, rule=None):
     while rn > tol_abs and steps < rule.max_outer:
         kmax = min(rule.restart, rule.max_outer - steps)
         V = np.zeros((dim, kmax + 1))
-        Z = np.zeros((dim, kmax))
+        # without a preconditioner the update lives in the Arnoldi basis
+        Z = V if precond is None else np.zeros((dim, kmax))
         H = np.zeros((kmax + 1, kmax))
         cs = np.zeros(kmax)
         sn = np.zeros(kmax)
@@ -176,8 +177,10 @@ def gmres_restarted(op, b, precond=None, rule=None):
         V[:, 0] = r / rn
         k = 0
         for j in range(kmax):
-            z = precond.apply(V[:, j]) if precond is not None else V[:, j]
-            Z[:, j] = z
+            z = V[:, j]
+            if precond is not None:
+                z = precond.apply(z)
+                Z[:, j] = z
             w = op(z)
             for i in range(j + 1):
                 H[i, j] = float(np.dot(V[:, i], w))
@@ -201,7 +204,7 @@ def gmres_restarted(op, b, precond=None, rule=None):
             if abs(gvec[j + 1]) <= tol_abs or happy or steps >= rule.max_outer:
                 break
         y = _solve_upper(H[:k, :k], gvec[:k])
-        x += Z[:, :k] @ y if precond is not None else V[:, :k] @ y
+        x += Z[:, :k] @ y
         r = b - op(x)
         rn = norm2(r)
         history.append(rn)

@@ -45,9 +45,6 @@ __all__ = [
     "HssApplicator",
     "IdentityApplicator",
     "make_preconditioner",
-    "mgss_apply",
-    "rmgss_apply",
-    "hss_apply",
     "form_schur_dense",
     "dense_preconditioner_matrix",
 ]
@@ -272,22 +269,6 @@ def make_preconditioner(sys, spec):
     if spec.kind == "hss":
         return HssApplicator(sys, spec)
     return IdentityApplicator(sys, spec)
-
-
-def mgss_apply(app, r):
-    if app.spec.kind != "mgss":
-        raise ValueError("applicator was not built for mgss")
-    return app.apply(r)
-
-
-def rmgss_apply(app, r):
-    if app.spec.kind != "rmgss":
-        raise ValueError("applicator was not built for rmgss")
-    return app.apply(r)
-
-
-def hss_apply(spec, sys, r):
-    return HssApplicator(sys, spec).apply(r)
 
 
 def dense_preconditioner_matrix(sys, spec, cap=None):

@@ -24,9 +24,7 @@ __all__ = [
     "assemble_block_saddle",
     "add_scaled_identity",
     "to_dense",
-    "dot",
     "norm2",
-    "axpy",
     "dense_cap",
 ]
 
@@ -252,21 +250,8 @@ def to_dense(M, cap=None):
     return out
 
 
-def dot(x, y):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError("dot of vectors with different lengths")
-    return float(np.dot(x, y))
-
-
 def norm2(x):
     return float(np.linalg.norm(np.asarray(x, dtype=np.float64)))
-
-
-def axpy(a, x, y):
-    """a*x + y."""
-    return float(a) * np.asarray(x, dtype=np.float64) + np.asarray(y, dtype=np.float64)
 
 
 def _check_symmetric(M, name, rtol=1e-12):
@@ -285,9 +270,10 @@ class SaddleSystem:
     """Blocks and right-hand side of a saddle point system.
 
     The assembled operator is [[A, B^T], [-B, C]] acting on (x; y) with
-    right-hand side (f; -g).  Symmetry of A and C is enforced here;
-    definiteness is checked on demand (``check_spd_A``, ``check_spsd_C``)
-    because it requires a factorization or sampling.
+    right-hand side (f; -g).  Finite entries (no NaN or inf) and symmetry
+    of A and C are enforced here; definiteness is checked on demand
+    (``check_spd_A``, ``check_spsd_C``) because it requires a
+    factorization or sampling.
     """
 
     def __init__(self, A, B, C, f, g):
@@ -299,8 +285,6 @@ class SaddleSystem:
             raise ValueError("B must be m x n with A n x n and C m x m")
         if C.nrows > A.nrows:
             raise ValueError("m <= n is required")
-        _check_symmetric(A, "A")
-        _check_symmetric(C, "C")
         self.A = A
         self.B = B
         self.C = C
@@ -308,6 +292,12 @@ class SaddleSystem:
         self.g = np.ascontiguousarray(g, dtype=np.float64)
         if self.f.shape != (A.nrows,) or self.g.shape != (C.nrows,):
             raise ValueError("right-hand side lengths do not match the blocks")
+        for name, vals in (("A", A.values), ("B", B.values), ("C", C.values),
+                           ("f", self.f), ("g", self.g)):
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
+        _check_symmetric(A, "A")
+        _check_symmetric(C, "C")
 
     @property
     def n(self):

@@ -1,14 +1,14 @@
 """Eigenvalue machinery for spectra of preconditioned saddle operators.
 
-Two desk-scale eigensolvers are implemented from scratch: a cyclic
-Jacobi method for symmetric matrices and a Hessenberg + Francis
-double-shift QR iteration for general real matrices.  On top of them
-sit the operators this package actually cares about: the spectrum of
-the stationary iteration matrix (whose spectral radius must stay below
-one for every positive pair of shifts), and the spectrum of the
-rmgss-preconditioned matrix, which consists of the eigenvalue 1 with
-multiplicity n together with mu_i / (beta + mu_i) where mu_i are the
-eigenvalues of C + B A^{-1} B^T.
+The eigensolvers are LAPACK's, through numpy: ``np.linalg.eigh`` for
+symmetric matrices and ``np.linalg.eigvals`` (real Schur form) for
+general real ones.  On top of them sit the operators this package
+actually cares about: the spectrum of the stationary iteration matrix
+(whose spectral radius must stay below one for every positive pair of
+shifts), and the spectrum of the rmgss-preconditioned matrix, which
+consists of the eigenvalue 1 with multiplicity n together with
+mu_i / (beta + mu_i) where mu_i are the eigenvalues of
+C + B A^{-1} B^T.
 """
 
 from dataclasses import dataclass
@@ -43,9 +43,7 @@ COMPUTED_SYMMETRIC = "COMPUTED_SYMMETRIC"
 PREDICTED = "PREDICTED"
 POWER_ESTIMATE = "POWER_ESTIMATE"
 
-_EPS = np.finfo(np.float64).eps
 DENSE_EIG_MAX_ORDER = 400
-JACOBI_MAX_ORDER = 1000
 
 
 def _sorted_complex(vals):
@@ -75,73 +73,23 @@ class Spectrum:
         return self.eigenvalues.size
 
 
-# -- symmetric eigensolver (cyclic Jacobi) --------------------------------
+# -- eigensolvers (LAPACK through numpy) -----------------------------------
 
 
-def _offdiag_norm(a):
-    b = a - np.diag(np.diagonal(a))
-    return float(np.linalg.norm(b))
+def jacobi_symmetric(M):
+    """Eigen-decomposition of a symmetric matrix.
 
-
-def jacobi_symmetric(M, tol_factor=1e-12, max_sweeps=60):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Rotations run until the off-diagonal Frobenius norm falls below
-    ``tol_factor`` times the Frobenius norm of the input.  Returns the
-    unsorted eigenvalue vector and the accumulated rotation matrix V
-    with M @ V approximately equal to V @ diag(w).
+    Returns the eigenvalue vector w (ascending) and an orthonormal
+    matrix V with M @ V equal to V @ diag(w) up to rounding, computed by
+    LAPACK through ``np.linalg.eigh``.  The name is kept for the
+    acceptance tests and demos, which call it by that name.
     """
-    a = np.array(M, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
+    a = np.asarray(M, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if n > JACOBI_MAX_ORDER:
-        raise ValueError(f"order {n} exceeds the Jacobi solver cap {JACOBI_MAX_ORDER}")
-    if n and float(np.max(np.abs(a - a.T))) > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
-        raise ValueError("Jacobi eigensolver requires a symmetric matrix")
-    v = np.eye(n)
-    if n < 2:
-        return np.diagonal(a).copy(), v
-    norm_f = float(np.linalg.norm(a))
-    target = tol_factor * norm_f
-    if norm_f == 0.0:
-        return np.zeros(n), v
-    # rotating entries below this cannot push the off-norm above target
-    skip = target / (2.0 * n * n)
-    converged = False
-    for _ in range(max_sweeps):
-        off = _offdiag_norm(a)
-        if off <= target:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-    if not converged:
-        if _offdiag_norm(a) > target:
-            raise RuntimeError("Jacobi iteration did not reach the off-diagonal target")
-    return np.diagonal(a).copy(), v
+    if a.size and float(np.max(np.abs(a - a.T))) > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
+        raise ValueError("symmetric eigensolver requires a symmetric matrix")
+    return np.linalg.eigh(a)
 
 
 def jacobi_symmetric_eigen(M):
@@ -149,183 +97,19 @@ def jacobi_symmetric_eigen(M):
     return Spectrum(w.astype(np.complex128), COMPUTED_SYMMETRIC, len(w))
 
 
-# -- general real eigensolver (Hessenberg + Francis QR) -------------------
+def dense_eigen_real_schur(M):
+    """All eigenvalues of a real square matrix, via LAPACK's real Schur form.
 
-
-def _balance(a):
-    """Parlett-Reinsch balancing with exact powers of two."""
-    n = a.shape[0]
-    radix = 2.0
-    done = False
-    while not done:
-        done = True
-        for i in range(n):
-            c = np.sum(np.abs(a[:, i])) - abs(a[i, i])
-            r = np.sum(np.abs(a[i, :])) - abs(a[i, i])
-            if c == 0.0 or r == 0.0:
-                continue
-            f = 1.0
-            s = c + r
-            while c < r / radix:
-                c *= radix
-                r /= radix
-                f *= radix
-            while c >= r * radix:
-                c /= radix
-                r *= radix
-                f /= radix
-            if (c + r) < 0.95 * s and f != 1.0:
-                done = False
-                a[i, :] /= f
-                a[:, i] *= f
-    return a
-
-
-def _hessenberg(a):
-    n = a.shape[0]
-    for k in range(n - 2):
-        x = a[k + 1:, k]
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        v = x.copy()
-        v[0] += np.copysign(nx, x[0] if x[0] != 0.0 else 1.0)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
-        a[k + 1:, k:] -= 2.0 * np.outer(v, v @ a[k + 1:, k:])
-        a[:, k + 1:] -= 2.0 * np.outer(a[:, k + 1:] @ v, v)
-        a[k + 2:, k] = 0.0
-    return a
-
-
-def _eig_2x2(a, b, c, d):
-    mid = 0.5 * (a + d)
-    p = 0.5 * (a - d)
-    disc = p * p + b * c
-    if disc >= 0.0:
-        rt = np.sqrt(disc)
-        if mid >= 0.0:
-            l1 = mid + rt
-        else:
-            l1 = mid - rt
-        det = a * d - b * c
-        l2 = det / l1 if l1 != 0.0 else mid - np.copysign(rt, mid)
-        return complex(l1), complex(l2)
-    rt = np.sqrt(-disc)
-    return complex(mid, rt), complex(mid, -rt)
-
-
-def _house3(x, y, z):
-    """3-vector Householder: returns v (unit) with (I-2vv^T)(x,y,z) ~ alpha e1."""
-    nx = np.sqrt(x * x + y * y + z * z)
-    if nx == 0.0:
-        return None
-    v0 = x + np.copysign(nx, x if x != 0.0 else 1.0)
-    v = np.array([v0, y, z])
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return None
-    return v / nv
-
-
-def dense_eigen_real_schur(M, max_sweep_factor=100):
-    """All eigenvalues of a real square matrix via the real Schur form.
-
-    Balancing, Householder reduction to Hessenberg form, then implicit
-    double-shift QR with deflation; eigenvalues are read off the final
-    1x1 and 2x2 diagonal blocks.  Capped at order 400.
+    ``np.linalg.eigvals`` balances, reduces to Hessenberg form and runs
+    the shifted QR iteration.  Capped at order ``DENSE_EIG_MAX_ORDER``.
     """
-    a = np.array(M, dtype=np.float64, copy=True)
+    a = np.asarray(M, dtype=np.float64)
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError("matrix must be square")
     if n > DENSE_EIG_MAX_ORDER:
         raise ValueError(f"order {n} exceeds the dense eigensolver cap {DENSE_EIG_MAX_ORDER}")
-    if n == 0:
-        return Spectrum(np.empty(0, dtype=np.complex128), COMPUTED_DENSE, 0)
-    if n == 1:
-        return Spectrum(np.array([a[0, 0]], dtype=np.complex128), COMPUTED_DENSE, 1)
-    _balance(a)
-    h = _hessenberg(a)
-    anorm = float(np.linalg.norm(h))
-    # Normwise deflation floor: a subdiagonal at the roundoff level of the
-    # whole matrix is indistinguishable from zero, since every QR sweep
-    # perturbs at that scale.  Tightly clustered spectra leave the sweep
-    # numerically idle with subdiagonals hovering slightly above the
-    # floor, so the floor is escalated while no deflation happens (reset
-    # on progress); total growth stays bounded by 2^16 eps ||H||.
-    floor = 2.0 * _EPS * anorm
-    eig = []
-    hi = n - 1
-    sweeps = 0
-    max_sweeps = max_sweep_factor * n
-    stagnation = 0
-    while hi >= 0:
-        eff_floor = floor * float(2 ** min(stagnation // 10, 16))
-        # deflate small subdiagonals inside the active window
-        lo = hi
-        while lo > 0:
-            sub = abs(h[lo, lo - 1])
-            if sub <= _EPS * (abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])) or sub <= eff_floor:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            eig.append(complex(h[hi, hi]))
-            hi -= 1
-            stagnation = 0
-            continue
-        if lo == hi - 1:
-            l1, l2 = _eig_2x2(h[lo, lo], h[lo, hi], h[hi, lo], h[hi, hi])
-            eig.extend([l1, l2])
-            hi -= 2
-            stagnation = 0
-            continue
-        sweeps += 1
-        stagnation += 1
-        if sweeps > max_sweeps:
-            raise RuntimeError(
-                f"QR iteration failed to converge within {max_sweeps} sweeps; "
-                f"{len(eig)} of {n} eigenvalues were deflated"
-            )
-        if stagnation % 10 == 0:
-            # exceptional shift built from the two trailing subdiagonals
-            s = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
-            h11 = 0.75 * s + h[hi, hi]
-            shift_sum = 2.0 * h11
-            shift_prod = h11 * h11 + 0.4375 * s * s
-        else:
-            shift_sum = h[hi - 1, hi - 1] + h[hi, hi]
-            shift_prod = h[hi - 1, hi - 1] * h[hi, hi] - h[hi - 1, hi] * h[hi, hi - 1]
-        # first column of (H - s1)(H - s2) e1 on the active window
-        x = h[lo, lo] * h[lo, lo] + h[lo, lo + 1] * h[lo + 1, lo] - shift_sum * h[lo, lo] + shift_prod
-        y = h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - shift_sum)
-        z = h[lo + 2, lo + 1] * h[lo + 1, lo]
-        for k in range(lo, hi - 1):
-            v = _house3(x, y, z)
-            if v is not None:
-                r0 = max(lo, k - 1)
-                block = h[k:k + 3, r0:hi + 1]
-                block -= 2.0 * np.outer(v, v @ block)
-                c1 = min(hi, k + 3)
-                block = h[lo:c1 + 1, k:k + 3]
-                block -= 2.0 * np.outer(block @ v, v)
-            if k + 3 <= hi:
-                x, y, z = h[k + 1, k], h[k + 2, k], h[k + 3, k]
-            else:
-                x, y, z = h[k + 1, k], h[k + 2, k], 0.0
-        # trailing 2x2 rotation of the bulge
-        v = _house3(x, y, 0.0)
-        if v is not None:
-            v2 = v[:2]
-            r0 = max(lo, hi - 2)
-            block = h[hi - 1:hi + 1, r0:hi + 1]
-            block -= 2.0 * np.outer(v2, v2 @ block)
-            block = h[lo:hi + 1, hi - 1:hi + 1]
-            block -= 2.0 * np.outer(block @ v2, v2)
-    return Spectrum(np.array(eig, dtype=np.complex128), COMPUTED_DENSE, n)
+    return Spectrum(np.linalg.eigvals(a), COMPUTED_DENSE, n)
 
 
 # -- operator spectra ------------------------------------------------------

@@ -10,7 +10,7 @@ assembled outside of column-probe use in tests and spectra.
 from .krylov import LinearOperator, StoppingRule, saddle_operator, stationary_richardson
 from .precond import MgssApplicator, PrecondSpec
 
-__all__ = ["IterationMatrixOperator", "gamma_apply", "run_mgss_iteration"]
+__all__ = ["IterationMatrixOperator", "run_mgss_iteration"]
 
 
 class IterationMatrixOperator(LinearOperator):
@@ -24,10 +24,6 @@ class IterationMatrixOperator(LinearOperator):
 
     def _matvec(self, v):
         return v - self._prec.apply(self._block(v))
-
-
-def gamma_apply(op, v):
-    return op(v)
 
 
 def run_mgss_iteration(sys, spec, rule=None, estimate_rho=False):

@@ -1,10 +1,12 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
 from sadprec.cli import BenchRecord, main
+from sadprec.precond import make_preconditioner
 from sadprec.problems import generate_random_saddle, load_bundle, save_bundle
 from sadprec.sparse import CsrMatrix, SaddleSystem
 
@@ -90,6 +92,31 @@ class TestSolve:
         rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert rc == 0 and rec["converged"] and rec["it"] <= 2
         assert rec["method"] == "stationary-mgss"
+
+    def test_non_finite_bundle_rejected(self, tmp_path, capsys):
+        bundle = toy_bundle(tmp_path)
+        with open(os.path.join(bundle, "f.vec"), "w") as fh:
+            fh.write("nan\n")
+        rc = main(["solve", "--in", bundle, "--method", "none"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--method", "rmgss", "--beta", "1"],
+                                       ["--method", "mgss", "--alpha", "1", "--beta", "1",
+                                        "--inner", "direct", "--stationary"]])
+    def test_cpu_excludes_preconditioner_setup(self, tmp_path, capsys, monkeypatch, extra):
+        built = []
+
+        def slow_setup(sys_, spec):
+            time.sleep(0.3)
+            built.append(spec.kind)
+            return make_preconditioner(sys_, spec)
+
+        monkeypatch.setattr("sadprec.cli.make_preconditioner", slow_setup)
+        rc = main(["solve", "--in", toy_bundle(tmp_path)] + extra)
+        rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert rc == 0 and built
+        assert rec["cpu"] < 0.3
 
     def test_csv_round_trip(self, tmp_path, capsys):
         bundle = toy_bundle(tmp_path)

@@ -37,8 +37,6 @@ class TestCholesky:
             fac = factor.cholesky(M, dense_cutoff=cutoff)
             L = fac.L if fac.kind == "dense" else to_dense(fac.L)
             rebuilt = L @ L.T
-            if fac.perm is not None:
-                rebuilt = rebuilt[np.ix_(np.argsort(fac.perm), np.argsort(fac.perm))]
             err = np.linalg.norm(rebuilt - dense) / np.linalg.norm(dense)
             assert err <= 1e-10
 
@@ -83,38 +81,6 @@ class TestSolve:
         X = factor.solve(fac, Bcols)
         for j in range(4):
             assert np.allclose(X[:, j], factor.solve(fac, Bcols[:, j]))
-
-
-class TestOrdering:
-    @pytest.mark.parametrize("cutoff", [2000, 0])
-    def test_rcm_matches_natural(self, cutoff):
-        M = random_spd(50, seed=3, density=0.15)
-        b = np.random.default_rng(4).standard_normal(50)
-        x_nat = factor.solve(factor.cholesky(M, dense_cutoff=cutoff), b)
-        x_rcm = factor.solve(factor.cholesky(M, ordering="rcm", dense_cutoff=cutoff), b)
-        assert np.linalg.norm(x_nat - x_rcm) <= 1e-12 * max(1.0, np.linalg.norm(x_nat))
-
-    def test_rcm_is_permutation(self):
-        M = random_spd(30, seed=6, density=0.2)
-        perm = factor.reverse_cuthill_mckee(M)
-        assert sorted(perm.tolist()) == list(range(30))
-
-    def test_rcm_reduces_band_on_shuffled_tridiagonal(self):
-        n = 40
-        rng = np.random.default_rng(8)
-        diag = 4.0 + rng.random(n)
-        tri = np.diag(diag) + np.diag(-np.ones(n - 1), 1) + np.diag(-np.ones(n - 1), -1)
-        p = rng.permutation(n)
-        shuffled = tri[np.ix_(p, p)]
-        M = CsrMatrix.from_dense(shuffled)
-        perm = factor.reverse_cuthill_mckee(M)
-        reordered = shuffled[np.ix_(perm, perm)]
-        rows, cols = np.nonzero(reordered)
-        assert np.max(np.abs(rows - cols)) <= 2
-
-    def test_unknown_ordering(self):
-        with pytest.raises(ValueError):
-            factor.cholesky(CsrMatrix.identity(2), ordering="amd")
 
 
 class TestFactorContract:

@@ -8,10 +8,7 @@ from sadprec.precond import (
     PrecondSpec,
     dense_preconditioner_matrix,
     form_schur_dense,
-    hss_apply,
     make_preconditioner,
-    mgss_apply,
-    rmgss_apply,
 )
 from sadprec.problems import generate_random_saddle
 from sadprec.sparse import (
@@ -59,7 +56,7 @@ class TestMgssApply:
         # hand elimination: w=0, w1=2, S=[4], z1=0.5, v=0.5, z2=0.5
         sys_ = toy_t1()
         app = MgssApplicator(sys_, PrecondSpec("mgss", 1.0, 1.0, inner="direct"))
-        z = mgss_apply(app, np.array([1.0, 0.0]))
+        z = app.apply(np.array([1.0, 0.0]))
         assert np.allclose(z, [0.5, 0.5], atol=1e-14)
         # dense oracle: M z = r with M = 0.5 [[3,1],[-1,1]]
         M = 0.5 * np.array([[3.0, 1.0], [-1.0, 1.0]])
@@ -118,7 +115,7 @@ class TestRmgssApply:
         # w=0, w1=1, S0=[3], z1=1/3, v=1/3, z2=1/3
         sys_ = toy_t1()
         app = MgssApplicator(sys_, PrecondSpec("rmgss", beta=1.0, inner="direct"))
-        z = rmgss_apply(app, np.array([1.0, 0.0]))
+        z = app.apply(np.array([1.0, 0.0]))
         assert np.allclose(z, [1.0 / 3.0, 1.0 / 3.0], atol=1e-14)
         P = np.array([[2.0, 1.0], [-1.0, 1.0]])
         assert np.allclose(P @ z, [1.0, 0.0], atol=1e-14)
@@ -136,16 +133,17 @@ class TestRmgssApply:
         assert np.allclose(lam, [1.0 / 3.0, 1.0], atol=1e-12)
 
     def test_kind_mismatch_raises(self):
-        app = MgssApplicator(toy_t1(), PrecondSpec("rmgss", beta=1.0))
-        with pytest.raises(ValueError):
-            mgss_apply(app, np.zeros(2))
+        with pytest.raises(ValueError, match="expected an hss spec"):
+            HssApplicator(toy_t1(), PrecondSpec("rmgss", beta=1.0))
+        with pytest.raises(ValueError, match="expected an mgss or rmgss spec"):
+            MgssApplicator(toy_t1(), PrecondSpec("hss", alpha=1.0))
 
 
 class TestHssApply:
     def test_toy_chain(self):
         sys_ = toy_t1()
         spec = PrecondSpec("hss", alpha=1.0, inner="direct")
-        z = hss_apply(spec, sys_, np.array([1.0, 0.0]))
+        z = HssApplicator(sys_, spec).apply(np.array([1.0, 0.0]))
         assert np.allclose(z, [1.0 / 3.0, 1.0 / 3.0], atol=1e-12)
         # check (1/2)(I + H)(I + S) z = r
         H = np.diag([2.0, 0.0])
@@ -154,7 +152,7 @@ class TestHssApply:
         assert np.allclose(P @ z, [1.0, 0.0], atol=1e-12)
 
     def test_zero_residual(self):
-        z = hss_apply(PrecondSpec("hss", alpha=1.0, inner="direct"), toy_t1(), np.zeros(2))
+        z = HssApplicator(toy_t1(), PrecondSpec("hss", alpha=1.0, inner="direct")).apply(np.zeros(2))
         assert np.array_equal(z, np.zeros(2))
 
     def test_decoupled_blocks_when_B_and_C_zero(self):
@@ -171,7 +169,7 @@ class TestHssApply:
         )
         alpha = 0.9
         r = rng.standard_normal(n + m)
-        z = hss_apply(PrecondSpec("hss", alpha=alpha, inner="direct"), sys_, r)
+        z = HssApplicator(sys_, PrecondSpec("hss", alpha=alpha, inner="direct")).apply(r)
         # with B = C = 0 the two factors act blockwise: the velocity part
         # sees 2 alpha (alpha I)^{-1} (alpha I + A)^{-1}, the pressure part
         # 2 alpha (alpha I)^{-1} (alpha I)^{-1}

@@ -6,8 +6,6 @@ from sadprec.sparse import (
     SaddleSystem,
     add_scaled_identity,
     assemble_block_saddle,
-    axpy,
-    dot,
     norm2,
     spmv,
     spmv_transpose,
@@ -114,14 +112,8 @@ class TestVectorOps:
         monkeypatch.setenv("SADPREC_DENSE_CAP", "1e5")
         assert to_dense(M).shape == (100, 100)
 
-    def test_dot(self):
-        assert dot([1.0, 2.0], [3.0, 4.0]) == 11.0
-
     def test_norm2(self):
         assert norm2([3.0, 4.0]) == 5.0
-
-    def test_axpy(self):
-        assert np.array_equal(axpy(2.0, [1.0, 1.0], [0.0, 3.0]), [2.0, 5.0])
 
 
 class TestAdjointConsistency:
@@ -203,6 +195,26 @@ class TestSaddleSystem:
         A = CsrMatrix.from_dense([[1.0, 2.0], [0.5, 1.0]])
         with pytest.raises(ValueError):
             SaddleSystem(A, CsrMatrix.zeros(1, 2), CsrMatrix.zeros(1, 1), np.zeros(2), np.zeros(1))
+
+    def test_nan_in_f_rejected(self):
+        with pytest.raises(ValueError, match="f has a non-finite entry"):
+            SaddleSystem(
+                CsrMatrix.from_dense([[2.0]]),
+                CsrMatrix.from_dense([[1.0]]),
+                CsrMatrix.zeros(1, 1),
+                np.array([np.nan]),
+                np.array([0.0]),
+            )
+
+    def test_inf_in_B_rejected(self):
+        with pytest.raises(ValueError, match="B has a non-finite entry"):
+            SaddleSystem(
+                CsrMatrix.identity(2),
+                CsrMatrix.from_dense([[1.0, np.inf]]),
+                CsrMatrix.zeros(1, 1),
+                np.zeros(2),
+                np.zeros(1),
+            )
 
     def test_m_greater_n_rejected(self):
         A = CsrMatrix.identity(1)

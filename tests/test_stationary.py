@@ -5,7 +5,7 @@ from sadprec.krylov import StoppingRule
 from sadprec.precond import MgssApplicator, PrecondSpec, dense_preconditioner_matrix
 from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
 from sadprec.sparse import CsrMatrix, SaddleSystem, assemble_block_saddle, to_dense
-from sadprec.stationary import IterationMatrixOperator, gamma_apply, run_mgss_iteration
+from sadprec.stationary import IterationMatrixOperator, run_mgss_iteration
 
 
 def toy_t1():
@@ -24,15 +24,15 @@ TOY_GAMMA = np.array([[-0.5, -0.5], [0.5, 0.5]])  # dense M^{-1} N for alpha=bet
 class TestGammaOperator:
     def test_toy_dense_oracle(self):
         op = IterationMatrixOperator(toy_t1(), 1.0, 1.0)
-        assert np.allclose(gamma_apply(op, np.array([1.0, 0.0])), TOY_GAMMA @ [1.0, 0.0], atol=1e-14)
+        assert np.allclose(op(np.array([1.0, 0.0])), TOY_GAMMA @ [1.0, 0.0], atol=1e-14)
 
     def test_zero_vector(self):
         op = IterationMatrixOperator(toy_t1(), 1.0, 1.0)
-        assert np.allclose(gamma_apply(op, np.zeros(2)), np.zeros(2), atol=1e-15)
+        assert np.allclose(op(np.zeros(2)), np.zeros(2), atol=1e-15)
 
     def test_toy_null_direction(self):
         op = IterationMatrixOperator(toy_t1(), 1.0, 1.0)
-        assert np.allclose(gamma_apply(op, np.array([1.0, -1.0])), np.zeros(2), atol=1e-14)
+        assert np.allclose(op(np.array([1.0, -1.0])), np.zeros(2), atol=1e-14)
 
     def test_equals_m_inverse_n(self):
         sys_ = generate_random_saddle(18, 7, seed=6)
