@@ -252,11 +252,6 @@ _OPERATORS = ("saddle", "mgss-prec", "rmgss-prec", "gamma", "rmgss-predicted")
 
 def cmd_spectrum(args):
     sys_, _ = problems.load_bundle(args.indir)
-    if sys_.order > spectral.DENSE_EIG_MAX_ORDER:
-        raise CliError(
-            f"operator order {sys_.order} exceeds the dense cap "
-            f"{spectral.DENSE_EIG_MAX_ORDER}; use a smaller grid"
-        )
     if args.operator == "saddle":
         spec = spectral.dense_eigen_real_schur(to_dense(assemble_block_saddle(sys_)))
     elif args.operator == "mgss-prec":

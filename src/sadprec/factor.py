@@ -1,15 +1,16 @@
 """Cholesky factorization of SPD matrices and triangular solves.
 
-Two backends share one interface: a vectorized dense factorization for
-matrices up to ``dense_cutoff`` rows and an up-looking sparse
-factorization (elimination-tree reach, row by row) above it.  Both
-factor in the natural ordering: the shifted stabilization blocks this
-module mostly factors are already tightly banded.
+Two backends share one interface: LAPACK's dense factorization (through
+``np.linalg.cholesky``) for matrices whose dense copy fits under
+``sparse.dense_cap()``, and an up-looking sparse factorization
+(elimination-tree reach, row by row) for those it refuses.  Both factor
+in the natural ordering: the shifted stabilization blocks this module
+mostly factors are already tightly banded.
 """
 
 import numpy as np
 
-from .sparse import CsrMatrix, _check_symmetric, to_dense
+from .sparse import CsrMatrix, _check_symmetric, dense_cap, to_dense
 
 __all__ = [
     "CholeskyFactor",
@@ -20,7 +21,6 @@ __all__ = [
 ]
 
 _PIVOT_RTOL = 1e-14
-DENSE_CUTOFF = 2000
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -36,17 +36,15 @@ class CholeskyFactor:
         self.size = size
 
 
-def cholesky(M, dense_cutoff=DENSE_CUTOFF):
+def cholesky(M):
     """Factor a symmetric positive definite CsrMatrix.
 
     Parameters
     ----------
     M : CsrMatrix
         Symmetric; symmetry is verified, definiteness is discovered
-        through the pivots.
-    dense_cutoff : int
-        Matrices with at most this many rows are factored densely.
-        Pass 0 to force the sparse path.
+        through the pivots.  Factored densely when its n * n entries fit
+        under ``sparse.dense_cap()``, sparsely otherwise.
 
     Raises
     ------
@@ -57,7 +55,7 @@ def cholesky(M, dense_cutoff=DENSE_CUTOFF):
         raise ValueError("matrix must be square")
     _check_symmetric(M, "matrix")
     n = M.nrows
-    if n <= dense_cutoff:
+    if n * n <= dense_cap():
         return CholeskyFactor("dense", _dense_lower(to_dense(M)), n)
     return CholeskyFactor("sparse", _sparse_lower(M), n)
 
@@ -67,7 +65,7 @@ def cholesky_dense(a):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    return CholeskyFactor("dense", _dense_lower(a.copy()), a.shape[0])
+    return CholeskyFactor("dense", _dense_lower(a), a.shape[0])
 
 
 def solve(fac, b):
@@ -86,20 +84,19 @@ def solve(fac, b):
 def _dense_lower(a):
     n = a.shape[0]
     if n == 0:
-        return a
-    max_diag = float(np.max(np.abs(np.diagonal(a)))) if n else 0.0
-    tol = _PIVOT_RTOL * max(max_diag, 1.0)
-    L = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - np.dot(L[j, :j], L[j, :j])
-        if d <= tol:
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite (pivot {d:.3e} at row {j})"
-            )
-        ljj = np.sqrt(d)
-        L[j, j] = ljj
-        if j + 1 < n:
-            L[j + 1:, j] = (a[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / ljj
+        return a.copy()
+    tol = _PIVOT_RTOL * max(float(np.max(np.abs(np.diagonal(a)))), 1.0)
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("matrix is not positive definite") from exc
+    pivots = np.diagonal(L) ** 2
+    low = np.flatnonzero(~(pivots > tol))  # a NaN pivot fails too
+    if low.size:
+        j = int(low[0])
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive definite (pivot {pivots[j]:.3e} at row {j})"
+        )
     return L
 
 

@@ -31,7 +31,7 @@ from . import factor
 from .krylov import LinearOperator, cg
 from .sparse import (
     add_scaled_identity,
-    dense_cap,
+    assemble_block_saddle,
     spmv,
     spmv_columns,
     spmv_transpose,
@@ -110,15 +110,11 @@ class SchurOperator(LinearOperator):
         return y
 
 
-def form_schur_dense(sys, alpha, beta, cap=None):
+def form_schur_dense(sys, alpha, beta):
     """Explicit dense Schur matrix alpha I + A + B^T (beta I + C)^{-1} B."""
-    n = sys.n
-    limit = dense_cap() if cap is None else cap
-    if n * n > limit:
-        raise ValueError(f"dense Schur matrix of order {n} exceeds cap of {limit} entries")
-    S = to_dense(sys.A, limit) + alpha * np.eye(n)
+    S = to_dense(sys.A) + alpha * np.eye(sys.n)
     if sys.m:
-        Bd = to_dense(sys.B, limit)
+        Bd = to_dense(sys.B)
         shifted = factor.cholesky(add_scaled_identity(sys.C, beta))
         S = S + Bd.T @ factor.solve(shifted, Bd)
     return 0.5 * (S + S.T)
@@ -212,10 +208,9 @@ class HssApplicator:
         self._ops = None
         self._factors = None
         if spec.inner == "direct":
-            limit = dense_cap()
-            Ad = to_dense(sys.A, limit)
-            Cd = to_dense(sys.C, limit)
-            Bd = to_dense(sys.B, limit)
+            Ad = to_dense(sys.A)
+            Cd = to_dense(sys.C)
+            Bd = to_dense(sys.B)
             self._factors = (
                 factor.cholesky_dense(Ad + a * np.eye(n)),
                 factor.cholesky_dense(Cd + a * np.eye(m)),
@@ -232,6 +227,8 @@ class HssApplicator:
     def _solve(self, which, rhs):
         if self._factors is not None:
             return factor.solve(self._factors[which], rhs)
+        if rhs.ndim == 2:
+            raise ValueError("batched application requires inner='direct'")
         report = cg(self._ops[which], rhs, self.spec.inner_reduction, self.spec.inner_max_iters)
         self.inner_iterations += report.outer_iterations
         return report.solution
@@ -271,31 +268,18 @@ def make_preconditioner(sys, spec):
     return IdentityApplicator(sys, spec)
 
 
-def dense_preconditioner_matrix(sys, spec, cap=None):
+def dense_preconditioner_matrix(sys, spec):
     """The preconditioner assembled densely, for reconstruction tests."""
-    limit = dense_cap() if cap is None else cap
-    n, m = sys.n, sys.m
-    if (n + m) ** 2 > limit:
-        raise ValueError("dense preconditioner exceeds the dense cap")
-    Ad = to_dense(sys.A, limit)
-    Bd = to_dense(sys.B, limit)
-    Cd = to_dense(sys.C, limit)
+    n = sys.n
+    K = to_dense(assemble_block_saddle(sys))
     if spec.kind == "none":
-        return np.eye(n + m)
-    if spec.kind == "mgss":
-        top = np.hstack([spec.alpha * np.eye(n) + Ad, Bd.T])
-        bot = np.hstack([-Bd, spec.beta * np.eye(m) + Cd])
-        return 0.5 * np.vstack([top, bot])
-    if spec.kind == "rmgss":
-        top = np.hstack([Ad, Bd.T])
-        bot = np.hstack([-Bd, spec.beta * np.eye(m) + Cd])
-        return np.vstack([top, bot])
-    a = spec.alpha
-    H = np.zeros((n + m, n + m))
-    H[:n, :n] = Ad
-    H[n:, n:] = Cd
-    S = np.zeros((n + m, n + m))
-    S[:n, n:] = Bd.T
-    S[n:, :n] = -Bd
-    eye = np.eye(n + m)
-    return (a * eye + H) @ (a * eye + S) / (2.0 * a)
+        return np.eye(sys.order)
+    if spec.kind == "hss":
+        # skew part S = [[0, B^T], [-B, 0]]; the rest of K is H = blkdiag(A, C)
+        S = np.zeros_like(K)
+        S[:n, n:], S[n:, :n] = K[:n, n:], K[n:, :n]
+        aI = spec.alpha * np.eye(sys.order)
+        return (aI + K - S) @ (aI + S) / (2.0 * spec.alpha)
+    # mgss and rmgss (whose alpha is 0): K plus blkdiag(alpha I, beta I)
+    P = K + np.diag(np.concatenate([np.full(n, spec.alpha), np.full(sys.m, spec.beta)]))
+    return 0.5 * P if spec.kind == "mgss" else P

@@ -32,14 +32,25 @@ _DEFAULT_DENSE_CAP = 4_000_000
 
 
 def dense_cap():
-    """Maximum number of entries allowed in a dense conversion.
+    """Maximum number of entries allowed in a dense matrix.
 
-    Overridable through the SADPREC_DENSE_CAP environment variable.
+    The one size rule of the package: ``to_dense`` refuses larger
+    conversions, and ``factor.cholesky`` factors densely below it and
+    sparsely above it.  Overridable through the SADPREC_DENSE_CAP
+    environment variable, which must hold a finite, non-negative number.
     """
     env = os.environ.get("SADPREC_DENSE_CAP")
-    if env:
-        return int(float(env))
-    return _DEFAULT_DENSE_CAP
+    if not env:
+        return _DEFAULT_DENSE_CAP
+    try:
+        cap = float(env)
+    except ValueError:
+        cap = float("nan")
+    if not 0 <= cap < float("inf"):
+        raise ValueError(
+            f"SADPREC_DENSE_CAP must be a finite, non-negative number of entries, got {env!r}"
+        )
+    return int(cap)
 
 
 class CsrMatrix:
@@ -51,15 +62,14 @@ class CsrMatrix:
     shared freely between threads.
     """
 
-    def __init__(self, nrows, ncols, row_ptr, col_idx, values, validate=True):
+    def __init__(self, nrows, ncols, row_ptr, col_idx, values):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         self.row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
         self.col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self._row_of = None
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- construction -------------------------------------------------
 
@@ -139,9 +149,6 @@ class CsrMatrix:
         """Column indices and values of row i (views, do not mutate)."""
         lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
         return self.col_idx[lo:hi], self.values[lo:hi]
-
-    def toarray(self, cap=None):
-        return to_dense(self, cap)
 
     def __matmul__(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -237,9 +244,9 @@ def add_scaled_identity(M, s):
     )
 
 
-def to_dense(M, cap=None):
-    """Dense ndarray copy of M; refuses matrices above the dense cap."""
-    limit = dense_cap() if cap is None else cap
+def to_dense(M):
+    """Dense ndarray copy of M; refuses matrices above ``dense_cap()``."""
+    limit = dense_cap()
     if M.nrows * M.ncols > limit:
         raise ValueError(
             f"dense conversion of {M.nrows}x{M.ncols} exceeds cap of {limit} entries"

@@ -9,6 +9,10 @@ shifts), and the spectrum of the rmgss-preconditioned matrix, which
 consists of the eigenvalue 1 with multiplicity n together with
 mu_i / (beta + mu_i) where mu_i are the eigenvalues of
 C + B A^{-1} B^T.
+
+Every dense matrix here is built from ``sparse.to_dense`` conversions,
+so ``sparse.dense_cap()`` (``SADPREC_DENSE_CAP``) is the only limit on
+the order of a spectrum; the eigensolvers add none of their own.
 """
 
 from dataclasses import dataclass
@@ -17,22 +21,19 @@ import numpy as np
 
 from . import factor
 from .precond import MgssApplicator, PrecondSpec
-from .sparse import assemble_block_saddle, dense_cap, to_dense
-from .stationary import IterationMatrixOperator
+from .sparse import assemble_block_saddle, to_dense
 
 __all__ = [
     "Spectrum",
     "COMPUTED_DENSE",
     "COMPUTED_SYMMETRIC",
     "PREDICTED",
-    "POWER_ESTIMATE",
     "jacobi_symmetric",
     "jacobi_symmetric_eigen",
     "dense_eigen_real_schur",
     "power_spectral_radius",
     "predicted_rmgss_spectrum",
     "iteration_matrix_check",
-    "dense_operator_matrix",
     "gamma_dense",
     "mgss_preconditioned_dense",
     "rmgss_preconditioned_dense",
@@ -41,9 +42,6 @@ __all__ = [
 COMPUTED_DENSE = "COMPUTED_DENSE"
 COMPUTED_SYMMETRIC = "COMPUTED_SYMMETRIC"
 PREDICTED = "PREDICTED"
-POWER_ESTIMATE = "POWER_ESTIMATE"
-
-DENSE_EIG_MAX_ORDER = 400
 
 
 def _sorted_complex(vals):
@@ -101,14 +99,12 @@ def dense_eigen_real_schur(M):
     """All eigenvalues of a real square matrix, via LAPACK's real Schur form.
 
     ``np.linalg.eigvals`` balances, reduces to Hessenberg form and runs
-    the shifted QR iteration.  Capped at order ``DENSE_EIG_MAX_ORDER``.
+    the shifted QR iteration.
     """
     a = np.asarray(M, dtype=np.float64)
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError("matrix must be square")
-    if n > DENSE_EIG_MAX_ORDER:
-        raise ValueError(f"order {n} exceeds the dense eigensolver cap {DENSE_EIG_MAX_ORDER}")
     return Spectrum(np.linalg.eigvals(a), COMPUTED_DENSE, n)
 
 
@@ -142,20 +138,6 @@ def power_spectral_radius(op, iters=100, restarts=5, seed=20240613):
     return best
 
 
-def dense_operator_matrix(op, cap=None):
-    """Materialize a LinearOperator by column probes."""
-    limit = dense_cap() if cap is None else cap
-    if op.dim * op.dim > limit:
-        raise ValueError("operator too large to materialize densely")
-    out = np.empty((op.dim, op.dim))
-    e = np.zeros(op.dim)
-    for j in range(op.dim):
-        e[j] = 1.0
-        out[:, j] = op(e)
-        e[j] = 0.0
-    return out
-
-
 def gamma_dense(sys, alpha, beta):
     """Dense iteration matrix I - M^{-1} A built with exact inner solves."""
     spec = PrecondSpec("mgss", alpha=alpha, beta=beta, inner="direct")
@@ -184,8 +166,6 @@ def predicted_rmgss_spectrum(sys, beta):
     formed densely through a Cholesky factorization of A.
     """
     n, m = sys.n, sys.m
-    if n * n > dense_cap():
-        raise ValueError("system too large to form G densely")
     lams = [1.0] * n
     if m:
         Ad = to_dense(sys.A)
@@ -205,8 +185,6 @@ def iteration_matrix_check(sys, alpha, beta):
     solves) and reports max |lambda| together with the minimum distance
     of any eigenvalue to +1 and to -1.
     """
-    if sys.order > DENSE_EIG_MAX_ORDER:
-        raise ValueError("system order exceeds the dense eigensolver cap")
     spec = dense_eigen_real_schur(gamma_dense(sys, alpha, beta))
     lam = spec.eigenvalues
     return {

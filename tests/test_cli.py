@@ -7,7 +7,7 @@ import pytest
 
 from sadprec.cli import BenchRecord, main
 from sadprec.precond import make_preconditioner
-from sadprec.problems import generate_random_saddle, load_bundle, save_bundle
+from sadprec.problems import load_bundle, save_bundle
 from sadprec.sparse import CsrMatrix, SaddleSystem
 
 
@@ -21,6 +21,13 @@ def toy_bundle(tmp_path):
     )
     path = tmp_path / "t1"
     save_bundle(sys_, path, meta={"generator": "toy"})
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def q12_bundle(tmp_path_factory):
+    path = tmp_path_factory.mktemp("q12") / "stokes"
+    assert main(["generate", "--stokes", "q=12", "--out", str(path)]) == 0
     return str(path)
 
 
@@ -241,13 +248,19 @@ class TestSpectrum:
         rc = main(["spectrum", "--in", bundle, "--operator", "gamma", "--csv", str(tmp_path / "x.csv")])
         assert rc != 0
 
-    def test_order_cap(self, tmp_path, capsys):
-        sys_ = generate_random_saddle(300, 140, density=0.05, seed=0)
-        path = tmp_path / "big"
-        save_bundle(sys_, path, meta={"generator": "random"})
-        rc = main(["spectrum", "--in", str(path), "--operator", "saddle", "--csv", str(tmp_path / "s.csv")])
-        assert rc != 0
-        assert "smaller grid" in capsys.readouterr().err
+    def test_pinned_q12_spectrum(self, q12_bundle, tmp_path, capsys):
+        # order 481, beyond the 400 the dense eigensolver was once capped at
+        csv = tmp_path / "s.csv"
+        rc = main(["spectrum", "--in", q12_bundle, "--operator", "rmgss-prec", "--beta", "0.001",
+                   "--csv", str(csv)])
+        assert rc == 0
+        assert len(csv.read_text().strip().splitlines()) == 1 + 481
+
+    def test_dense_cap_refuses_operator(self, q12_bundle, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SADPREC_DENSE_CAP", "100000")
+        rc = main(["spectrum", "--in", q12_bundle, "--operator", "saddle", "--csv", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert "exceeds cap" in capsys.readouterr().err
 
 
 class TestBench:
@@ -286,3 +299,11 @@ class TestBench:
     def test_unknown_method_rejected(self, capsys):
         rc = main(["bench", "--grids", "4", "--methods", "ilu"])
         assert rc != 0
+
+    @pytest.mark.parametrize("value", ["inf", "abc", "-5"])
+    def test_malformed_dense_cap_rejected(self, value, capsys, monkeypatch):
+        monkeypatch.setenv("SADPREC_DENSE_CAP", value)
+        rc = main(["bench", "--grids", "4", "--methods", "mgss"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SADPREC_DENSE_CAP must be a finite, non-negative number")

@@ -12,6 +12,16 @@ def random_spd(n, seed, density=0.4):
     return CsrMatrix.from_dense(0.5 * (M + M.T))
 
 
+def both_backends(M, monkeypatch):
+    """The dense and the sparse factor of M; a dense cap of 0 selects the sparse one."""
+    dense = factor.cholesky(M)
+    with monkeypatch.context() as mp:
+        mp.setenv("SADPREC_DENSE_CAP", "0")
+        sparse = factor.cholesky(M)
+    assert (dense.kind, sparse.kind) == ("dense", "sparse")
+    return dense, sparse
+
+
 class TestCholesky:
     def test_hand_2x2(self):
         M = CsrMatrix.from_dense([[4.0, 2.0], [2.0, 5.0]])
@@ -22,19 +32,23 @@ class TestCholesky:
         fac = factor.cholesky(CsrMatrix.identity(5))
         assert np.allclose(fac.L, np.eye(5))
 
-    def test_indefinite_rejected(self):
+    def test_indefinite_rejected(self, monkeypatch):
         # eigenvalues 3 and -1
         M = CsrMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(factor.NotPositiveDefiniteError):
             factor.cholesky(M)
+        monkeypatch.setenv("SADPREC_DENSE_CAP", "0")
         with pytest.raises(factor.NotPositiveDefiniteError):
-            factor.cholesky(M, dense_cutoff=0)
+            factor.cholesky(M)
 
-    def test_reconstruction_both_backends(self):
+    def test_nan_pivot_rejected(self):
+        with pytest.raises(factor.NotPositiveDefiniteError):
+            factor.cholesky_dense([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_reconstruction_both_backends(self, monkeypatch):
         M = random_spd(40, seed=2)
         dense = to_dense(M)
-        for cutoff in (2000, 0):
-            fac = factor.cholesky(M, dense_cutoff=cutoff)
+        for fac in both_backends(M, monkeypatch):
             L = fac.L if fac.kind == "dense" else to_dense(fac.L)
             rebuilt = L @ L.T
             err = np.linalg.norm(rebuilt - dense) / np.linalg.norm(dense)
@@ -63,11 +77,10 @@ class TestSolve:
             factor.solve(fac, np.ones(4))
 
     @pytest.mark.parametrize("n,seed", [(10, 0), (60, 1), (200, 2)])
-    def test_residual_random_spd(self, n, seed):
+    def test_residual_random_spd(self, n, seed, monkeypatch):
         M = random_spd(n, seed)
         b = np.random.default_rng(seed + 100).standard_normal(n)
-        for cutoff in (2000, 0):
-            fac = factor.cholesky(M, dense_cutoff=cutoff)
+        for fac in both_backends(M, monkeypatch):
             x = factor.solve(fac, b)
             from sadprec.sparse import spmv
 
@@ -84,10 +97,9 @@ class TestSolve:
 
 
 class TestFactorContract:
-    def test_diagonal_positive(self):
+    def test_diagonal_positive(self, monkeypatch):
         M = random_spd(30, seed=11)
-        for cutoff in (2000, 0):
-            fac = factor.cholesky(M, dense_cutoff=cutoff)
+        for fac in both_backends(M, monkeypatch):
             diag = np.diagonal(fac.L) if fac.kind == "dense" else to_dense(fac.L).diagonal()
             assert np.all(diag > 0)
 

@@ -10,7 +10,8 @@ from sadprec.precond import (
     form_schur_dense,
     make_preconditioner,
 )
-from sadprec.problems import generate_random_saddle
+from sadprec.krylov import StoppingRule, gmres_restarted, saddle_operator
+from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
 from sadprec.sparse import (
     CsrMatrix,
     SaddleSystem,
@@ -177,6 +178,37 @@ class TestHssApply:
         z2_exp = 2.0 * r[n:] / alpha
         assert np.allclose(z[:n], z1_exp, atol=1e-12)
         assert np.allclose(z[n:], z2_exp, atol=1e-12)
+
+
+class TestBatchedResidual:
+    @pytest.mark.parametrize("spec", [
+        PrecondSpec("mgss", alpha=0.5, beta=0.5),
+        PrecondSpec("rmgss", beta=0.5),
+        PrecondSpec("hss", alpha=0.5),
+    ], ids=["mgss", "rmgss", "hss"])
+    def test_cg_mode_rejects_columns(self, spec):
+        sys_ = generate_random_saddle(10, 4, seed=0)
+        with pytest.raises(ValueError, match="batched application requires inner='direct'"):
+            make_preconditioner(sys_, spec).apply(np.ones((sys_.order, 3)))
+
+
+class TestDenseCapSelectsBackend:
+    # pinned Stokes q=16: beta I + C has order 255, i.e. 65025 dense
+    # entries, above a cap of 1e4 and below the default 4e6
+    @pytest.mark.parametrize("cap,backend", [("4e6", "dense"), ("1e4", "sparse")])
+    @pytest.mark.parametrize("spec,steps", [
+        (PrecondSpec("mgss", alpha=1e-3, beta=1e-3), (13, 293)),
+        (PrecondSpec("rmgss", beta=1e-3), (13, 292)),
+    ], ids=["mgss", "rmgss"])
+    def test_pinned_stokes_q16_same_steps(self, spec, steps, cap, backend, monkeypatch):
+        monkeypatch.setenv("SADPREC_DENSE_CAP", cap)
+        sys_ = generate_stokes_q1p0(StokesConfig(16))
+        prec = make_preconditioner(sys_, spec)
+        assert prec.shifted_factor.kind == backend
+        rule = StoppingRule(rel_tol=1e-9, max_outer=2000, restart=5)
+        report = gmres_restarted(saddle_operator(sys_), sys_.rhs(), prec, rule)
+        assert report.converged
+        assert (report.outer_iterations, report.total_inner_cg_iterations) == steps
 
 
 class TestSchur:

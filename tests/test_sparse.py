@@ -6,6 +6,7 @@ from sadprec.sparse import (
     SaddleSystem,
     add_scaled_identity,
     assemble_block_saddle,
+    dense_cap,
     norm2,
     spmv,
     spmv_transpose,
@@ -99,10 +100,11 @@ class TestVectorOps:
     def test_to_dense_identity(self):
         assert np.array_equal(to_dense(CsrMatrix.identity(2)), np.eye(2))
 
-    def test_dense_cap(self):
-        M = CsrMatrix.identity(100)
-        with pytest.raises(ValueError):
-            to_dense(M, cap=99)
+    def test_dense_cap(self, monkeypatch):
+        monkeypatch.delenv("SADPREC_DENSE_CAP", raising=False)
+        assert dense_cap() == 4_000_000
+        with pytest.raises(ValueError, match="exceeds cap"):
+            to_dense(CsrMatrix.zeros(2001, 2000))
 
     def test_dense_cap_env_override(self, monkeypatch):
         M = CsrMatrix.identity(100)

@@ -80,10 +80,6 @@ class TestRealSchur:
         spec = dense_eigen_real_schur(gamma_dense(toy_t1(), 1.0, 1.0))
         assert np.max(np.abs(spec.eigenvalues)) <= 1e-8
 
-    def test_order_cap(self):
-        with pytest.raises(ValueError):
-            dense_eigen_real_schur(np.eye(401))
-
     @pytest.mark.parametrize("n,seed", [(3, 0), (17, 1), (80, 2), (200, 3)])
     def test_against_numpy_oracle(self, n, seed):
         rng = np.random.default_rng(seed)
