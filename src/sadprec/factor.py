@@ -166,7 +166,7 @@ def _sparse_lower(A):
             row_cols[k] = j
             row_vals[k] = v
             d -= v * v
-        if d <= tol:
+        if not d > tol:  # a NaN pivot fails too
             raise NotPositiveDefiniteError(
                 f"matrix is not positive definite (pivot {d:.3e} at row {i})"
             )

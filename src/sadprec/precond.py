@@ -112,10 +112,14 @@ class SchurOperator(LinearOperator):
 
 def form_schur_dense(sys, alpha, beta):
     """Explicit dense Schur matrix alpha I + A + B^T (beta I + C)^{-1} B."""
+    return _schur_dense(sys, alpha, factor.cholesky(add_scaled_identity(sys.C, beta)))
+
+
+def _schur_dense(sys, alpha, shifted):
+    # the dense Schur matrix, given the factor of beta I + C
     S = to_dense(sys.A) + alpha * np.eye(sys.n)
     if sys.m:
         Bd = to_dense(sys.B)
-        shifted = factor.cholesky(add_scaled_identity(sys.C, beta))
         S = S + Bd.T @ factor.solve(shifted, Bd)
     return 0.5 * (S + S.T)
 
@@ -148,7 +152,7 @@ class MgssApplicator:
         self.schur_op = SchurOperator(sys.A, sys.B, self.shifted_factor, spec.alpha)
         self.schur_factor = None
         if spec.inner == "direct":
-            S = form_schur_dense(sys, spec.alpha, spec.beta)
+            S = _schur_dense(sys, spec.alpha, self.shifted_factor)
             self.schur_factor = factor.cholesky_dense(S)
 
     def apply(self, r):

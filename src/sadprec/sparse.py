@@ -60,6 +60,12 @@ class CsrMatrix:
     are no duplicate positions, and no explicitly stored zeros.  The
     arrays are never mutated after construction, so instances can be
     shared freely between threads.
+
+    The first ``spmv`` caches the rows padded to the widest one (an
+    ELLPACK layout), and the first ``spmv_transpose`` caches the same
+    for the transpose.  Each layout costs 16 bytes x rows x widest row
+    (an int64 index and a float64 value per slot): about nnz when rows
+    are of even length, and at most twice a dense float64 copy.
     """
 
     def __init__(self, nrows, ncols, row_ptr, col_idx, values):
@@ -69,6 +75,8 @@ class CsrMatrix:
         self.col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self._row_of = None
+        self._padded = None     # rows padded to the widest, built by the first spmv
+        self._padded_t = None   # the same for the transpose, built by the first spmv_transpose
         self._validate()
 
     # -- construction -------------------------------------------------
@@ -169,6 +177,20 @@ class CsrMatrix:
             )
         return self._row_of
 
+    def _padded_rows(self):
+        if self._padded is None:
+            self._padded = _pad(self._rows(), self.col_idx, self.values, self.nrows, self.ncols)
+        return self._padded
+
+    def _padded_cols(self):
+        # stable sort by column keeps each column's entries in row order,
+        # the order in which the transpose product adds them
+        if self._padded_t is None:
+            order = np.argsort(self.col_idx, kind="stable")
+            self._padded_t = _pad(self.col_idx[order], self._rows()[order],
+                                  self.values[order], self.ncols, self.nrows)
+        return self._padded_t
+
     def _validate(self):
         if self.nrows < 0 or self.ncols < 0:
             raise ValueError("negative dimension")
@@ -195,38 +217,79 @@ class CsrMatrix:
             raise ValueError("explicitly stored zero entry")
 
 
+def _pad(out, inp, vals, nout, nin):
+    """Padded-row layout of the entries (out[k], inp[k], vals[k]).
+
+    ``out`` is non-decreasing.  Returns a column-major ``(width, cols)``
+    index array and value array: column i holds output row i's entries
+    in storage order, padded to the widest row with index ``nin`` (the
+    zero slot ``_padded_product`` appends to x) and value 0.0.  ``cols``
+    is at least 2: with one column numpy would sum it pairwise, not
+    left to right.
+    """
+    counts = np.bincount(out, minlength=nout)
+    width = int(counts.max(initial=0))
+    cols = max(nout, 2)
+    idx = np.full((width, cols), nin, dtype=np.int64)
+    val = np.zeros((width, cols))
+    starts = np.cumsum(counts) - counts
+    slot = np.arange(out.size) - starts[out]
+    idx[slot, out] = inp
+    val[slot, out] = vals
+    return idx, val
+
+
+def _padded_product(layout, x, nout):
+    # one gather, one in-place multiply, one reduction over the padded
+    # axis; the outer-axis reduction adds each row left to right
+    idx, val = layout
+    xz = np.zeros((x.shape[0] + 1,) + x.shape[1:])
+    xz[:-1] = x
+    prod = xz[idx]
+    prod *= val if x.ndim == 1 else val[:, :, None]
+    return np.add.reduce(prod, axis=0, initial=0.0)[:nout]
+
+
 def spmv(M, x):
     """Matrix-vector product M @ x.
 
     Stored entries of each row are accumulated left to right, so the
-    result is bitwise reproducible for a fixed matrix.
+    result is bitwise reproducible for a fixed matrix.  Padding reads an
+    exact zero, so a row without a stored entry in a column where x
+    holds inf or NaN stays exactly 0.  The first call caches M's
+    padded-row layout (16 bytes x rows x widest row, see ``CsrMatrix``).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (M.ncols,):
         raise ValueError(f"dimension mismatch: matrix is {M.nrows}x{M.ncols}, vector has length {x.size}")
-    if M.nnz == 0:
-        return np.zeros(M.nrows)
-    return np.bincount(M._rows(), weights=M.values * x[M.col_idx], minlength=M.nrows)
+    return _padded_product(M._padded_rows(), x, M.nrows)
 
 
 def spmv_transpose(M, x):
-    """Product M.T @ x without forming the transpose."""
+    """Product M.T @ x without forming the transpose.
+
+    Each column's entries are accumulated in row order.  The first call
+    caches the padded layout of the transpose (16 bytes x columns x
+    widest column).
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (M.nrows,):
         raise ValueError(f"dimension mismatch: matrix is {M.nrows}x{M.ncols}, vector has length {x.size}")
-    if M.nnz == 0:
-        return np.zeros(M.ncols)
-    return np.bincount(M.col_idx, weights=M.values * x[M._rows()], minlength=M.ncols)
+    return _padded_product(M._padded_cols(), x, M.ncols)
 
 
 def spmv_columns(M, X, transpose=False):
-    """Apply spmv (or its transpose) to every column of a 2-D array."""
+    """Apply spmv (or its transpose) to every column of a 2-D array.
+
+    Column j of the result is bitwise equal to ``spmv(M, X[:, j])``.
+    The product holds a temporary of widest row x rows x columns.
+    """
     X = np.asarray(X, dtype=np.float64)
-    op = spmv_transpose if transpose else spmv
-    out = np.empty((M.ncols if transpose else M.nrows, X.shape[1]))
-    for j in range(X.shape[1]):
-        out[:, j] = op(M, X[:, j])
-    return out
+    nin, nout = (M.nrows, M.ncols) if transpose else (M.ncols, M.nrows)
+    if X.ndim != 2 or X.shape[0] != nin:
+        raise ValueError(f"dimension mismatch: matrix is {M.nrows}x{M.ncols}, block has shape {X.shape}")
+    layout = M._padded_cols() if transpose else M._padded_rows()
+    return _padded_product(layout, X, nout)
 
 
 def add_scaled_identity(M, s):

@@ -41,9 +41,12 @@ class TestCholesky:
         with pytest.raises(factor.NotPositiveDefiniteError):
             factor.cholesky(M)
 
-    def test_nan_pivot_rejected(self):
+    def test_nan_pivot_rejected(self, monkeypatch):
         with pytest.raises(factor.NotPositiveDefiniteError):
             factor.cholesky_dense([[np.nan, 0.0], [0.0, 1.0]])
+        monkeypatch.setenv("SADPREC_DENSE_CAP", "0")
+        with pytest.raises(factor.NotPositiveDefiniteError):
+            factor.cholesky(CsrMatrix.from_dense([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_reconstruction_both_backends(self, monkeypatch):
         M = random_spd(40, seed=2)

@@ -247,6 +247,27 @@ class TestSchur:
         assert np.allclose(app.schur_op(x), S @ x, atol=1e-10 * np.linalg.norm(S))
 
 
+    @pytest.mark.parametrize("kind", ["mgss", "rmgss"])
+    def test_direct_setup_factors_shifted_block_once(self, kind, monkeypatch):
+        from sadprec import factor
+
+        sys_ = generate_random_saddle(30, 14, seed=4)
+        spec = PrecondSpec(kind, alpha=0.2 if kind == "mgss" else 0.0, beta=0.7, inner="direct")
+        calls = []
+        real = factor.cholesky
+
+        def counting(M):
+            calls.append(M.shape)
+            return real(M)
+
+        monkeypatch.setattr(factor, "cholesky", counting)
+        app = MgssApplicator(sys_, spec)
+        assert calls == [(14, 14)]
+        # the Schur matrix is the one form_schur_dense builds
+        S = form_schur_dense(sys_, spec.alpha, spec.beta)
+        assert np.array_equal(app.schur_factor.L, np.linalg.cholesky(S))
+
+
 def _instances():
     yield toy_t1()
     yield generate_random_saddle(12, 5, seed=0)

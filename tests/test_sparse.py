@@ -9,9 +9,11 @@ from sadprec.sparse import (
     dense_cap,
     norm2,
     spmv,
+    spmv_columns,
     spmv_transpose,
     to_dense,
 )
+from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
 
 
 def toy_t1():
@@ -140,6 +142,99 @@ class TestAdjointConsistency:
         y1 = spmv(M, x)
         y2 = spmv(M, x)
         assert np.array_equal(y1, y2)
+
+
+def bincount_spmv(M, x):
+    """The scatter-add kernel spmv used before the padded-row layout."""
+    if M.nnz == 0:
+        return np.zeros(M.nrows)
+    rows = np.repeat(np.arange(M.nrows), np.diff(M.row_ptr))
+    return np.bincount(rows, weights=M.values * x[M.col_idx], minlength=M.nrows)
+
+
+def bincount_spmv_transpose(M, x):
+    if M.nnz == 0:
+        return np.zeros(M.ncols)
+    rows = np.repeat(np.arange(M.nrows), np.diff(M.row_ptr))
+    return np.bincount(M.col_idx, weights=M.values * x[rows], minlength=M.ncols)
+
+
+def assert_matches_bincount(M, X, Y):
+    """spmv, spmv_transpose and spmv_columns equal the reference bit for bit.
+
+    X holds right-hand sides of length ncols as columns, Y of length nrows.
+    """
+    for j in range(X.shape[1]):
+        assert np.array_equal(spmv(M, X[:, j]), bincount_spmv(M, X[:, j]), equal_nan=True)
+    for j in range(Y.shape[1]):
+        assert np.array_equal(
+            spmv_transpose(M, Y[:, j]), bincount_spmv_transpose(M, Y[:, j]), equal_nan=True
+        )
+    cols, cols_t = spmv_columns(M, X), spmv_columns(M, Y, transpose=True)
+    assert cols.shape == (M.nrows, X.shape[1]) and cols_t.shape == (M.ncols, Y.shape[1])
+    for j in range(X.shape[1]):
+        assert np.array_equal(cols[:, j], bincount_spmv(M, X[:, j]), equal_nan=True)
+    for j in range(Y.shape[1]):
+        assert np.array_equal(cols_t[:, j], bincount_spmv_transpose(M, Y[:, j]), equal_nan=True)
+
+
+def wide_range_columns(rng, n, k=6):
+    # entries scaled from 1e-8 to 1e8, so the order of additions shows
+    return rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-8, 8, (n, k))
+
+
+def kernel_cases():
+    for pinned in (True, False):
+        sys_ = generate_stokes_q1p0(StokesConfig(8, pin_pressure=pinned))
+        label = "pinned" if pinned else "unpinned"
+        yield f"stokes8-{label}-A", sys_.A
+        yield f"stokes8-{label}-B", sys_.B
+        yield f"stokes8-{label}-C", sys_.C
+    sys_ = generate_random_saddle(40, 16, seed=3)
+    yield "random-A", sys_.A
+    yield "random-B", sys_.B
+    yield "random-C", sys_.C
+    yield "empty-row", CsrMatrix.from_dense([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 3.0, 4.0]])
+    yield "zero-nnz", CsrMatrix.zeros(4, 3)
+    yield "m0-B", CsrMatrix.zeros(0, 5)
+    # one output row wider than 8 entries: numpy would sum it pairwise
+    yield "one-wide-row", CsrMatrix.from_dense(np.arange(1.0, 21.0)[None, :])
+
+
+class TestPaddedKernel:
+    @pytest.mark.parametrize("case", list(kernel_cases()), ids=lambda c: c[0])
+    def test_bitwise_equal_to_bincount(self, case):
+        _, M = case
+        rng = np.random.default_rng(M.nrows * 31 + M.ncols)
+        assert_matches_bincount(
+            M, wide_range_columns(rng, M.ncols), wide_range_columns(rng, M.nrows)
+        )
+
+    def test_non_finite_x_stays_out_of_rows_without_entries(self):
+        # column 1 is empty, column 2 is used by row 2 only; row 1 is empty
+        M = CsrMatrix.from_dense([[1.0, 0.0, 0.0, 2.0],
+                                  [0.0, 0.0, 0.0, 0.0],
+                                  [0.0, 0.0, 5.0, 6.0]])
+        x = np.array([1.0, np.inf, np.nan, 1.0])
+        y = spmv(M, x)
+        assert y[0] == 3.0 and y[1] == 0.0 and np.isnan(y[2])
+        # row 1 holds the NaN and has no entries
+        yt = spmv_transpose(M, np.array([np.inf, np.nan, 1.0]))
+        assert yt[0] == np.inf and yt[1] == 0.0 and yt[2] == 5.0 and yt[3] == np.inf
+        X = np.array([[1.0, np.inf, np.nan, 1.0], [np.nan, -np.inf, 0.0, 2.0]]).T
+        Y = np.array([[np.inf, np.nan, 1.0], [1.0, np.inf, -np.inf]]).T
+        assert_matches_bincount(M, X, Y)
+
+    def test_row_skewed(self):
+        # one dense row among 1999 diagonal ones: the layout is 2000 wide
+        n = 2000
+        rng = np.random.default_rng(5)
+        rows = np.concatenate([np.full(n, 7), np.arange(n)])
+        cols = np.concatenate([np.arange(n), np.arange(n)])
+        M = CsrMatrix.from_triplets(n, n, rows, cols, rng.uniform(0.5, 2.0, 2 * n))
+        assert_matches_bincount(
+            M, wide_range_columns(rng, n, k=2), wide_range_columns(rng, n, k=2)
+        )
 
 
 class TestSaddleSystem:
