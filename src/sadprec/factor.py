@@ -1,16 +1,18 @@
 """Cholesky factorization of SPD matrices and triangular solves.
 
-Two backends share one interface: LAPACK's dense factorization (through
-``np.linalg.cholesky``) for matrices whose dense copy fits under
-``sparse.dense_cap()``, and an up-looking sparse factorization
-(elimination-tree reach, row by row) for those it refuses.  Both factor
-in the natural ordering: the shifted stabilization blocks this module
-mostly factors are already tightly banded.
+``cholesky`` splits a sparse matrix into the connected components of its
+graph and factors them with LAPACK (``np.linalg.cholesky``), one call
+per component size.  Rows keep their natural order within a component,
+and no fill crosses components, so the factor is the natural-ordering
+Cholesky factor of the whole matrix.  ``sparse.dense_cap()`` bounds each
+component at k * k entries.  The shifted stabilization block
+beta I + C of the Q1-P0 generator falls apart into 2x2-macroelement
+tiles of four pressures; a general matrix is usually one component.
 """
 
 import numpy as np
 
-from .sparse import CsrMatrix, _check_symmetric, dense_cap, to_dense
+from .sparse import _check_symmetric, dense_cap
 
 __all__ = [
     "CholeskyFactor",
@@ -28,12 +30,16 @@ class NotPositiveDefiniteError(ValueError):
 
 
 class CholeskyFactor:
-    """Lower-triangular factor L with M = L L^T.  Immutable after construction."""
+    """M = L L^T, stored one connected component at a time.  Immutable.
 
-    def __init__(self, kind, L, size):
-        self.kind = kind        # "dense" or "sparse"
-        self.L = L              # ndarray or CsrMatrix
+    ``blocks`` holds one ``(index, L)`` pair per component size k:
+    ``index`` (c, k) lists the rows of c components, each in increasing
+    order, and ``L`` (c, k, k) their lower-triangular factors.
+    """
+
+    def __init__(self, size, blocks):
         self.size = size
+        self.blocks = blocks
 
 
 def cholesky(M):
@@ -43,21 +49,45 @@ def cholesky(M):
     ----------
     M : CsrMatrix
         Symmetric; symmetry is verified, definiteness is discovered
-        through the pivots.  Factored densely when its n * n entries fit
-        under ``sparse.dense_cap()``, sparsely otherwise.
+        through the pivots.  Each connected component of its graph is
+        factored densely and must fit under ``sparse.dense_cap()``.
 
     Raises
     ------
     NotPositiveDefiniteError
-        On a pivot at or below 1e-14 times the largest diagonal entry.
+        On a pivot at or below 1e-14 times the largest diagonal entry,
+        or a NaN pivot.
+    ValueError
+        If M is not square or not symmetric, or if a component of order
+        k has k * k entries above the dense cap.
     """
     if M.nrows != M.ncols:
         raise ValueError("matrix must be square")
     _check_symmetric(M, "matrix")
     n = M.nrows
-    if n * n <= dense_cap():
-        return CholeskyFactor("dense", _dense_lower(to_dense(M)), n)
-    return CholeskyFactor("sparse", _sparse_lower(M), n)
+    rows, cols = M._rows(), M.col_idx
+    _, comp, sizes = np.unique(_component_labels(n, rows, cols),
+                               return_inverse=True, return_counts=True)
+    largest, limit = int(sizes.max(initial=0)), dense_cap()
+    if largest ** 2 > limit:
+        raise ValueError(
+            f"a connected component of order {largest} needs {largest ** 2} dense entries, above the "
+            f"cap of {limit} (raise SADPREC_DENSE_CAP to factor it)"
+        )
+    # each component's rows, contiguous and in natural order
+    order = np.argsort(comp, kind="stable")
+    start = np.cumsum(sizes) - sizes
+    row_size = sizes[comp[rows]]
+    pos = np.empty(n, dtype=np.int64)  # a row's place in its stack, flattened over (c, k)
+    stacks = []
+    for k in np.unique(sizes):
+        index = order[start[sizes == k][:, None] + np.arange(k)]
+        pos[index] = np.arange(index.size).reshape(index.shape)
+        mine = row_size == k
+        a = np.zeros((index.size, k))
+        a[pos[rows[mine]], pos[cols[mine]] % k] = M.values[mine]
+        stacks.append((index, a.reshape(-1, k, k)))
+    return _factor(n, stacks)
 
 
 def cholesky_dense(a):
@@ -65,7 +95,42 @@ def cholesky_dense(a):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    return CholeskyFactor("dense", _dense_lower(a), a.shape[0])
+    return _factor(a.shape[0], [(np.arange(a.shape[0])[None], a[None])])
+
+
+def _component_labels(n, rows, cols):
+    # label propagation: each row takes the smallest label among its
+    # neighbours until nothing changes; labels end as each component's
+    # smallest row index
+    label = np.arange(n)
+    while True:
+        before = label.copy()
+        np.minimum.at(label, rows, label[cols])
+        if np.array_equal(label, before):
+            return label
+
+
+def _factor(n, stacks):
+    # one LAPACK call per stack, with the pivot rule of the whole matrix
+    max_diag = 1.0
+    for _, a in stacks:
+        max_diag = max(max_diag, np.abs(np.diagonal(a, axis1=1, axis2=2)).max(initial=0.0))
+    tol = _PIVOT_RTOL * max_diag
+    blocks = []
+    for index, a in stacks:
+        try:
+            L = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError("matrix is not positive definite") from exc
+        pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
+        low = np.argwhere(~(pivots > tol))  # a NaN pivot fails too
+        if low.size:
+            c, i = low[0]
+            raise NotPositiveDefiniteError(
+                f"matrix is not positive definite (pivot {pivots[c, i]:.3e} at row {index[c, i]})"
+            )
+        blocks.append((index, L))
+    return CholeskyFactor(n, blocks)
 
 
 def solve(fac, b):
@@ -73,132 +138,45 @@ def solve(fac, b):
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != fac.size:
         raise ValueError(f"dimension mismatch: factor of size {fac.size}, rhs of length {b.shape[0]}")
-    if fac.kind == "dense":
-        return _dense_backward(fac.L, _dense_forward(fac.L, b))
-    return _sparse_backward(fac.L, _sparse_forward(fac.L, b))
+    x = np.empty_like(b)
+    for index, L in fac.blocks:
+        if len(index) == 1:
+            # a single component: row loops over 2-D slices, which beat
+            # the batched loop on a batch of one
+            x[index[0]] = _backward(L[0], _forward(L[0], b[index[0]]))
+        else:
+            xs = b[index] if b.ndim > 1 else b[index][..., None]
+            x[index] = _backward_batched(L, _forward_batched(L, xs)).reshape(index.shape + b.shape[1:])
+    return x
 
 
-# -- dense backend ------------------------------------------------------
-
-
-def _dense_lower(a):
-    n = a.shape[0]
-    if n == 0:
-        return a.copy()
-    tol = _PIVOT_RTOL * max(float(np.max(np.abs(np.diagonal(a)))), 1.0)
-    try:
-        L = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("matrix is not positive definite") from exc
-    pivots = np.diagonal(L) ** 2
-    low = np.flatnonzero(~(pivots > tol))  # a NaN pivot fails too
-    if low.size:
-        j = int(low[0])
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (pivot {pivots[j]:.3e} at row {j})"
-        )
-    return L
-
-
-def _dense_forward(L, b):
-    n = L.shape[0]
-    x = b.copy()
-    for i in range(n):
-        if i:
-            x[i] = x[i] - L[i, :i] @ x[:i]
+def _forward(L, x):
+    for i in range(L.shape[0]):
+        x[i] = x[i] - L[i, :i] @ x[:i]
         x[i] = x[i] / L[i, i]
     return x
 
 
-def _dense_backward(L, b):
-    n = L.shape[0]
-    x = b.copy()
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            x[i] = x[i] - L[i + 1:, i] @ x[i + 1:]
+def _backward(L, x):
+    for i in range(L.shape[0] - 1, -1, -1):
+        x[i] = x[i] - L[i + 1:, i] @ x[i + 1:]
         x[i] = x[i] / L[i, i]
     return x
 
 
-# -- sparse backend (up-looking) -----------------------------------------
+# The batched kernels run the same substitution on every component of a
+# stack at once: L is (c, k, k) and x is (c, k, r) for r right-hand sides.
 
 
-def _sparse_lower(A):
-    """Up-looking factorization; the elimination tree is grown on the fly."""
-    n = A.nrows
-    max_diag = float(np.max(np.abs(A.diagonal()))) if n else 0.0
-    tol = _PIVOT_RTOL * max(max_diag, 1.0)
-    parent = np.full(n, -1, dtype=np.int64)
-    stamp = np.full(n, -1, dtype=np.int64)
-    x = np.zeros(n)
-    lcols = [None] * n   # per-row column index arrays of L
-    lvals = [None] * n
-    for i in range(n):
-        cols_i, vals_i = A.row(i)
-        below = cols_i <= i
-        cols_i, vals_i = cols_i[below], vals_i[below]
-        d = 0.0
-        pattern = []
-        stamp[i] = i
-        for j, a in zip(cols_i, vals_i):
-            if j == i:
-                d = a
-                continue
-            x[j] = a
-            # climb the elimination tree to collect the reach of row i
-            while stamp[j] != i:
-                stamp[j] = i
-                pattern.append(j)
-                if parent[j] == -1:
-                    parent[j] = i
-                    break
-                j = parent[j]
-        pattern.sort()
-        row_cols = np.empty(len(pattern) + 1, dtype=np.int64)
-        row_vals = np.empty(len(pattern) + 1)
-        for k, j in enumerate(pattern):
-            cj, vj = lcols[j], lvals[j]
-            v = x[j]
-            if cj.size > 1:
-                v -= np.dot(vj[:-1], x[cj[:-1]])
-            v /= lvals[j][-1]
-            x[j] = v
-            row_cols[k] = j
-            row_vals[k] = v
-            d -= v * v
-        if not d > tol:  # a NaN pivot fails too
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite (pivot {d:.3e} at row {i})"
-            )
-        row_cols[-1] = i
-        row_vals[-1] = np.sqrt(d)
-        lcols[i] = row_cols
-        lvals[i] = row_vals
-        for j in pattern:
-            x[j] = 0.0
-    counts = np.array([c.size for c in lcols], dtype=np.int64)
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    col_idx = np.concatenate(lcols) if n else np.empty(0, dtype=np.int64)
-    values = np.concatenate(lvals) if n else np.empty(0)
-    return CsrMatrix(n, n, row_ptr, col_idx, values)
-
-
-def _sparse_forward(L, b):
-    x = b.copy()
-    for i in range(L.nrows):
-        cols, vals = L.row(i)
-        if cols.size > 1:
-            x[i] = x[i] - vals[:-1] @ x[cols[:-1]]
-        x[i] = x[i] / vals[-1]
+def _forward_batched(L, x):
+    for i in range(L.shape[1]):
+        x[:, i] -= np.einsum("cj,cjr->cr", L[:, i, :i], x[:, :i])
+        x[:, i] /= L[:, i, i, None]
     return x
 
 
-def _sparse_backward(L, b):
-    x = b.copy()
-    for i in range(L.nrows - 1, -1, -1):
-        cols, vals = L.row(i)
-        x[i] = x[i] / vals[-1]
-        if cols.size > 1:
-            x[cols[:-1]] -= np.multiply.outer(vals[:-1], x[i]) if x.ndim > 1 else vals[:-1] * x[i]
+def _backward_batched(L, x):
+    for i in range(L.shape[1] - 1, -1, -1):
+        x[:, i] -= np.einsum("cj,cjr->cr", L[:, i + 1:, i], x[:, i + 1:])
+        x[:, i] /= L[:, i, i, None]
     return x

@@ -93,8 +93,8 @@ def cg(op, b, reduction_factor=100.0, max_iters=40):
     Stops when the residual norm has dropped by ``reduction_factor`` or
     after ``max_iters`` steps, whichever comes first; hitting the step
     cap is a normal outcome, not an error.  The operator must be
-    symmetric positive definite; a non-positive curvature p.Ap breaks
-    the recurrences and raises.
+    symmetric positive definite; a non-positive or NaN curvature p.Ap
+    breaks the recurrences and raises.
     """
     op = as_operator(op)
     b = np.asarray(b, dtype=np.float64)
@@ -113,9 +113,10 @@ def cg(op, b, reduction_factor=100.0, max_iters=40):
     while k < max_iters:
         ap = op(p)
         pap = float(np.dot(p, ap))
-        if pap <= 0.0:
+        if not pap > 0.0:  # NaN fails too
             raise ValueError(
-                f"CG breakdown: p.Ap = {pap:.3e} <= 0, operator is not symmetric positive definite"
+                f"CG breakdown: p.Ap = {pap:.3e} is not positive, "
+                "operator is not symmetric positive definite"
             )
         alpha = rs / pap
         x += alpha * p
@@ -147,11 +148,12 @@ def gmres_restarted(op, b, precond=None, rule=None):
     running least-squares problem.  ``outer_iterations`` counts the
     total number of Arnoldi steps across all restart cycles (not the
     number of restarts).  The residual history holds true residual
-    norms, one entry per restart boundary.
+    norms, one entry per restart boundary.  A non-finite ``b``, or a
+    non-finite true residual at a restart, raises ``ValueError``.
     """
     op = as_operator(op)
     rule = rule or StoppingRule()
-    b = np.asarray(b, dtype=np.float64)
+    b = _finite_rhs(b)
     t0 = time.perf_counter()
     dim = op.dim
     bn = norm2(b)
@@ -205,8 +207,7 @@ def gmres_restarted(op, b, precond=None, rule=None):
                 break
         y = _solve_upper(H[:k, :k], gvec[:k])
         x += Z[:, :k] @ y
-        r = b - op(x)
-        rn = norm2(r)
+        r, rn = _true_residual(op, b, x)
         history.append(rn)
     inner = getattr(precond, "inner_iterations", 0) - inner0
     converged = rn <= tol_abs
@@ -219,6 +220,25 @@ def gmres_restarted(op, b, precond=None, rule=None):
         x,
         "tolerance" if converged else "max_outer",
     )
+
+
+def _finite_rhs(b):
+    b = np.asarray(b, dtype=np.float64)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side has a non-finite entry (NaN or inf)")
+    return b
+
+
+def _true_residual(op, b, x):
+    # one scalar check per restart catches NaN or inf from the operator
+    # or the preconditioner, which every later comparison would let through
+    r = b - op(x)
+    rn = norm2(r)
+    if not np.isfinite(rn):
+        raise ValueError(
+            f"true residual norm is {rn}: the operator or preconditioner produced NaN or inf"
+        )
+    return r, rn
 
 
 def _solve_upper(R, g):
@@ -236,11 +256,12 @@ def stationary_richardson(op, b, precond, rule=None):
     With P equal to the half-sum splitting matrix of the saddle
     operator this is exactly the stationary scheme M u+ = N u + b.
     Residual growth past 10x the initial norm is flagged as divergence
-    (converged False, stop_reason "diverged") rather than raised.
+    (converged False, stop_reason "diverged") rather than raised.  A
+    non-finite ``b`` or true residual raises ``ValueError``.
     """
     op = as_operator(op)
     rule = rule or StoppingRule()
-    b = np.asarray(b, dtype=np.float64)
+    b = _finite_rhs(b)
     t0 = time.perf_counter()
     inner0 = getattr(precond, "inner_iterations", 0)
     x = np.zeros(op.dim)
@@ -253,8 +274,7 @@ def stationary_richardson(op, b, precond, rule=None):
     reason = "max_outer"
     while its < rule.max_outer:
         x += precond.apply(r)
-        r = b - op(x)
-        rn = norm2(r)
+        r, rn = _true_residual(op, b, x)
         its += 1
         history.append(rn)
         if rn <= rule.rel_tol * rn0:

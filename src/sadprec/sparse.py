@@ -35,9 +35,10 @@ def dense_cap():
     """Maximum number of entries allowed in a dense matrix.
 
     The one size rule of the package: ``to_dense`` refuses larger
-    conversions, and ``factor.cholesky`` factors densely below it and
-    sparsely above it.  Overridable through the SADPREC_DENSE_CAP
-    environment variable, which must hold a finite, non-negative number.
+    conversions, and ``factor.cholesky`` refuses a connected component
+    of order k whose k * k entries exceed it.  Overridable through the
+    SADPREC_DENSE_CAP environment variable, which must hold a finite,
+    non-negative number.
     """
     env = os.environ.get("SADPREC_DENSE_CAP")
     if not env:
@@ -145,18 +146,6 @@ class CsrMatrix:
     @property
     def T(self):
         return self.transpose()
-
-    def diagonal(self):
-        d = np.zeros(min(self.nrows, self.ncols))
-        rows = self._rows()
-        on_diag = rows == self.col_idx
-        d[rows[on_diag]] = self.values[on_diag]
-        return d
-
-    def row(self, i):
-        """Column indices and values of row i (views, do not mutate)."""
-        lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
-        return self.col_idx[lo:hi], self.values[lo:hi]
 
     def __matmul__(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -393,7 +382,13 @@ class SaddleSystem:
         return np.concatenate([top, bot])
 
     def check_spd_A(self):
-        """Cholesky-based SPD check of A; raises if it fails."""
+        """Cholesky-based SPD check of A; raises if it fails.
+
+        Each connected component of A is factored densely.  The Stokes
+        generator's A has two (q-1)^2-node velocity components, above
+        the default dense cap from q = 46 on: raise SADPREC_DENSE_CAP
+        (to (q-1)^4 entries) to check those grids.
+        """
         from . import factor
 
         factor.cholesky(self.A)

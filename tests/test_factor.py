@@ -2,60 +2,117 @@ import numpy as np
 import pytest
 
 from sadprec import factor
-from sadprec.sparse import CsrMatrix, to_dense
+from sadprec.sparse import CsrMatrix, spmv, to_dense
 
 
 def random_spd(n, seed, density=0.4):
+    """One connected component: solved by the 2-D row loops."""
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
     M = W @ W.T + np.eye(n)
     return CsrMatrix.from_dense(0.5 * (M + M.T))
 
 
-def both_backends(M, monkeypatch):
-    """The dense and the sparse factor of M; a dense cap of 0 selects the sparse one."""
-    dense = factor.cholesky(M)
-    with monkeypatch.context() as mp:
-        mp.setenv("SADPREC_DENSE_CAP", "0")
-        sparse = factor.cholesky(M)
-    assert (dense.kind, sparse.kind) == ("dense", "sparse")
-    return dense, sparse
+def tiled_spd(n, seed):
+    """Many components, like the Stokes macroelement tiles of beta I + C.
+
+    Component sizes cycle through 4, 1, 4, 3, 4, 2 (the last one cut to
+    fit n), and each component takes rows scattered over the whole
+    numbering, so components interleave.
+    """
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    M = np.zeros((n, n))
+    start, sizes = 0, (4, 1, 4, 3, 4, 2)
+    while start < n:
+        idx = perm[start:start + sizes[0]]
+        W = rng.standard_normal((idx.size, idx.size))
+        M[np.ix_(idx, idx)] = W @ W.T + np.eye(idx.size)
+        start += sizes[0]
+        sizes = sizes[1:] + sizes[:1]
+    return CsrMatrix.from_dense(0.5 * (M + M.T))
+
+
+def both_cases(n, seed):
+    return random_spd(n, seed), tiled_spd(n, seed)
+
+
+def lower(fac):
+    """The factor as one dense lower-triangular matrix in the original numbering."""
+    L = np.zeros((fac.size, fac.size))
+    for index, blocks in fac.blocks:
+        L[index[:, :, None], index[:, None, :]] = blocks
+    return L
 
 
 class TestCholesky:
     def test_hand_2x2(self):
         M = CsrMatrix.from_dense([[4.0, 2.0], [2.0, 5.0]])
         fac = factor.cholesky(M)
-        assert np.allclose(fac.L, [[2.0, 0.0], [1.0, 2.0]], atol=1e-15)
+        assert np.allclose(lower(fac), [[2.0, 0.0], [1.0, 2.0]], atol=1e-15)
 
     def test_identity(self):
         fac = factor.cholesky(CsrMatrix.identity(5))
-        assert np.allclose(fac.L, np.eye(5))
+        assert np.allclose(lower(fac), np.eye(5))
 
-    def test_indefinite_rejected(self, monkeypatch):
+    def test_indefinite_rejected(self):
         # eigenvalues 3 and -1
-        M = CsrMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(factor.NotPositiveDefiniteError):
-            factor.cholesky(M)
-        monkeypatch.setenv("SADPREC_DENSE_CAP", "0")
+            factor.cholesky(CsrMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]]))
+        # the same 2x2 block among SPD tiles, on rows 3 and 40
+        D = to_dense(tiled_spd(60, seed=3))
+        D[[3, 40], :] = 0.0
+        D[:, [3, 40]] = 0.0
+        D[np.ix_([3, 40], [3, 40])] = [[1.0, 2.0], [2.0, 1.0]]
         with pytest.raises(factor.NotPositiveDefiniteError):
-            factor.cholesky(M)
+            factor.cholesky(CsrMatrix.from_dense(D))
 
-    def test_nan_pivot_rejected(self, monkeypatch):
+    def test_nan_pivot_rejected(self):
         with pytest.raises(factor.NotPositiveDefiniteError):
             factor.cholesky_dense([[np.nan, 0.0], [0.0, 1.0]])
-        monkeypatch.setenv("SADPREC_DENSE_CAP", "0")
+        # one component, then two singletons
+        with pytest.raises(factor.NotPositiveDefiniteError):
+            factor.cholesky(CsrMatrix.from_dense([[np.nan, 1.0], [1.0, 2.0]]))
         with pytest.raises(factor.NotPositiveDefiniteError):
             factor.cholesky(CsrMatrix.from_dense([[np.nan, 0.0], [0.0, 1.0]]))
 
-    def test_reconstruction_both_backends(self, monkeypatch):
-        M = random_spd(40, seed=2)
-        dense = to_dense(M)
-        for fac in both_backends(M, monkeypatch):
-            L = fac.L if fac.kind == "dense" else to_dense(fac.L)
-            rebuilt = L @ L.T
-            err = np.linalg.norm(rebuilt - dense) / np.linalg.norm(dense)
+    def test_pivot_rule_spans_components(self):
+        # the 1e-14 rule is relative to the largest diagonal entry of the
+        # whole matrix, not of each component
+        M = CsrMatrix.from_dense(np.diag([1e20, 1e7, 1e-7]))
+        with pytest.raises(factor.NotPositiveDefiniteError, match="at row 2"):
+            factor.cholesky(M)
+
+    def test_reconstruction_both_backends(self):
+        for M in both_cases(40, seed=2):
+            dense = to_dense(M)
+            fac = factor.cholesky(M)
+            L = lower(fac)
+            err = np.linalg.norm(L @ L.T - dense) / np.linalg.norm(dense)
             assert err <= 1e-10
+            # no fill across components: the natural-ordering factor
+            assert np.allclose(L, np.linalg.cholesky(dense), rtol=0, atol=1e-12 * np.abs(dense).max())
+            assert fac.size == 40
+
+    def test_components_grouped_by_size(self):
+        fac = factor.cholesky(tiled_spd(60, seed=4))
+        assert sorted(L.shape[1:] for _, L in fac.blocks) == [(1, 1), (2, 2), (3, 3), (4, 4)]
+        rows = np.concatenate([index.ravel() for index, _ in fac.blocks])
+        assert np.array_equal(np.sort(rows), np.arange(60))
+        for index, L in fac.blocks:
+            assert L.shape == index.shape + index.shape[1:]
+            assert np.all(np.diff(index, axis=1) > 0)
+        # a single component is one stack of one
+        [(index, L)] = factor.cholesky(random_spd(30, seed=4)).blocks
+        assert np.array_equal(index, np.arange(30)[None])
+
+    def test_component_above_cap_rejected(self, monkeypatch):
+        M = tiled_spd(60, seed=5)
+        monkeypatch.setenv("SADPREC_DENSE_CAP", "16")
+        factor.cholesky(M)  # 60 * 60 entries as a whole, 4 * 4 per component
+        monkeypatch.setenv("SADPREC_DENSE_CAP", "15")
+        with pytest.raises(ValueError, match="SADPREC_DENSE_CAP"):
+            factor.cholesky(M)
 
 
 class TestSolve:
@@ -80,33 +137,34 @@ class TestSolve:
             factor.solve(fac, np.ones(4))
 
     @pytest.mark.parametrize("n,seed", [(10, 0), (60, 1), (200, 2)])
-    def test_residual_random_spd(self, n, seed, monkeypatch):
-        M = random_spd(n, seed)
+    def test_residual_random_spd(self, n, seed):
         b = np.random.default_rng(seed + 100).standard_normal(n)
-        for fac in both_backends(M, monkeypatch):
-            x = factor.solve(fac, b)
-            from sadprec.sparse import spmv
-
+        for M in both_cases(n, seed):
+            x = factor.solve(factor.cholesky(M), b)
             assert np.linalg.norm(spmv(M, x) - b) <= 1e-9 * np.linalg.norm(b)
 
     def test_multiple_rhs_columns(self):
-        M = random_spd(25, seed=5)
         rng = np.random.default_rng(9)
         Bcols = rng.standard_normal((25, 4))
-        fac = factor.cholesky(M)
-        X = factor.solve(fac, Bcols)
-        for j in range(4):
-            assert np.allclose(X[:, j], factor.solve(fac, Bcols[:, j]))
+        for M in both_cases(25, seed=5):
+            fac = factor.cholesky(M)
+            X = factor.solve(fac, Bcols)
+            assert X.shape == (25, 4)
+            for j in range(4):
+                assert np.allclose(X[:, j], factor.solve(fac, Bcols[:, j]), rtol=0, atol=1e-14)
+
+    def test_empty(self):
+        fac = factor.cholesky(CsrMatrix.zeros(0, 0))
+        assert factor.solve(fac, np.zeros(0)).shape == (0,)
+        assert factor.solve(fac, np.zeros((0, 3))).shape == (0, 3)
 
 
 class TestFactorContract:
-    def test_diagonal_positive(self, monkeypatch):
-        M = random_spd(30, seed=11)
-        for fac in both_backends(M, monkeypatch):
-            diag = np.diagonal(fac.L) if fac.kind == "dense" else to_dense(fac.L).diagonal()
-            assert np.all(diag > 0)
+    def test_diagonal_positive(self):
+        for M in both_cases(30, seed=11):
+            assert np.all(np.diagonal(lower(factor.cholesky(M))) > 0)
 
     def test_cholesky_dense_entry_point(self):
         a = np.array([[4.0, 2.0], [2.0, 5.0]])
-        fac = factor.cholesky_dense(a)
-        assert np.allclose(fac.L @ fac.L.T, a)
+        L = lower(factor.cholesky_dense(a))
+        assert np.allclose(L @ L.T, a)

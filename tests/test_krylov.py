@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sadprec.krylov import (
+    LinearOperator,
     StoppingRule,
     as_operator,
     cg,
@@ -165,6 +166,36 @@ class TestStationary:
         )
         assert not rep.converged
         assert np.array_equal(rep.solution, np.zeros(2))
+
+
+def nan_operator(dim):
+    return LinearOperator(dim, lambda x: np.full(dim, np.nan))
+
+
+class TestNonFinite:
+    def test_cg_nan_operator_raises(self):
+        with pytest.raises(ValueError, match="not positive"):
+            cg(nan_operator(3), np.ones(3), 100.0, 40)
+
+    def test_gmres_nan_rhs_raises(self):
+        with pytest.raises(ValueError, match="right-hand side has a non-finite entry"):
+            gmres_restarted(CsrMatrix.identity(3), np.array([1.0, np.nan, 0.0]))
+
+    def test_gmres_nan_operator_raises(self):
+        with pytest.raises(ValueError, match="true residual norm is nan"):
+            gmres_restarted(nan_operator(3), np.ones(3))
+
+    def test_stationary_nan_rhs_raises(self):
+        sys_ = toy_t1()
+        prec = MgssApplicator(sys_, PrecondSpec("mgss", 1.0, 1.0, inner="direct"))
+        with pytest.raises(ValueError, match="right-hand side has a non-finite entry"):
+            stationary_richardson(saddle_operator(sys_), np.array([np.nan, 0.0]), prec)
+
+    def test_stationary_nan_operator_raises(self):
+        sys_ = toy_t1()
+        prec = MgssApplicator(sys_, PrecondSpec("mgss", 1.0, 1.0, inner="direct"))
+        with pytest.raises(ValueError, match="true residual norm is nan"):
+            stationary_richardson(nan_operator(2), sys_.rhs(), prec)
 
 
 class TestStoppingRule:

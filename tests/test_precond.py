@@ -192,19 +192,34 @@ class TestBatchedResidual:
             make_preconditioner(sys_, spec).apply(np.ones((sys_.order, 3)))
 
 
-class TestDenseCapSelectsBackend:
-    # pinned Stokes q=16: beta I + C has order 255, i.e. 65025 dense
-    # entries, above a cap of 1e4 and below the default 4e6
-    @pytest.mark.parametrize("cap,backend", [("4e6", "dense"), ("1e4", "sparse")])
+class TestStokesShiftedBlock:
+    # pinned Stokes q=16: beta I + C has order 255 and falls apart into
+    # 63 tiles of 4 pressures and one of 3; a cap of 1e4 refuses its
+    # 65025-entry dense copy but none of the tiles
+    @pytest.mark.parametrize("cap", ["4e6", "1e4"])
     @pytest.mark.parametrize("spec,steps", [
         (PrecondSpec("mgss", alpha=1e-3, beta=1e-3), (13, 293)),
         (PrecondSpec("rmgss", beta=1e-3), (13, 292)),
     ], ids=["mgss", "rmgss"])
-    def test_pinned_stokes_q16_same_steps(self, spec, steps, cap, backend, monkeypatch):
+    def test_pinned_stokes_q16_same_steps(self, spec, steps, cap, monkeypatch):
         monkeypatch.setenv("SADPREC_DENSE_CAP", cap)
         sys_ = generate_stokes_q1p0(StokesConfig(16))
         prec = make_preconditioner(sys_, spec)
-        assert prec.shifted_factor.kind == backend
+        assert sorted(index.shape for index, _ in prec.shifted_factor.blocks) == [(1, 3), (63, 4)]
+        rule = StoppingRule(rel_tol=1e-9, max_outer=2000, restart=5)
+        report = gmres_restarted(saddle_operator(sys_), sys_.rhs(), prec, rule)
+        assert report.converged
+        assert (report.outer_iterations, report.total_inner_cg_iterations) == steps
+
+    @pytest.mark.parametrize("spec,steps", [
+        (PrecondSpec("mgss", alpha=1e-3, beta=1e-3), (24, 943)),
+        (PrecondSpec("rmgss", beta=1e-3), (25, 989)),
+    ], ids=["mgss", "rmgss"])
+    def test_unpinned_stokes_q64_steps(self, spec, steps):
+        # Table-2 rows at q=64: beta I + C is 1024 tiles of four pressures
+        sys_ = generate_stokes_q1p0(StokesConfig(64, pin_pressure=False))
+        prec = make_preconditioner(sys_, spec)
+        assert [index.shape for index, _ in prec.shifted_factor.blocks] == [(1024, 4)]
         rule = StoppingRule(rel_tol=1e-9, max_outer=2000, restart=5)
         report = gmres_restarted(saddle_operator(sys_), sys_.rhs(), prec, rule)
         assert report.converged
@@ -265,7 +280,8 @@ class TestSchur:
         assert calls == [(14, 14)]
         # the Schur matrix is the one form_schur_dense builds
         S = form_schur_dense(sys_, spec.alpha, spec.beta)
-        assert np.array_equal(app.schur_factor.L, np.linalg.cholesky(S))
+        [(_, L)] = app.schur_factor.blocks
+        assert np.array_equal(L[0], np.linalg.cholesky(S))
 
 
 def _instances():
