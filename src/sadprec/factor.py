@@ -1,4 +1,4 @@
-"""Cholesky factorization of SPD matrices and triangular solves.
+"""Cholesky factorization of SPD matrices and solves with the factor.
 
 ``cholesky`` splits a sparse matrix into the connected components of its
 graph and factors them with LAPACK (``np.linalg.cholesky``), one call
@@ -8,6 +8,13 @@ Cholesky factor of the whole matrix.  ``sparse.dense_cap()`` bounds each
 component at k * k entries.  The shifted stabilization block
 beta I + C of the Q1-P0 generator falls apart into 2x2-macroelement
 tiles of four pressures; a general matrix is usually one component.
+
+``solve`` multiplies by the inverse of each component's factor, which
+the first solve builds (``np.linalg.inv``) and the factor keeps: every
+solve, vector or column block, is two batched products.  An explicit
+triangular inverse is accurate enough here (Du Croz and Higham,
+Stability of methods for matrix inversion, IMA J. Numer. Anal. 1992);
+M^{-1} itself is never formed.
 """
 
 import numpy as np
@@ -30,16 +37,26 @@ class NotPositiveDefiniteError(ValueError):
 
 
 class CholeskyFactor:
-    """M = L L^T, stored one connected component at a time.  Immutable.
+    """M = L L^T, stored one connected component at a time.
 
     ``blocks`` holds one ``(index, L)`` pair per component size k:
     ``index`` (c, k) lists the rows of c components, each in increasing
-    order, and ``L`` (c, k, k) their lower-triangular factors.
+    order, and ``L`` (c, k, k) their lower-triangular factors; neither
+    changes.  ``inverse_blocks()`` builds the inverse factors on its
+    first call (from ``solve``, never from ``cholesky``) and keeps them:
+    one more k x k array per component.
     """
 
     def __init__(self, size, blocks):
         self.size = size
         self.blocks = blocks
+        self._inverses = None
+
+    def inverse_blocks(self):
+        # concurrent first calls can only store identical arrays
+        if self._inverses is None:
+            self._inverses = [np.tril(np.linalg.inv(L)) for _, L in self.blocks]
+        return self._inverses
 
 
 def cholesky(M):
@@ -134,49 +151,16 @@ def _factor(n, stacks):
 
 
 def solve(fac, b):
-    """Solve M x = b given the factor of M; b may be a vector or columns."""
+    """Solve M x = b given the factor of M; b may be a vector or columns.
+
+    Each stack is solved as x = Linv^T (Linv b), two batched products
+    with the inverse factors that the first solve caches on ``fac``.
+    """
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != fac.size:
         raise ValueError(f"dimension mismatch: factor of size {fac.size}, rhs of length {b.shape[0]}")
     x = np.empty_like(b)
-    for index, L in fac.blocks:
-        if len(index) == 1:
-            # a single component: row loops over 2-D slices, which beat
-            # the batched loop on a batch of one
-            x[index[0]] = _backward(L[0], _forward(L[0], b[index[0]]))
-        else:
-            xs = b[index] if b.ndim > 1 else b[index][..., None]
-            x[index] = _backward_batched(L, _forward_batched(L, xs)).reshape(index.shape + b.shape[1:])
-    return x
-
-
-def _forward(L, x):
-    for i in range(L.shape[0]):
-        x[i] = x[i] - L[i, :i] @ x[:i]
-        x[i] = x[i] / L[i, i]
-    return x
-
-
-def _backward(L, x):
-    for i in range(L.shape[0] - 1, -1, -1):
-        x[i] = x[i] - L[i + 1:, i] @ x[i + 1:]
-        x[i] = x[i] / L[i, i]
-    return x
-
-
-# The batched kernels run the same substitution on every component of a
-# stack at once: L is (c, k, k) and x is (c, k, r) for r right-hand sides.
-
-
-def _forward_batched(L, x):
-    for i in range(L.shape[1]):
-        x[:, i] -= np.einsum("cj,cjr->cr", L[:, i, :i], x[:, :i])
-        x[:, i] /= L[:, i, i, None]
-    return x
-
-
-def _backward_batched(L, x):
-    for i in range(L.shape[1] - 1, -1, -1):
-        x[:, i] -= np.einsum("cj,cjr->cr", L[:, i + 1:, i], x[:, i + 1:])
-        x[:, i] /= L[:, i, i, None]
+    for (index, _), Linv in zip(fac.blocks, fac.inverse_blocks()):
+        xs = b[index] if b.ndim > 1 else b[index][..., None]
+        x[index] = (np.swapaxes(Linv, 1, 2) @ (Linv @ xs)).reshape(index.shape + b.shape[1:])
     return x

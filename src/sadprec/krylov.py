@@ -25,6 +25,9 @@ __all__ = [
     "stationary_richardson",
 ]
 
+_STALL_RESTARTS = 10
+_STALL_FACTOR = 2.0
+
 
 class LinearOperator:
     """A square operator given by its dimension and an apply callable."""
@@ -57,6 +60,15 @@ def saddle_operator(sys):
 
 @dataclass
 class SolveReport:
+    """Outcome of one solve.
+
+    ``stop_reason`` is ``"tolerance"``; ``"max_iters"`` (CG at its step
+    cap); ``"max_outer"`` (GMRES or the stationary iteration at its step
+    cap); ``"stagnated"`` (GMRES at its step cap after 10 restarts that
+    cut the true residual by less than a factor of 2 together); or
+    ``"diverged"`` (the stationary iteration).
+    """
+
     converged: bool
     outer_iterations: int
     total_inner_cg_iterations: int
@@ -148,8 +160,10 @@ def gmres_restarted(op, b, precond=None, rule=None):
     running least-squares problem.  ``outer_iterations`` counts the
     total number of Arnoldi steps across all restart cycles (not the
     number of restarts).  The residual history holds true residual
-    norms, one entry per restart boundary.  A non-finite ``b``, or a
-    non-finite true residual at a restart, raises ``ValueError``.
+    norms, one entry per restart boundary.  A solve cut off by
+    ``rule.max_outer`` reports ``"max_outer"`` or ``"stagnated"`` (see
+    ``SolveReport``).  A non-finite ``b``, or a non-finite true
+    residual at a restart, raises ``ValueError``.
     """
     op = as_operator(op)
     rule = rule or StoppingRule()
@@ -211,15 +225,13 @@ def gmres_restarted(op, b, precond=None, rule=None):
         history.append(rn)
     inner = getattr(precond, "inner_iterations", 0) - inner0
     converged = rn <= tol_abs
-    return SolveReport(
-        converged,
-        steps,
-        inner,
-        history,
-        time.perf_counter() - t0,
-        x,
-        "tolerance" if converged else "max_outer",
-    )
+    if converged:
+        reason = "tolerance"
+    elif len(history) > _STALL_RESTARTS and history[-1 - _STALL_RESTARTS] < _STALL_FACTOR * rn:
+        reason = "stagnated"
+    else:
+        reason = "max_outer"
+    return SolveReport(converged, steps, inner, history, time.perf_counter() - t0, x, reason)
 
 
 def _finite_rhs(b):

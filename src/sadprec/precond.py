@@ -20,9 +20,11 @@ dense Cholesky of the explicitly formed matrix (``inner="direct"``),
 which makes the preconditioner an exactly linear operator for spectral
 work.
 
-Applicators are immutable after setup and allocate fresh work vectors
-per call, so concurrent ``apply`` calls are safe; only the
-``inner_iterations`` statistics counter is updated in place.
+Applicators allocate fresh work vectors per call, so concurrent
+``apply`` calls are safe.  Two things change in place: the
+``inner_iterations`` statistics counter, and each Cholesky factor's
+inverse factors, cached on its first solve; racing first calls can
+only store identical arrays.
 """
 
 import numpy as np

@@ -6,7 +6,7 @@ from sadprec.sparse import CsrMatrix, spmv, to_dense
 
 
 def random_spd(n, seed, density=0.4):
-    """One connected component: solved by the 2-D row loops."""
+    """One connected component: a single stack of one."""
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
     M = W @ W.T + np.eye(n)
@@ -35,6 +35,27 @@ def tiled_spd(n, seed):
 
 def both_cases(n, seed):
     return random_spd(n, seed), tiled_spd(n, seed)
+
+
+def ill_conditioned_spd(n, cond, seed):
+    """Q diag(1 .. 1/cond) Q^T, eigenvalues spaced geometrically."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    M = (Q * np.geomspace(1.0, 1.0 / cond, n)) @ Q.T
+    return 0.5 * (M + M.T)
+
+
+def counting_inv(monkeypatch):
+    """Count the calls to np.linalg.inv from here on."""
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return calls
 
 
 def lower(fac):
@@ -152,6 +173,47 @@ class TestSolve:
             assert X.shape == (25, 4)
             for j in range(4):
                 assert np.allclose(X[:, j], factor.solve(fac, Bcols[:, j]), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n,seed", [(7, 0), (60, 1), (150, 2)])
+    def test_matches_dense_solve(self, n, seed):
+        rng = np.random.default_rng(seed + 200)
+        b, B = rng.standard_normal(n), rng.standard_normal((n, 3))
+        for M in both_cases(n, seed):
+            dense = to_dense(M)
+            fac = factor.cholesky(M)
+            for rhs in (b, B):
+                x = factor.solve(fac, rhs)
+                ref = np.linalg.solve(dense, rhs)
+                assert x.shape == rhs.shape
+                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("cond", [1e2, 1e5, 1e8, 1e11, 1e13])
+    def test_ill_conditioned(self, cond):
+        # the explicit triangular inverses stay backward stable: scaled
+        # residual near machine precision, forward error within cond * eps
+        M = ill_conditioned_spd(60, cond, seed=int(np.log10(cond)))
+        x_true = np.random.default_rng(1).standard_normal(60)
+        b = M @ x_true
+        x = factor.solve(factor.cholesky(CsrMatrix.from_dense(M)), b)
+        assert np.linalg.norm(M @ x - b) <= 1e-13 * np.linalg.norm(M, 2) * np.linalg.norm(x)
+        assert np.linalg.norm(x - x_true) <= 1e-14 * cond * np.linalg.norm(x_true)
+
+    def test_cholesky_builds_no_inverse(self, monkeypatch):
+        calls = counting_inv(monkeypatch)
+        for M in both_cases(30, seed=6):
+            factor.cholesky(M)
+        factor.cholesky_dense(np.eye(4))
+        assert calls == []
+
+    def test_inverse_built_once_per_stack(self, monkeypatch):
+        calls = counting_inv(monkeypatch)
+        fac = factor.cholesky(tiled_spd(60, seed=7))
+        b = np.ones(60)
+        first = factor.solve(fac, b)
+        for rhs in (b, np.ones((60, 2)), b):
+            factor.solve(fac, rhs)
+        assert sorted(calls) == sorted(L.shape for _, L in fac.blocks)
+        assert np.array_equal(factor.solve(fac, b), first)
 
     def test_empty(self):
         fac = factor.cholesky(CsrMatrix.zeros(0, 0))

@@ -10,7 +10,7 @@ from sadprec.krylov import (
     saddle_operator,
     stationary_richardson,
 )
-from sadprec.precond import MgssApplicator, PrecondSpec
+from sadprec.precond import MgssApplicator, PrecondSpec, make_preconditioner
 from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
 from sadprec.sparse import CsrMatrix, SaddleSystem, assemble_block_saddle, to_dense
 
@@ -104,6 +104,29 @@ class TestGmres:
         )
         assert not rep.converged and rep.stop_reason == "max_outer"
         assert rep.outer_iterations == 3
+
+    def test_stall_labelled_stagnated(self):
+        # pinned q=16 hss with an exact inner solve: GMRES(5) stalls on the
+        # pin's isolated eigenvalue, its last 20 restarts leave the residual
+        # unchanged to 1e-11, and the label leaves the stopping point alone
+        sys_ = generate_stokes_q1p0(StokesConfig(16))
+        prec = make_preconditioner(sys_, PrecondSpec("hss", alpha=0.1, inner="direct"))
+        rep = gmres_restarted(saddle_operator(sys_), sys_.rhs(), prec, StoppingRule(1e-9, 2000, 5))
+        assert not rep.converged and rep.stop_reason == "stagnated"
+        assert rep.outer_iterations == 2000 and len(rep.residual_history) == 401
+        assert rep.final_relative_residual == pytest.approx(6.46e-5, rel=1e-2)
+        hist = rep.residual_history
+        assert abs(hist[-21] / hist[-1] - 1.0) <= 1e-11
+
+    def test_converging_cut_off_keeps_max_outer(self):
+        # unpreconditioned GMRES(5) on unpinned q=8 converges in 179 steps;
+        # at 60 its last 10 restarts still cut the residual about 160-fold
+        sys_ = generate_stokes_q1p0(StokesConfig(8, pin_pressure=False))
+        rep = gmres_restarted(saddle_operator(sys_), sys_.rhs(), None, StoppingRule(1e-9, 60, 5))
+        assert not rep.converged and rep.stop_reason == "max_outer"
+        assert rep.outer_iterations == 60 and len(rep.residual_history) == 13
+        hist = rep.residual_history
+        assert hist[-11] / hist[-1] > 100.0
 
     def test_history_true_residuals_non_increasing(self):
         sys_ = generate_random_saddle(30, 12, seed=3)

@@ -212,6 +212,20 @@ class TestStokesShiftedBlock:
         assert (report.outer_iterations, report.total_inner_cg_iterations) == steps
 
     @pytest.mark.parametrize("spec,steps", [
+        (PrecondSpec("mgss", alpha=1e-3, beta=1e-3), (45, 1602)),
+        (PrecondSpec("rmgss", beta=1e-3), (54, 1988)),
+    ], ids=["mgss", "rmgss"])
+    def test_pinned_stokes_q32_steps(self, spec, steps):
+        # the pinned Table-2 rows at q=32: 255 tiles of 4 pressures and one of 3
+        sys_ = generate_stokes_q1p0(StokesConfig(32))
+        prec = make_preconditioner(sys_, spec)
+        assert sorted(index.shape for index, _ in prec.shifted_factor.blocks) == [(1, 3), (255, 4)]
+        rule = StoppingRule(rel_tol=1e-9, max_outer=2000, restart=5)
+        report = gmres_restarted(saddle_operator(sys_), sys_.rhs(), prec, rule)
+        assert report.converged
+        assert (report.outer_iterations, report.total_inner_cg_iterations) == steps
+
+    @pytest.mark.parametrize("spec,steps", [
         (PrecondSpec("mgss", alpha=1e-3, beta=1e-3), (24, 943)),
         (PrecondSpec("rmgss", beta=1e-3), (25, 989)),
     ], ids=["mgss", "rmgss"])
