@@ -2,9 +2,10 @@
 
 The package covers the full pipeline for 2x2 block systems with an SPD
 (1,1)-block and a symmetric positive semidefinite (2,2)-block: CSR
-kernels, sparse/dense Cholesky, CG and restarted GMRES, the mgss /
-rmgss / hss preconditioner family, spectral verification tooling, a
-stabilized Q1-P0 Stokes generator, and a benchmark CLI (``sadprec``).
+kernels, component-wise LAPACK Cholesky, CG and restarted GMRES, the
+mgss / rmgss / hss preconditioner family, spectral verification
+tooling, a stabilized Q1-P0 Stokes generator, and a benchmark CLI
+(``sadprec``).
 """
 
 from .factor import CholeskyFactor, NotPositiveDefiniteError, cholesky, cholesky_dense, solve

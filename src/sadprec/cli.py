@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -37,6 +37,7 @@ class BenchRecord:
     inner_iterations: int
     restart: int
     tol: float
+    stop_reason: str
     timing_scope: str = TIMING_SCOPE
 
     def to_json(self):
@@ -44,26 +45,18 @@ class BenchRecord:
 
     @staticmethod
     def csv_header():
-        return "problem,method,alpha,beta,it,cpu,converged,final_relres,inner_iterations,restart,tol,timing_scope"
+        return ",".join(f.name for f in fields(BenchRecord))
 
     def to_csv_row(self):
-        d = asdict(self)
-        return ",".join(
-            [
-                d["problem"],
-                d["method"],
-                f"{d['alpha']:.17g}",
-                f"{d['beta']:.17g}",
-                str(d["it"]),
-                f"{d['cpu']:.6f}",
-                str(d["converged"]).lower(),
-                f"{d['final_relres']:.17g}",
-                str(d["inner_iterations"]),
-                str(d["restart"]),
-                f"{d['tol']:.17g}",
-                d["timing_scope"],
-            ]
-        )
+        # floats at full precision except the wall time, booleans lower case
+        def cell(name, v):
+            if isinstance(v, bool):
+                return str(v).lower()
+            if isinstance(v, float):
+                return f"{v:.6f}" if name == "cpu" else f"{v:.17g}"
+            return str(v)
+
+        return ",".join(cell(f.name, getattr(self, f.name)) for f in fields(self))
 
 
 class CliError(Exception):
@@ -113,6 +106,7 @@ def _solve_once(sys_, problem_id, method, spec, restart, tol, max_outer, station
         inner_iterations=report.total_inner_cg_iterations,
         restart=restart,
         tol=tol,
+        stop_reason=report.stop_reason,
     )
 
 

@@ -35,7 +35,6 @@ from .sparse import (
     add_scaled_identity,
     assemble_block_saddle,
     spmv,
-    spmv_columns,
     spmv_transpose,
     to_dense,
 )
@@ -165,17 +164,16 @@ class MgssApplicator:
         B = self.sys.B
         scale = 2.0 if self.spec.kind == "mgss" else 1.0
         r1, r2 = r[:n], r[n:]
-        batched = r.ndim == 2
         if self.sys.m:
             w = factor.solve(self.shifted_factor, scale * r2)
-            bt_w = spmv_columns(B, w, transpose=True) if batched else spmv_transpose(B, w)
+            bt_w = spmv_transpose(B, w)
             w1 = scale * r1 - bt_w
         else:
             w = r2
             w1 = scale * r1
         z1 = self._schur_solve(w1)
         if self.sys.m:
-            bz = spmv_columns(B, z1) if batched else spmv(B, z1)
+            bz = spmv(B, z1)
             z2 = factor.solve(self.shifted_factor, bz) + w
         else:
             z2 = w
@@ -246,14 +244,13 @@ class HssApplicator:
         n = self.sys.n
         a = self.spec.alpha
         B = self.sys.B
-        batched = r.ndim == 2
         t1 = self._solve(0, r[:n])
         if self.sys.m == 0:
             return 2.0 * t1
         t2 = self._solve(1, r[n:])
-        bt1 = spmv_columns(B, t1) if batched else spmv(B, t1)
+        bt1 = spmv(B, t1)
         z2 = self._solve(2, a * t2 + bt1)
-        btz2 = spmv_columns(B, z2, transpose=True) if batched else spmv_transpose(B, z2)
+        btz2 = spmv_transpose(B, z2)
         z1 = (t1 - btz2) / a
         return 2.0 * a * np.concatenate([z1, z2])
 

@@ -17,6 +17,12 @@ columns of the divergence matrix are cleared.  The velocity dimension
 stays n = 2 (q+1)^2 and the pressure dimension m = q^2 (one pressure
 unknown is pinned by default because the enclosed-flow operator has
 the constant pressure in its null space).
+
+Each assembly step runs over all elements at once as array operations.
+The eliminated couplings are subtracted from f and g with ``ufunc.at``,
+which adds in sequence, in element order: floating-point sums depend
+on their order, and this one keeps f and g bitwise reproducible (equal
+to the element-by-element loops the array assembly replaced).
 """
 
 import json
@@ -79,16 +85,11 @@ class StokesConfig:
         self.pin_pressure = bool(pin_pressure)
 
 
-def _exact_velocity(x, y):
-    return 20.0 * x * y**3, 5.0 * x**4 - 5.0 * y**4
-
-
 def stokes_velocity_interpolant(q):
     """Nodal interpolant of the exact velocity, length 2 (q+1)^2."""
     coords = np.linspace(-1.0, 1.0, q + 1)
-    X, Y = np.meshgrid(coords, coords, indexing="xy")
-    ux, uy = _exact_velocity(X.ravel(), Y.ravel())
-    return np.concatenate([ux, uy])
+    X, Y = (a.ravel() for a in np.meshgrid(coords, coords, indexing="xy"))
+    return np.concatenate([20.0 * X * Y**3, 5.0 * X**4 - 5.0 * Y**4])
 
 
 def generate_stokes_q1p0(cfg):
@@ -99,96 +100,62 @@ def generate_stokes_q1p0(cfg):
     n = 2 * nv
     m = q * q
 
-    def node(i, j):
-        return j * (q + 1) + i
+    # node j * (q+1) + i sits at (x_i, y_j); element ey * q + ex has its
+    # SW corner at node ey * (q+1) + ex and corners SW, SE, NE, NW
+    sw = (np.arange(q)[:, None] * (q + 1) + np.arange(q)).ravel()
+    nodes = sw[:, None] + np.array([0, 1, q + 2, q + 1])
+    j, i = np.divmod(np.arange(nv), q + 1)
+    on_boundary = (i == 0) | (i == q) | (j == 0) | (j == q)
+    bnd = np.flatnonzero(np.tile(on_boundary, 2))  # boundary rows of both components
+    u = stokes_velocity_interpolant(q)  # only its boundary entries are read
 
-    coords = np.linspace(-1.0, 1.0, q + 1)
-    on_boundary = np.zeros(nv, dtype=bool)
-    for j in range(q + 1):
-        for i in range(q + 1):
-            if i == 0 or i == q or j == 0 or j == q:
-                on_boundary[node(i, j)] = True
-    ux_b = np.zeros(nv)
-    uy_b = np.zeros(nv)
-    for j in range(q + 1):
-        for i in range(q + 1):
-            k = node(i, j)
-            if on_boundary[k]:
-                ux_b[k], uy_b[k] = _exact_velocity(coords[i], coords[j])
-
-    a_rows, a_cols, a_vals = [], [], []
-    b_rows, b_cols, b_vals = [], [], []
+    # vector Laplacian, corner pairs (a, b) of every element: interior
+    # rows keep interior columns and move boundary columns to f
+    pairs = np.broadcast_arrays(nodes[:, :, None], nodes[:, None, :], _K_LOC)
+    ia, ib, k = (a.ravel() for a in pairs)
+    keep = ~on_boundary[ia] & ~on_boundary[ib]
+    elim = ~on_boundary[ia] & on_boundary[ib]
+    a_rows = np.concatenate([ia[keep], nv + ia[keep], bnd])
+    a_cols = np.concatenate([ib[keep], nv + ib[keep], bnd])
+    a_vals = np.concatenate([k[keep], k[keep], np.ones(bnd.size)])
     f = np.zeros(n)
-    g = np.zeros(m)
-    for ey in range(q):
-        for ex in range(q):
-            elem = ey * q + ex
-            nodes = [node(ex, ey), node(ex + 1, ey), node(ex + 1, ey + 1), node(ex, ey + 1)]
-            for a in range(4):
-                ia = nodes[a]
-                if not on_boundary[ia]:
-                    # divergence row, both velocity components
-                    b_rows.extend((elem, elem))
-                    b_cols.extend((ia, nv + ia))
-                    b_vals.extend((_SX[a] * h / 2.0, _SY[a] * h / 2.0))
-                else:
-                    # eliminated divergence coupling of the known boundary
-                    # velocity; keeping it in g preserves the consistency
-                    # of the constraint (and hence convergence under
-                    # refinement) after the columns are cleared
-                    g[elem] -= _SX[a] * h / 2.0 * ux_b[ia] + _SY[a] * h / 2.0 * uy_b[ia]
-                for b in range(4):
-                    ib = nodes[b]
-                    k = _K_LOC[a, b]
-                    if on_boundary[ia]:
-                        continue
-                    if on_boundary[ib]:
-                        # eliminated coupling moves to the right-hand side
-                        f[ia] -= k * ux_b[ib]
-                        f[nv + ia] -= k * uy_b[ib]
-                    else:
-                        a_rows.extend((ia, nv + ia))
-                        a_cols.extend((ib, nv + ib))
-                        a_vals.extend((k, k))
-    bnd = np.flatnonzero(on_boundary)
-    a_rows.extend(bnd)
-    a_cols.extend(bnd)
-    a_vals.extend(np.ones(bnd.size))
-    a_rows.extend(nv + bnd)
-    a_cols.extend(nv + bnd)
-    a_vals.extend(np.ones(bnd.size))
-    f[bnd] = ux_b[bnd]
-    f[nv + bnd] = uy_b[bnd]
+    ia, ib, k = ia[elim], ib[elim], k[elim]
+    np.subtract.at(f, np.concatenate([ia, nv + ia]), np.concatenate([k * u[ib], k * u[nv + ib]]))
+    f[bnd] = u[bnd]
 
-    c_rows, c_cols, c_vals = [], [], []
-    scale = cfg.stab_param * h * h / 4.0
-    for ty in range(q // 2):
-        for tx in range(q // 2):
-            tile = [
-                (2 * ty) * q + 2 * tx,
-                (2 * ty) * q + 2 * tx + 1,
-                (2 * ty + 1) * q + 2 * tx + 1,
-                (2 * ty + 1) * q + 2 * tx,
-            ]
-            for a in range(4):
-                for b in range(4):
-                    if _C_LOC[a, b] != 0.0:
-                        c_rows.append(tile[a])
-                        c_cols.append(tile[b])
-                        c_vals.append(scale * _C_LOC[a, b])
+    # divergence, corners of every element: interior corners give B
+    # entries; the eliminated coupling of a boundary corner stays in g,
+    # which preserves the consistency of the constraint (and hence
+    # convergence under refinement) after the columns are cleared
+    corner = nodes.ravel()
+    elem = np.repeat(np.arange(m), 4)
+    dx, dy = np.tile(_SX * h / 2.0, m), np.tile(_SY * h / 2.0, m)
+    free = ~on_boundary[corner]
+    b_rows = np.concatenate([elem[free], elem[free]])
+    b_cols = np.concatenate([corner[free], nv + corner[free]])
+    b_vals = np.concatenate([dx[free], dy[free]])
+    g = np.zeros(m)
+    fixed = ~free
+    corner, dx, dy = corner[fixed], dx[fixed], dy[fixed]
+    np.subtract.at(g, elem[fixed], dx * u[corner] + dy * u[nv + corner])
+
+    # stabilization, one 4-cycle per 2x2 macroelement of elements
+    # SW, SE, NE, NW
+    tile_sw = (np.arange(0, q, 2)[:, None] * q + np.arange(0, q, 2)).ravel()
+    tiles = tile_sw[:, None] + np.array([0, 1, q + 1, q])
+    nz = _C_LOC != 0.0
+    pairs = np.broadcast_arrays(tiles[:, :, None], tiles[:, None, :])
+    c_rows, c_cols = (a[:, nz].ravel() for a in pairs)
+    c_vals = np.tile(cfg.stab_param * h * h / 4.0 * _C_LOC[nz], tiles.shape[0])
 
     if cfg.pin_pressure:
-        pin = m - 1
-        keep_b = [k for k in range(len(b_rows)) if b_rows[k] != pin]
-        b_rows = [b_rows[k] for k in keep_b]
-        b_cols = [b_cols[k] for k in keep_b]
-        b_vals = [b_vals[k] for k in keep_b]
-        keep_c = [k for k in range(len(c_rows)) if c_rows[k] != pin and c_cols[k] != pin]
-        c_rows = [c_rows[k] for k in keep_c]
-        c_cols = [c_cols[k] for k in keep_c]
-        c_vals = [c_vals[k] for k in keep_c]
-        g = g[:-1]
+        # drop the last pressure unknown with its row of B, row and column of C
         m -= 1
+        kb = b_rows < m
+        b_rows, b_cols, b_vals = b_rows[kb], b_cols[kb], b_vals[kb]
+        kc = (c_rows < m) & (c_cols < m)
+        c_rows, c_cols, c_vals = c_rows[kc], c_cols[kc], c_vals[kc]
+        g = g[:m]
 
     A = CsrMatrix.from_triplets(n, n, a_rows, a_cols, a_vals)
     B = CsrMatrix.from_triplets(m, n, b_rows, b_cols, b_vals)

@@ -20,7 +20,6 @@ __all__ = [
     "SaddleSystem",
     "spmv",
     "spmv_transpose",
-    "spmv_columns",
     "assemble_block_saddle",
     "add_scaled_identity",
     "to_dense",
@@ -148,10 +147,7 @@ class CsrMatrix:
         return self.transpose()
 
     def __matmul__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return spmv(self, x)
-        return spmv_columns(self, x)
+        return spmv(self, x)
 
     def __repr__(self):
         return f"CsrMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
@@ -239,46 +235,35 @@ def _padded_product(layout, x, nout):
     return np.add.reduce(prod, axis=0, initial=0.0)[:nout]
 
 
+def _check_operand(M, x, nin):
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[0] != nin:
+        raise ValueError(f"dimension mismatch: matrix is {M.nrows}x{M.ncols}, operand has shape {x.shape}")
+    return x
+
+
 def spmv(M, x):
-    """Matrix-vector product M @ x.
+    """Product M @ x of a vector, or of each column of a 2-D block.
 
     Stored entries of each row are accumulated left to right, so the
-    result is bitwise reproducible for a fixed matrix.  Padding reads an
-    exact zero, so a row without a stored entry in a column where x
-    holds inf or NaN stays exactly 0.  The first call caches M's
-    padded-row layout (16 bytes x rows x widest row, see ``CsrMatrix``).
+    result is bitwise reproducible for a fixed matrix, and column j of a
+    block product is bitwise equal to ``spmv(M, x[:, j])``.  Padding
+    reads an exact zero, so a row without a stored entry in a column
+    where x holds inf or NaN stays exactly 0.  The first call caches M's
+    padded-row layout (16 bytes x rows x widest row, see ``CsrMatrix``);
+    a block product holds a temporary of widest row x rows x columns.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (M.ncols,):
-        raise ValueError(f"dimension mismatch: matrix is {M.nrows}x{M.ncols}, vector has length {x.size}")
-    return _padded_product(M._padded_rows(), x, M.nrows)
+    return _padded_product(M._padded_rows(), _check_operand(M, x, M.ncols), M.nrows)
 
 
 def spmv_transpose(M, x):
-    """Product M.T @ x without forming the transpose.
+    """Product M.T @ x of a vector or a 2-D block, without forming the transpose.
 
     Each column's entries are accumulated in row order.  The first call
     caches the padded layout of the transpose (16 bytes x columns x
     widest column).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (M.nrows,):
-        raise ValueError(f"dimension mismatch: matrix is {M.nrows}x{M.ncols}, vector has length {x.size}")
-    return _padded_product(M._padded_cols(), x, M.ncols)
-
-
-def spmv_columns(M, X, transpose=False):
-    """Apply spmv (or its transpose) to every column of a 2-D array.
-
-    Column j of the result is bitwise equal to ``spmv(M, X[:, j])``.
-    The product holds a temporary of widest row x rows x columns.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    nin, nout = (M.nrows, M.ncols) if transpose else (M.ncols, M.nrows)
-    if X.ndim != 2 or X.shape[0] != nin:
-        raise ValueError(f"dimension mismatch: matrix is {M.nrows}x{M.ncols}, block has shape {X.shape}")
-    layout = M._padded_cols() if transpose else M._padded_rows()
-    return _padded_product(layout, X, nout)
+    return _padded_product(M._padded_cols(), _check_operand(M, x, M.nrows), M.ncols)
 
 
 def add_scaled_identity(M, s):

@@ -140,6 +140,19 @@ class TestSolve:
         assert cells[0] == rec["problem"]
         assert int(cells[4]) == rec["it"]
         assert float(cells[7]) == rec["final_relres"]
+        assert cells[11] == rec["stop_reason"] == "tolerance"
+
+    def test_step_cap_reports_max_outer(self, q12_bundle, capsys):
+        rc = main(["solve", "--in", q12_bundle, "--method", "none", "--max-outer", "3"])
+        rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert rc == 1 and not rec["converged"] and rec["it"] == 3
+        assert rec["stop_reason"] == "max_outer"
+
+    def test_csv_header_names_every_field(self):
+        header = BenchRecord.csv_header().split(",")
+        assert header[:11] == ["problem", "method", "alpha", "beta", "it", "cpu", "converged",
+                               "final_relres", "inner_iterations", "restart", "tol"]
+        assert header[11:] == ["stop_reason", "timing_scope"]
 
 
 class TestSweep:
