@@ -24,7 +24,6 @@ from .precond import (
     IdentityApplicator,
     MgssApplicator,
     PrecondSpec,
-    SchurOperator,
     dense_preconditioner_matrix,
     form_schur_dense,
     make_preconditioner,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import problems, spectral
 from .krylov import StoppingRule, gmres_restarted, saddle_operator, stationary_richardson
-from .precond import PrecondSpec, make_preconditioner
+from .precond import KINDS, PrecondSpec, make_preconditioner
 from .sparse import assemble_block_saddle, to_dense
 
 TIMING_SCOPE = "solver call only"
@@ -73,14 +73,13 @@ def _kv_pairs(tokens, what):
     return out
 
 
-def _make_spec(args):
-    inner = getattr(args, "inner", "cg")
-    if args.method == "mgss":
-        return PrecondSpec("mgss", alpha=args.alpha, beta=args.beta, inner=inner)
-    if args.method == "rmgss":
-        return PrecondSpec("rmgss", beta=args.beta, inner=inner)
-    if args.method == "hss":
-        return PrecondSpec("hss", alpha=args.alpha, inner=inner)
+def _make_spec(method, alpha, beta, inner):
+    if method == "mgss":
+        return PrecondSpec("mgss", alpha=alpha, beta=beta, inner=inner)
+    if method == "rmgss":
+        return PrecondSpec("rmgss", beta=beta, inner=inner)
+    if method == "hss":
+        return PrecondSpec("hss", alpha=alpha, inner=inner)
     return PrecondSpec("none")
 
 
@@ -160,7 +159,7 @@ def cmd_solve(args):
     sys_, meta = problems.load_bundle(args.indir)
     if args.stationary and args.method != "mgss":
         raise CliError("--stationary runs the mgss splitting scheme; use --method mgss")
-    spec = _make_spec(args)
+    spec = _make_spec(args.method, args.alpha, args.beta, args.inner)
     record = _solve_once(
         sys_,
         problem_id=meta.get("generator", "bundle") + f":{os.path.basename(os.path.normpath(args.indir))}",
@@ -216,8 +215,7 @@ def cmd_sweep(args):
         raise CliError("sweeping the unpreconditioned solver has no parameters")
     records = []
     for a, b in points:
-        ns = argparse.Namespace(method=args.method, alpha=a, beta=b, inner=args.inner)
-        spec = _make_spec(ns)
+        spec = _make_spec(args.method, a, b, args.inner)
         records.append(
             _solve_once(sys_, problem_id, args.method, spec, args.restart, args.tol, args.max_outer)
         )
@@ -307,7 +305,7 @@ def cmd_bench(args):
     if not methods:
         raise CliError("--methods must name at least one method")
     for meth in methods:
-        if meth not in ("none", "mgss", "rmgss", "hss"):
+        if meth not in KINDS:
             raise CliError(f"unknown method {meth!r}")
     records = []
     for q in grids:
@@ -315,8 +313,7 @@ def cmd_bench(args):
         pid = f"stokes-{q}x{q}" + ("-pinned" if args.pin else "")
         for meth in methods:
             alpha = args.hss_alpha if meth == "hss" else args.alpha
-            ns = argparse.Namespace(method=meth, alpha=alpha, beta=args.beta, inner=args.inner)
-            spec = _make_spec(ns)
+            spec = _make_spec(meth, alpha, args.beta, args.inner)
             records.append(
                 _solve_once(sys_, pid, meth, spec, args.restart, args.tol, args.max_outer)
             )
@@ -367,7 +364,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="solve one bundle and print a JSON record")
     p.add_argument("--in", dest="indir", required=True, help="bundle directory")
-    p.add_argument("--method", choices=("none", "mgss", "rmgss", "hss"), required=True)
+    p.add_argument("--method", choices=KINDS, required=True)
     p.add_argument("--alpha", type=float, default=0.001)
     p.add_argument("--beta", type=float, default=0.001)
     p.add_argument("--restart", type=int, default=5)
@@ -380,7 +377,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="parameter sweep, CSV output with the optimum marked")
     p.add_argument("--in", dest="indir", required=True)
-    p.add_argument("--method", choices=("none", "mgss", "rmgss", "hss"), required=True)
+    p.add_argument("--method", choices=KINDS, required=True)
     p.add_argument("--alpha-grid", help="start:stop:count")
     p.add_argument("--beta-grid", help="start:stop:count")
     p.add_argument("--restart", type=int, default=5)
@@ -401,7 +398,7 @@ def build_parser():
 
     p = sub.add_parser("bench", help="grid x method comparison table")
     p.add_argument("--grids", required=True, help="comma list, e.g. 4,8,16")
-    p.add_argument("--methods", required=True, help="comma list from none,mgss,rmgss,hss")
+    p.add_argument("--methods", required=True, help="comma list from " + ",".join(KINDS))
     p.add_argument("--alpha", type=float, default=0.001)
     p.add_argument("--beta", type=float, default=0.001)
     p.add_argument("--hss-alpha", type=float, default=0.1)

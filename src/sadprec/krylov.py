@@ -91,8 +91,8 @@ class StoppingRule:
     restart: int = 5
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not 0 < self.rel_tol < np.inf:  # NaN fails too
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
         if self.restart < 1:
             raise ValueError("restart must be at least 1")
         if self.max_outer < 0:

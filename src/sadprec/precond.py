@@ -14,9 +14,11 @@ Four preconditioners share one ``apply(r) -> P^{-1} r`` interface:
   and S = [[0, B^T], [-B, 0]].
 * ``none``  : identity, for unpreconditioned baselines.
 
-The Schur solve runs either as an inner CG on the unassembled operator
-(``inner="cg"``, residual reduction 100, at most 40 steps) or through a
-dense Cholesky of the explicitly formed matrix (``inner="direct"``),
+Every SPD sub-solve of an elimination (the Schur matrix for mgss and
+rmgss; alpha I + A, alpha I + C and alpha^2 I + B B^T for hss) runs
+either as an inner CG on the unassembled operator (``inner="cg"``,
+residual reduction 100, at most 40 steps; the rule is fixed) or through
+a dense Cholesky of the explicitly formed matrix (``inner="direct"``),
 which makes the preconditioner an exactly linear operator for spectral
 work.
 
@@ -41,7 +43,6 @@ from .sparse import (
 
 __all__ = [
     "PrecondSpec",
-    "SchurOperator",
     "MgssApplicator",
     "HssApplicator",
     "IdentityApplicator",
@@ -52,20 +53,28 @@ __all__ = [
 
 KINDS = ("mgss", "rmgss", "hss", "none")
 
+# the inner CG rule: stop at a residual reduction of 100 or after 40 steps
+_INNER_REDUCTION = 100.0
+_INNER_MAX_ITERS = 40
+
 
 class PrecondSpec:
-    """Preconditioner identity plus shift parameters and inner-solve policy.
+    """Preconditioner identity plus finite shift parameters and inner-solve mode.
 
     ``mgss`` needs alpha > 0 and beta > 0; ``rmgss`` fixes alpha to 0
-    and needs beta > 0; ``hss`` uses alpha > 0 only.
+    and needs beta > 0; ``hss`` uses alpha > 0 only.  ``inner`` is
+    ``"cg"`` (the fixed factor-100 / 40-step inner CG rule) or
+    ``"direct"`` (dense Cholesky).
     """
 
-    def __init__(self, kind, alpha=0.0, beta=0.0, inner="cg",
-                 inner_reduction=100.0, inner_max_iters=40):
+    def __init__(self, kind, alpha=0.0, beta=0.0, inner="cg"):
         if kind not in KINDS:
             raise ValueError(f"unknown preconditioner kind {kind!r}")
         if inner not in ("cg", "direct"):
             raise ValueError(f"inner solve must be 'cg' or 'direct', got {inner!r}")
+        for name, shift in (("alpha", alpha), ("beta", beta)):
+            if not np.isfinite(shift):
+                raise ValueError(f"shift {name} must be finite, got {shift}")
         if kind == "mgss" and not (alpha > 0 and beta > 0):
             raise ValueError("mgss requires alpha > 0 and beta > 0")
         if kind == "rmgss":
@@ -79,36 +88,10 @@ class PrecondSpec:
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.inner = inner
-        self.inner_reduction = float(inner_reduction)
-        self.inner_max_iters = int(inner_max_iters)
 
     def __repr__(self):
         return (f"PrecondSpec({self.kind!r}, alpha={self.alpha}, beta={self.beta}, "
                 f"inner={self.inner!r})")
-
-
-class SchurOperator(LinearOperator):
-    """x -> (alpha I + A + B^T (beta I + C)^{-1} B) x, never assembled.
-
-    Symmetric positive definite whenever A is SPD, C is SPSD and
-    alpha, beta are admissible shifts.
-    """
-
-    def __init__(self, A, B, shifted_factor, alpha):
-        self.A = A
-        self.B = B
-        self.shifted_factor = shifted_factor
-        self.alpha = float(alpha)
-        super().__init__(A.nrows, self._matvec)
-
-    def _matvec(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        y = spmv(self.A, x)
-        if self.alpha != 0.0:
-            y = y + self.alpha * x
-        if self.B.nrows:
-            y = y + spmv_transpose(self.B, factor.solve(self.shifted_factor, spmv(self.B, x)))
-        return y
 
 
 def form_schur_dense(sys, alpha, beta):
@@ -125,7 +108,40 @@ def _schur_dense(sys, alpha, shifted):
     return 0.5 * (S + S.T)
 
 
-class MgssApplicator:
+class _Applicator:
+    """Shared parts of the eliminations: the residual split and the SPD blocks.
+
+    An SPD block is the Cholesky factor of its dense matrix in direct mode,
+    else an operator for inner CG, whose steps add to ``inner_iterations``.
+    """
+
+    def __init__(self, sys, spec):
+        self.sys = sys
+        self.spec = spec
+        self.inner_iterations = 0
+
+    def _split(self, r):
+        r = np.asarray(r, dtype=np.float64)
+        if r.shape[0] != self.sys.order:
+            raise ValueError("residual length does not match the system order")
+        return r[:self.sys.n], r[self.sys.n:]
+
+    def _spd_block(self, dim, matvec, dense):
+        if self.spec.inner == "direct":
+            return factor.cholesky_dense(dense())
+        return LinearOperator(dim, matvec)
+
+    def _spd_solve(self, block, rhs):
+        if isinstance(block, factor.CholeskyFactor):
+            return factor.solve(block, rhs)
+        if rhs.ndim == 2:
+            raise ValueError("batched application requires inner='direct'")
+        report = cg(block, rhs, _INNER_REDUCTION, _INNER_MAX_ITERS)
+        self.inner_iterations += report.outer_iterations
+        return report.solution
+
+
+class MgssApplicator(_Applicator):
     """Applies the inverse of the mgss or rmgss splitting matrix.
 
     For a residual r = (r1; r2) the mgss application runs the block
@@ -140,56 +156,41 @@ class MgssApplicator:
     and returns (z1; z2).  The rmgss variant is the same elimination
     with alpha = 0 and without the factor-2 scalings.  ``apply`` also
     accepts a 2-D array and treats its columns as independent
-    right-hand sides (direct mode only).
+    right-hand sides (direct mode only).  ``schur`` is the Schur block:
+    an operator x -> S x in CG mode, the factor of S in direct mode.
     """
 
     def __init__(self, sys, spec):
         if spec.kind not in ("mgss", "rmgss"):
             raise ValueError(f"expected an mgss or rmgss spec, got {spec.kind!r}")
-        self.sys = sys
-        self.spec = spec
-        self.inner_iterations = 0
-        self.shifted_factor = factor.cholesky(add_scaled_identity(sys.C, spec.beta))
-        self.schur_op = SchurOperator(sys.A, sys.B, self.shifted_factor, spec.alpha)
-        self.schur_factor = None
-        if spec.inner == "direct":
-            S = _schur_dense(sys, spec.alpha, self.shifted_factor)
-            self.schur_factor = factor.cholesky_dense(S)
+        super().__init__(sys, spec)
+        A, B, alpha = sys.A, sys.B, spec.alpha
+        shifted = self.shifted_factor = factor.cholesky(add_scaled_identity(sys.C, spec.beta))
+
+        def schur_matvec(x):
+            x = np.asarray(x, dtype=np.float64)
+            y = spmv(A, x)
+            if alpha != 0.0:
+                y = y + alpha * x
+            if B.nrows:
+                y = y + spmv_transpose(B, factor.solve(shifted, spmv(B, x)))
+            return y
+
+        self.schur = self._spd_block(sys.n, schur_matvec, lambda: _schur_dense(sys, alpha, shifted))
 
     def apply(self, r):
-        r = np.asarray(r, dtype=np.float64)
-        if r.shape[0] != self.sys.order:
-            raise ValueError("residual length does not match the system order")
-        n = self.sys.n
+        r1, r2 = self._split(r)
         B = self.sys.B
         scale = 2.0 if self.spec.kind == "mgss" else 1.0
-        r1, r2 = r[:n], r[n:]
-        if self.sys.m:
-            w = factor.solve(self.shifted_factor, scale * r2)
-            bt_w = spmv_transpose(B, w)
-            w1 = scale * r1 - bt_w
-        else:
-            w = r2
-            w1 = scale * r1
-        z1 = self._schur_solve(w1)
-        if self.sys.m:
-            bz = spmv(B, z1)
-            z2 = factor.solve(self.shifted_factor, bz) + w
-        else:
-            z2 = w
+        if self.sys.m == 0:
+            return np.concatenate([self._spd_solve(self.schur, scale * r1), r2])
+        w = factor.solve(self.shifted_factor, scale * r2)
+        z1 = self._spd_solve(self.schur, scale * r1 - spmv_transpose(B, w))
+        z2 = factor.solve(self.shifted_factor, spmv(B, z1)) + w
         return np.concatenate([z1, z2])
 
-    def _schur_solve(self, w1):
-        if self.schur_factor is not None:
-            return factor.solve(self.schur_factor, w1)
-        if w1.ndim == 2:
-            raise ValueError("batched application requires inner='direct'")
-        report = cg(self.schur_op, w1, self.spec.inner_reduction, self.spec.inner_max_iters)
-        self.inner_iterations += report.outer_iterations
-        return report.solution
 
-
-class HssApplicator:
+class HssApplicator(_Applicator):
     """Applies the inverse of the HSS preconditioner.
 
     P^{-1} r = 2 alpha (alpha I + S)^{-1} (alpha I + H)^{-1} r.  The
@@ -204,54 +205,32 @@ class HssApplicator:
     def __init__(self, sys, spec):
         if spec.kind != "hss":
             raise ValueError(f"expected an hss spec, got {spec.kind!r}")
-        self.sys = sys
-        self.spec = spec
-        self.inner_iterations = 0
-        a = spec.alpha
-        n, m = sys.n, sys.m
-        self._ops = None
-        self._factors = None
-        if spec.inner == "direct":
-            Ad = to_dense(sys.A)
-            Cd = to_dense(sys.C)
-            Bd = to_dense(sys.B)
-            self._factors = (
-                factor.cholesky_dense(Ad + a * np.eye(n)),
-                factor.cholesky_dense(Cd + a * np.eye(m)),
-                factor.cholesky_dense(Bd @ Bd.T + a * a * np.eye(m)),
-            )
-        else:
-            A, B, C = sys.A, sys.B, sys.C
-            self._ops = (
-                LinearOperator(n, lambda x: spmv(A, x) + a * x),
-                LinearOperator(m, lambda x: spmv(C, x) + a * x),
-                LinearOperator(m, lambda x: spmv(B, spmv_transpose(B, x)) + a * a * x),
-            )
+        super().__init__(sys, spec)
+        a, n, m = spec.alpha, sys.n, sys.m
+        A, B, C = sys.A, sys.B, sys.C
+        self.shifted_A = self._spd_block(
+            n, lambda x: spmv(A, x) + a * x, lambda: to_dense(A) + a * np.eye(n))
+        self.shifted_C = self._spd_block(
+            m, lambda x: spmv(C, x) + a * x, lambda: to_dense(C) + a * np.eye(m))
 
-    def _solve(self, which, rhs):
-        if self._factors is not None:
-            return factor.solve(self._factors[which], rhs)
-        if rhs.ndim == 2:
-            raise ValueError("batched application requires inner='direct'")
-        report = cg(self._ops[which], rhs, self.spec.inner_reduction, self.spec.inner_max_iters)
-        self.inner_iterations += report.outer_iterations
-        return report.solution
+        def bbt_dense():
+            # one array on both sides of @, so numpy forms B B^T exactly symmetric
+            Bd = to_dense(B)
+            return Bd @ Bd.T + a * a * np.eye(m)
+
+        self.shifted_BBt = self._spd_block(
+            m, lambda x: spmv(B, spmv_transpose(B, x)) + a * a * x, bbt_dense)
 
     def apply(self, r):
-        r = np.asarray(r, dtype=np.float64)
-        if r.shape[0] != self.sys.order:
-            raise ValueError("residual length does not match the system order")
-        n = self.sys.n
+        r1, r2 = self._split(r)
         a = self.spec.alpha
         B = self.sys.B
-        t1 = self._solve(0, r[:n])
+        t1 = self._spd_solve(self.shifted_A, r1)
         if self.sys.m == 0:
             return 2.0 * t1
-        t2 = self._solve(1, r[n:])
-        bt1 = spmv(B, t1)
-        z2 = self._solve(2, a * t2 + bt1)
-        btz2 = spmv_transpose(B, z2)
-        z1 = (t1 - btz2) / a
+        t2 = self._spd_solve(self.shifted_C, r2)
+        z2 = self._spd_solve(self.shifted_BBt, a * t2 + spmv(B, t1))
+        z1 = (t1 - spmv_transpose(B, z2)) / a
         return 2.0 * a * np.concatenate([z1, z2])
 
 

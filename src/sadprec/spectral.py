@@ -140,22 +140,17 @@ def power_spectral_radius(op, iters=100, restarts=5, seed=20240613):
 
 def gamma_dense(sys, alpha, beta):
     """Dense iteration matrix I - M^{-1} A built with exact inner solves."""
-    spec = PrecondSpec("mgss", alpha=alpha, beta=beta, inner="direct")
-    prec = MgssApplicator(sys, spec)
-    ad = to_dense(assemble_block_saddle(sys))
-    return np.eye(sys.order) - prec.apply(ad)
+    return np.eye(sys.order) - mgss_preconditioned_dense(sys, alpha, beta)
 
 
 def mgss_preconditioned_dense(sys, alpha, beta):
     spec = PrecondSpec("mgss", alpha=alpha, beta=beta, inner="direct")
-    prec = MgssApplicator(sys, spec)
-    return prec.apply(to_dense(assemble_block_saddle(sys)))
+    return MgssApplicator(sys, spec).apply(to_dense(assemble_block_saddle(sys)))
 
 
 def rmgss_preconditioned_dense(sys, beta):
     spec = PrecondSpec("rmgss", beta=beta, inner="direct")
-    prec = MgssApplicator(sys, spec)
-    return prec.apply(to_dense(assemble_block_saddle(sys)))
+    return MgssApplicator(sys, spec).apply(to_dense(assemble_block_saddle(sys)))
 
 
 def predicted_rmgss_spectrum(sys, beta):

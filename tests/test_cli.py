@@ -100,6 +100,15 @@ class TestSolve:
         assert rc == 0 and rec["converged"] and rec["it"] <= 2
         assert rec["method"] == "stationary-mgss"
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_rejected(self, tmp_path, capsys, tol):
+        bundle = toy_bundle(tmp_path)
+        rc = main(["solve", "--in", bundle, "--method", "none", "--tol", tol])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rel_tol must be positive and finite" in captured.err
+
     def test_non_finite_bundle_rejected(self, tmp_path, capsys):
         bundle = toy_bundle(tmp_path)
         with open(os.path.join(bundle, "f.vec"), "w") as fh:

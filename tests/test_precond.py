@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sadprec import precond
 from sadprec.precond import (
     HssApplicator,
     IdentityApplicator,
@@ -51,6 +52,17 @@ class TestPrecondSpec:
         with pytest.raises(ValueError):
             PrecondSpec("ilu")
 
+    @pytest.mark.parametrize("kind,shifts,name", [
+        ("mgss", {"alpha": np.inf, "beta": 1.0}, "alpha"),
+        ("mgss", {"alpha": 1.0, "beta": np.inf}, "beta"),
+        ("mgss", {"alpha": np.nan, "beta": 1.0}, "alpha"),
+        ("rmgss", {"beta": np.inf}, "beta"),
+        ("hss", {"alpha": np.inf}, "alpha"),
+    ], ids=["mgss-alpha-inf", "mgss-beta-inf", "mgss-alpha-nan", "rmgss-beta-inf", "hss-alpha-inf"])
+    def test_non_finite_shift_rejected(self, kind, shifts, name):
+        with pytest.raises(ValueError, match=f"shift {name} must be finite"):
+            PrecondSpec(kind, **shifts)
+
 
 class TestMgssApply:
     def test_toy_steps(self):
@@ -90,22 +102,21 @@ class TestMgssApply:
         r = rng.standard_normal(n + m)
         assert np.linalg.norm(app.apply(r) - np.linalg.solve(P_ss, r)) <= 1e-10 * np.linalg.norm(r)
 
-    def test_inner_cg_stays_close_to_direct(self):
+    def test_inner_cg_stays_close_to_direct(self, monkeypatch):
         sys_ = generate_random_saddle(25, 10, seed=4)
         r = np.random.default_rng(6).standard_normal(35)
         z_direct = MgssApplicator(sys_, PrecondSpec("mgss", 0.5, 0.5, inner="direct")).apply(r)
-        app = MgssApplicator(
-            sys_, PrecondSpec("mgss", 0.5, 0.5, inner="cg", inner_reduction=1e12, inner_max_iters=500)
-        )
+        monkeypatch.setattr(precond, "_INNER_REDUCTION", 1e12)
+        monkeypatch.setattr(precond, "_INNER_MAX_ITERS", 500)
+        app = MgssApplicator(sys_, PrecondSpec("mgss", 0.5, 0.5, inner="cg"))
         z_cg = app.apply(r)
         assert app.inner_iterations > 0
         assert np.linalg.norm(z_cg - z_direct) <= 1e-8 * np.linalg.norm(z_direct)
 
-    def test_inner_cap_is_not_an_error(self):
+    def test_inner_cap_is_not_an_error(self, monkeypatch):
         sys_ = generate_random_saddle(30, 12, seed=9)
-        app = MgssApplicator(
-            sys_, PrecondSpec("mgss", 0.01, 0.01, inner="cg", inner_max_iters=2)
-        )
+        monkeypatch.setattr(precond, "_INNER_MAX_ITERS", 2)
+        app = MgssApplicator(sys_, PrecondSpec("mgss", 0.01, 0.01, inner="cg"))
         z = app.apply(np.ones(42))
         assert np.all(np.isfinite(z))
         assert app.inner_iterations == 2
@@ -265,7 +276,7 @@ class TestSchur:
         rng = np.random.default_rng(0)
         for _ in range(100):
             x = rng.standard_normal(30)
-            assert float(x @ app.schur_op(x)) > 0.0
+            assert float(x @ app.schur(x)) > 0.0
 
     def test_operator_matches_dense(self):
         sys_ = generate_random_saddle(20, 9, seed=2)
@@ -273,7 +284,7 @@ class TestSchur:
         S = form_schur_dense(sys_, 0.4, 0.9)
         rng = np.random.default_rng(1)
         x = rng.standard_normal(20)
-        assert np.allclose(app.schur_op(x), S @ x, atol=1e-10 * np.linalg.norm(S))
+        assert np.allclose(app.schur(x), S @ x, atol=1e-10 * np.linalg.norm(S))
 
 
     @pytest.mark.parametrize("kind", ["mgss", "rmgss"])
@@ -294,12 +305,25 @@ class TestSchur:
         assert calls == [(14, 14)]
         # the Schur matrix is the one form_schur_dense builds
         S = form_schur_dense(sys_, spec.alpha, spec.beta)
-        [(_, L)] = app.schur_factor.blocks
+        [(_, L)] = app.schur.blocks
         assert np.array_equal(L[0], np.linalg.cholesky(S))
+
+
+def no_constraints(n=6):
+    # m = 0: a tridiagonal SPD A and no constraint rows at all
+    Ad = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    return SaddleSystem(
+        CsrMatrix.from_dense(Ad),
+        CsrMatrix.zeros(0, n),
+        CsrMatrix.zeros(0, 0),
+        np.arange(1.0, n + 1.0),
+        np.zeros(0),
+    )
 
 
 def _instances():
     yield toy_t1()
+    yield no_constraints()
     yield generate_random_saddle(12, 5, seed=0)
     yield generate_random_saddle(40, 16, seed=1)
     yield generate_random_saddle(120, 50, seed=2)
@@ -353,6 +377,21 @@ class TestReconstruction:
         P_inv = np.linalg.inv(P)
         rel = np.linalg.norm(P_inv_factored - P_inv) / np.linalg.norm(P_inv)
         assert rel <= 1e-10
+
+    @pytest.mark.parametrize("spec", [
+        PrecondSpec("mgss", alpha=0.3, beta=0.8),
+        PrecondSpec("rmgss", beta=0.8),
+        PrecondSpec("hss", alpha=0.6),
+    ], ids=["mgss", "rmgss", "hss"])
+    def test_no_constraints_cg_mode_gmres(self, spec):
+        sys_ = no_constraints()
+        app = make_preconditioner(sys_, spec)
+        rule = StoppingRule(rel_tol=1e-9, max_outer=50, restart=5)
+        report = gmres_restarted(saddle_operator(sys_), sys_.rhs(), app, rule)
+        assert report.converged
+        assert app.inner_iterations > 0
+        A = to_dense(sys_.A)
+        assert np.linalg.norm(A @ report.solution - sys_.f) <= 1e-8 * np.linalg.norm(sys_.f)
 
     def test_identity_applicator(self):
         app = IdentityApplicator()
