@@ -30,7 +30,14 @@ _STALL_FACTOR = 2.0
 
 
 class LinearOperator:
-    """A square operator given by its dimension and an apply callable."""
+    """A square operator given by its dimension and an apply callable.
+
+    It is applied to a vector of shape ``(dim,)`` or to a block of
+    columns of shape ``(dim, k)``, and the result must have the
+    operand's shape.  ``apply`` must accept both, as every operator
+    sadprec builds does; the Krylov solvers pass vectors only, and
+    ``spectral.power_spectral_radius`` passes blocks.
+    """
 
     def __init__(self, dim, apply):
         self.dim = int(dim)
@@ -38,8 +45,12 @@ class LinearOperator:
 
     def __call__(self, x):
         y = np.asarray(self._apply(x), dtype=np.float64)
-        if y.shape != (self.dim,):
-            raise ValueError("operator apply changed the vector length")
+        shape = np.shape(x)
+        if y.shape != shape or shape[:1] != (self.dim,) or len(shape) > 2:
+            raise ValueError(
+                f"operator of dimension {self.dim} returned shape {y.shape} "
+                f"for an operand of shape {shape}"
+            )
         return y
 
 

@@ -221,6 +221,27 @@ class TestNonFinite:
             stationary_richardson(nan_operator(2), sys_.rhs(), prec)
 
 
+class TestLinearOperator:
+    def test_block_columns_match_vectors(self):
+        sys_ = generate_stokes_q1p0(StokesConfig(4))
+        op = saddle_operator(sys_)
+        X = np.random.default_rng(0).standard_normal((sys_.order, 3))
+        Y = op(X)
+        assert Y.shape == X.shape
+        for j in range(3):
+            assert np.array_equal(Y[:, j], op(X[:, j]))
+
+    def test_wrong_block_shape_raises(self):
+        op = LinearOperator(4, lambda x: x[:, :1])
+        with pytest.raises(ValueError, match=r"returned shape \(4, 1\) for an operand of shape \(4, 3\)"):
+            op(np.ones((4, 3)))
+
+    def test_wrong_operand_length_raises(self):
+        op = LinearOperator(4, lambda x: x)
+        with pytest.raises(ValueError, match=r"operand of shape \(5,\)"):
+            op(np.ones(5))
+
+
 class TestStoppingRule:
     def test_validation(self):
         with pytest.raises(ValueError):

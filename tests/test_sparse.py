@@ -210,6 +210,23 @@ class TestPaddedKernel:
             M, wide_range_columns(rng, M.ncols), wide_range_columns(rng, M.nrows)
         )
 
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "one-column", "84-columns"])
+    @pytest.mark.parametrize("case", [c for c in kernel_cases() if c[0] in
+                                      ("stokes8-pinned-A", "stokes8-pinned-B", "random-A", "empty-row")],
+                             ids=lambda c: c[0])
+    def test_block_layouts(self, case, layout):
+        # blocks are gathered along a transposed copy; any memory layout
+        # and width must give the bincount reference column by column
+        _, M = case
+        rng = np.random.default_rng(M.nrows * 17 + M.ncols)
+        make = {
+            "fortran": lambda n: np.asfortranarray(wide_range_columns(rng, n)),
+            "strided": lambda n: wide_range_columns(rng, n, k=12)[:, ::2],
+            "one-column": lambda n: wide_range_columns(rng, n, k=1),
+            "84-columns": lambda n: wide_range_columns(rng, n, k=84),
+        }[layout]
+        assert_matches_bincount(M, make(M.ncols), make(M.nrows))
+
     def test_non_finite_x_stays_out_of_rows_without_entries(self):
         # column 1 is empty, column 2 is used by row 2 only; row 1 is empty
         M = CsrMatrix.from_dense([[1.0, 0.0, 0.0, 2.0],

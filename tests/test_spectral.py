@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sadprec.krylov import as_operator
+from sadprec.krylov import LinearOperator, as_operator
 from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
 from sadprec.sparse import CsrMatrix, SaddleSystem
 from sadprec.spectral import (
@@ -17,6 +17,7 @@ from sadprec.spectral import (
     rmgss_preconditioned_dense,
     iteration_matrix_check,
 )
+from sadprec.stationary import IterationMatrixOperator
 
 
 def toy_t1():
@@ -112,8 +113,6 @@ class TestPowerRadius:
         assert power_spectral_radius(op, iters=200, restarts=5) == pytest.approx(0.5, abs=1e-6)
 
     def test_stokes_gamma_below_one(self):
-        from sadprec.stationary import IterationMatrixOperator
-
         sys_ = generate_stokes_q1p0(StokesConfig(8))
         op = IterationMatrixOperator(sys_, 0.01, 0.01)
         assert power_spectral_radius(op, iters=60, restarts=3) < 1.0
@@ -125,6 +124,51 @@ class TestPowerRadius:
         est = power_spectral_radius(op, iters=400, restarts=5)
         assert est <= rho + 1e-4
         assert est >= 0.99 * rho
+
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_stokes_q1p0(StokesConfig(8, pin_pressure=True)),
+        lambda: generate_random_saddle(60, 24, seed=12),
+    ], ids=["stokes8-pinned", "random60x24"])
+    def test_block_matches_per_restart_loop(self, make):
+        # block products and column norms round differently from the
+        # vector ones, so the estimates agree to rounding, not bitwise
+        op = IterationMatrixOperator(make(), 0.1, 0.1)
+        est, ref = power_spectral_radius(op), power_radius_loop(op)
+        assert abs(est - ref) <= 1e-13 * ref
+
+    def test_zero_operator_scores_zero(self):
+        op = LinearOperator(6, np.zeros_like)
+        assert power_spectral_radius(op) == 0.0 == power_radius_loop(op)
+
+    @pytest.mark.parametrize("kwargs", [{"iters": 0}, {"restarts": 0}])
+    def test_no_iterations_or_restarts_raises(self, kwargs):
+        op = as_operator(CsrMatrix.identity(3))
+        with pytest.raises(ValueError, match="at least 1"):
+            power_spectral_radius(op, **kwargs)
+
+
+def power_radius_loop(op, iters=100, restarts=5, seed=20240613):
+    """The per-restart, one-vector-at-a-time power iteration the block form replaced."""
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(restarts):
+        v = rng.standard_normal(op.dim)
+        nv = np.linalg.norm(v)
+        if nv == 0.0:
+            continue
+        v /= nv
+        ratio = 0.0
+        for _ in range(iters):
+            w = op(v)
+            nw = np.linalg.norm(w)
+            if nw == 0.0:
+                ratio = 0.0
+                break
+            ratio = nw
+            v = w / nw
+        best = max(best, ratio)
+    return best
 
 
 class TestPredictedSpectrum:
