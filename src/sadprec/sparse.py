@@ -226,21 +226,15 @@ def _pad(out, inp, vals, nout, nin):
 
 def _padded_product(layout, x, nout):
     # one gather, one in-place multiply, one reduction over the padded
-    # axis; reducing an axis that is not the innermost adds each row
-    # left to right.  A block is gathered along a transposed copy, so
-    # each column's gather reads one contiguous row of it.
+    # axis; the outer-axis reduction adds each row left to right.
+    # take() reads the same elements as xz[idx] at a fraction of the
+    # cost of fancy indexing on a block.
     idx, val = layout
-    if x.ndim == 1:
-        xz = np.zeros(x.shape[0] + 1)
-        xz[:-1] = x
-        prod = xz.take(idx)
-        prod *= val
-        return np.add.reduce(prod, axis=0, initial=0.0)[:nout]
-    xz = np.zeros((x.shape[1], x.shape[0] + 1))
-    xz[:, :-1] = x.T
-    prod = xz.take(idx, axis=1)
-    prod *= val
-    return np.add.reduce(prod, axis=1, initial=0.0)[:, :nout].T
+    xz = np.zeros((x.shape[0] + 1,) + x.shape[1:])
+    xz[:-1] = x
+    prod = xz.take(idx, axis=0)
+    prod *= val if x.ndim == 1 else val[:, :, None]
+    return np.add.reduce(prod, axis=0, initial=0.0)[:nout]
 
 
 def _check_operand(M, x, nin):

@@ -215,8 +215,8 @@ class TestPaddedKernel:
                                       ("stokes8-pinned-A", "stokes8-pinned-B", "random-A", "empty-row")],
                              ids=lambda c: c[0])
     def test_block_layouts(self, case, layout):
-        # blocks are gathered along a transposed copy; any memory layout
-        # and width must give the bincount reference column by column
+        # any memory layout and width of a block must give the bincount
+        # reference column by column
         _, M = case
         rng = np.random.default_rng(M.nrows * 17 + M.ncols)
         make = {
