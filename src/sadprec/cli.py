@@ -8,8 +8,12 @@ solve converged.
 """
 
 import argparse
+import csv
+import io
+import itertools
 import json
 import os
+import pathlib
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -18,7 +22,7 @@ import numpy as np
 
 from . import problems, spectral
 from .krylov import StoppingRule, gmres_restarted, saddle_operator, stationary_richardson
-from .precond import KINDS, PrecondSpec, make_preconditioner
+from .precond import SHIFTS, PrecondSpec, make_preconditioner
 from .sparse import assemble_block_saddle, to_dense
 
 TIMING_SCOPE = "solver call only"
@@ -40,23 +44,33 @@ class BenchRecord:
     stop_reason: str
     timing_scope: str = TIMING_SCOPE
 
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
-
     @staticmethod
     def csv_header():
         return ",".join(f.name for f in fields(BenchRecord))
 
-    def to_csv_row(self):
-        # floats at full precision except the wall time, booleans lower case
-        def cell(name, v):
-            if isinstance(v, bool):
-                return str(v).lower()
-            if isinstance(v, float):
-                return f"{v:.6f}" if name == "cpu" else f"{v:.17g}"
-            return str(v)
 
-        return ",".join(cell(f.name, getattr(self, f.name)) for f in fields(self))
+def _csv_text(records, optimal=None):
+    """The records as CSV text under a header line.
+
+    ``optimal``, one flag per record, adds an ``optimal`` column.
+    Floats are written at full precision except the wall time, booleans
+    in lower case; a field holding a comma or a quote is quoted.
+    """
+    def cell(name, v):
+        if isinstance(v, bool):
+            return str(v).lower()
+        if isinstance(v, float):
+            return f"{v:.6f}" if name == "cpu" else f"{v:.17g}"
+        return v
+
+    names = [f.name for f in fields(BenchRecord)]
+    rows = [[cell(name, getattr(rec, name)) for name in names] for rec in records]
+    if optimal is not None:
+        names.append("optimal")
+        rows = [row + [cell("optimal", flag)] for row, flag in zip(rows, optimal)]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([names] + rows)
+    return out.getvalue()
 
 
 class CliError(Exception):
@@ -73,20 +87,18 @@ def _kv_pairs(tokens, what):
     return out
 
 
-def _make_spec(method, alpha, beta, inner):
-    if method == "mgss":
-        return PrecondSpec("mgss", alpha=alpha, beta=beta, inner=inner)
-    if method == "rmgss":
-        return PrecondSpec("rmgss", beta=beta, inner=inner)
-    if method == "hss":
-        return PrecondSpec("hss", alpha=alpha, inner=inner)
-    return PrecondSpec("none")
+def _make_spec(method, shifts, inner):
+    # shifts maps shift names to values; only those the method takes reach the spec
+    return PrecondSpec(method, inner=inner, **{name: shifts[name] for name in SHIFTS[method]})
 
 
-def _solve_once(sys_, problem_id, method, spec, restart, tol, max_outer, stationary=False):
+def _rule(args):
+    return StoppingRule(rel_tol=args.tol, max_outer=args.max_outer, restart=args.restart)
+
+
+def _solve_once(sys_, problem_id, spec, rule, stationary=False):
     op = saddle_operator(sys_)
     b = sys_.rhs()
-    rule = StoppingRule(rel_tol=tol, max_outer=max_outer, restart=restart)
     # the clock starts after preconditioner setup: cpu is the solver call only
     prec = None if spec.kind == "none" else make_preconditioner(sys_, spec)
     solver = stationary_richardson if stationary else gmres_restarted
@@ -95,7 +107,7 @@ def _solve_once(sys_, problem_id, method, spec, restart, tol, max_outer, station
     cpu = time.perf_counter() - t0
     return BenchRecord(
         problem=problem_id,
-        method=("stationary-" if stationary else "") + method,
+        method=("stationary-" if stationary else "") + spec.kind,
         alpha=spec.alpha,
         beta=spec.beta,
         it=report.outer_iterations,
@@ -103,8 +115,8 @@ def _solve_once(sys_, problem_id, method, spec, restart, tol, max_outer, station
         converged=report.converged,
         final_relres=report.final_relative_residual,
         inner_iterations=report.total_inner_cg_iterations,
-        restart=restart,
-        tol=tol,
+        restart=rule.restart,
+        tol=rule.rel_tol,
         stop_reason=report.stop_reason,
     )
 
@@ -159,22 +171,12 @@ def cmd_solve(args):
     sys_, meta = problems.load_bundle(args.indir)
     if args.stationary and args.method != "mgss":
         raise CliError("--stationary runs the mgss splitting scheme; use --method mgss")
-    spec = _make_spec(args.method, args.alpha, args.beta, args.inner)
-    record = _solve_once(
-        sys_,
-        problem_id=meta.get("generator", "bundle") + f":{os.path.basename(os.path.normpath(args.indir))}",
-        method=args.method,
-        spec=spec,
-        restart=args.restart,
-        tol=args.tol,
-        max_outer=args.max_outer,
-        stationary=args.stationary,
-    )
-    print(record.to_json())
+    problem_id = meta.get("generator", "bundle") + f":{os.path.basename(os.path.normpath(args.indir))}"
+    spec = _make_spec(args.method, vars(args), args.inner)
+    record = _solve_once(sys_, problem_id, spec, _rule(args), args.stationary)
+    print(json.dumps(asdict(record), sort_keys=True))
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(BenchRecord.csv_header() + "\n")
-            fh.write(record.to_csv_row() + "\n")
+        pathlib.Path(args.csv).write_text(_csv_text([record]))
     return 0 if record.converged else 1
 
 
@@ -196,29 +198,19 @@ def _parse_grid(text, what):
 
 def cmd_sweep(args):
     sys_, meta = problems.load_bundle(args.indir)
-    problem_id = meta.get("generator", "bundle")
-    alphas = _parse_grid(args.alpha_grid, "--alpha-grid") if args.alpha_grid else None
-    betas = _parse_grid(args.beta_grid, "--beta-grid") if args.beta_grid else None
-    if args.method == "mgss":
-        if alphas is None or betas is None:
-            raise CliError("mgss sweeps need --alpha-grid and --beta-grid")
-        points = [(a, b) for a in alphas for b in betas]
-    elif args.method == "rmgss":
-        if betas is None:
-            raise CliError("rmgss sweeps need --beta-grid")
-        points = [(0.0, b) for b in betas]
-    elif args.method == "hss":
-        if alphas is None:
-            raise CliError("hss sweeps need --alpha-grid")
-        points = [(a, 0.0) for a in alphas]
-    else:
+    names = SHIFTS[args.method]
+    if not names:
         raise CliError("sweeping the unpreconditioned solver has no parameters")
-    records = []
-    for a, b in points:
-        spec = _make_spec(args.method, a, b, args.inner)
-        records.append(
-            _solve_once(sys_, problem_id, args.method, spec, args.restart, args.tol, args.max_outer)
-        )
+    texts = [getattr(args, f"{name}_grid") for name in names]
+    if None in texts:
+        raise CliError(f"{args.method} sweeps need " + " and ".join(f"--{name}-grid" for name in names))
+    grids = [_parse_grid(text, f"--{name}-grid") for name, text in zip(names, texts)]
+    rule = _rule(args)
+    records = [
+        _solve_once(sys_, meta.get("generator", "bundle"),
+                    _make_spec(args.method, dict(zip(names, point)), args.inner), rule)
+        for point in itertools.product(*grids)
+    ]
     best = None
     for idx, rec in enumerate(records):
         if not rec.converged:
@@ -226,53 +218,43 @@ def cmd_sweep(args):
         # ties resolve to the earliest grid point so reruns agree
         if best is None or rec.it < records[best].it:
             best = idx
-    lines = [BenchRecord.csv_header() + ",optimal"]
-    for idx, rec in enumerate(records):
-        lines.append(rec.to_csv_row() + (",true" if idx == best else ",false"))
-    text = "\n".join(lines) + "\n"
+    text = _csv_text(records, [idx == best for idx in range(len(records))])
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(text)
+        pathlib.Path(args.csv).write_text(text)
     print(text, end="")
     return 0 if all(r.converged for r in records) else 1
 
 
 # -- spectrum -------------------------------------------------------------
 
-_OPERATORS = ("saddle", "mgss-prec", "rmgss-prec", "gamma", "rmgss-predicted")
+# each operator: the preconditioner kind whose shifts it takes, and the
+# function of the system and those shifts that forms its dense matrix
+# (none for the predicted spectrum, which is not computed from a matrix)
+_OPERATORS = {
+    "saddle": ("none", lambda sys_: to_dense(assemble_block_saddle(sys_))),
+    "mgss-prec": ("mgss", spectral.mgss_preconditioned_dense),
+    "rmgss-prec": ("rmgss", spectral.rmgss_preconditioned_dense),
+    "gamma": ("mgss", spectral.gamma_dense),
+    "rmgss-predicted": ("rmgss", None),
+}
 
 
 def cmd_spectrum(args):
     sys_, _ = problems.load_bundle(args.indir)
-    if args.operator == "saddle":
-        spec = spectral.dense_eigen_real_schur(to_dense(assemble_block_saddle(sys_)))
-    elif args.operator == "mgss-prec":
-        _need(args, "alpha", "beta")
-        spec = spectral.dense_eigen_real_schur(
-            spectral.mgss_preconditioned_dense(sys_, args.alpha, args.beta)
-        )
-    elif args.operator == "rmgss-prec":
-        _need(args, "beta")
-        spec = spectral.dense_eigen_real_schur(
-            spectral.rmgss_preconditioned_dense(sys_, args.beta)
-        )
-    elif args.operator == "gamma":
-        _need(args, "alpha", "beta")
-        spec = spectral.dense_eigen_real_schur(spectral.gamma_dense(sys_, args.alpha, args.beta))
+    kind, dense = _OPERATORS[args.operator]
+    shifts = [getattr(args, name) for name in SHIFTS[kind]]
+    missing = [name for name, shift in zip(SHIFTS[kind], shifts) if shift is None]
+    if missing:
+        raise CliError(f"--operator {args.operator} requires --{missing[0]}")
+    if dense is None:
+        spec = spectral.predicted_rmgss_spectrum(sys_, *shifts)
     else:
-        _need(args, "beta")
-        spec = spectral.predicted_rmgss_spectrum(sys_, args.beta)
+        spec = spectral.dense_eigen_real_schur(dense(sys_, *shifts))
     spec.save_csv(args.csv)
     gp_path = args.gnuplot or (os.path.splitext(args.csv)[0] + ".gp")
     _write_gnuplot(gp_path, args.csv, args.operator)
     print(f"wrote {len(spec)} eigenvalues to {args.csv} and plot script to {gp_path}")
     return 0
-
-
-def _need(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise CliError(f"--operator {args.operator} requires --{name}")
 
 
 def _write_gnuplot(path, csv_path, title):
@@ -305,18 +287,16 @@ def cmd_bench(args):
     if not methods:
         raise CliError("--methods must name at least one method")
     for meth in methods:
-        if meth not in KINDS:
+        if meth not in SHIFTS:
             raise CliError(f"unknown method {meth!r}")
+    rule = _rule(args)
     records = []
     for q in grids:
         sys_ = problems.generate_stokes_q1p0(problems.StokesConfig(q, pin_pressure=args.pin))
         pid = f"stokes-{q}x{q}" + ("-pinned" if args.pin else "")
         for meth in methods:
-            alpha = args.hss_alpha if meth == "hss" else args.alpha
-            spec = _make_spec(meth, alpha, args.beta, args.inner)
-            records.append(
-                _solve_once(sys_, pid, meth, spec, args.restart, args.tol, args.max_outer)
-            )
+            shifts = {"alpha": args.hss_alpha if meth == "hss" else args.alpha, "beta": args.beta}
+            records.append(_solve_once(sys_, pid, _make_spec(meth, shifts, args.inner), rule))
     widths = (20, 18, 10, 10, 6, 10, 10)
     headers = ("problem", "method", "alpha", "beta", "IT", "CPU", "converged")
     def fmt(cells):
@@ -338,10 +318,7 @@ def cmd_bench(args):
             )
         )
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(BenchRecord.csv_header() + "\n")
-            for rec in records:
-                fh.write(rec.to_csv_row() + "\n")
+        pathlib.Path(args.csv).write_text(_csv_text(records))
     return 0 if all(r.converged for r in records) else 1
 
 
@@ -354,6 +331,11 @@ def build_parser():
         description="saddle point preconditioner benchmarks (mgss, rmgss, hss)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--restart", type=int, default=5)
+    solver.add_argument("--tol", type=float, default=1e-9)
+    solver.add_argument("--max-outer", type=int, default=2000)
+    solver.add_argument("--inner", choices=("cg", "direct"), default="cg")
 
     p = sub.add_parser("generate", help="write a saddle system bundle")
     p.add_argument("--stokes", nargs="+", metavar="KEY=VAL", help="q=16 [stab=0.25]")
@@ -362,28 +344,20 @@ def build_parser():
     p.add_argument("--out", required=True, help="output bundle directory")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("solve", help="solve one bundle and print a JSON record")
+    p = sub.add_parser("solve", parents=[solver], help="solve one bundle and print a JSON record")
     p.add_argument("--in", dest="indir", required=True, help="bundle directory")
-    p.add_argument("--method", choices=KINDS, required=True)
+    p.add_argument("--method", choices=SHIFTS, required=True)
     p.add_argument("--alpha", type=float, default=0.001)
     p.add_argument("--beta", type=float, default=0.001)
-    p.add_argument("--restart", type=int, default=5)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-outer", type=int, default=2000)
-    p.add_argument("--inner", choices=("cg", "direct"), default="cg")
     p.add_argument("--stationary", action="store_true", help="run the splitting iteration instead of GMRES")
     p.add_argument("--csv", help="also write the record as CSV")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("sweep", help="parameter sweep, CSV output with the optimum marked")
+    p = sub.add_parser("sweep", parents=[solver], help="parameter sweep, CSV output with the optimum marked")
     p.add_argument("--in", dest="indir", required=True)
-    p.add_argument("--method", choices=KINDS, required=True)
+    p.add_argument("--method", choices=SHIFTS, required=True)
     p.add_argument("--alpha-grid", help="start:stop:count")
     p.add_argument("--beta-grid", help="start:stop:count")
-    p.add_argument("--restart", type=int, default=5)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-outer", type=int, default=2000)
-    p.add_argument("--inner", choices=("cg", "direct"), default="cg")
     p.add_argument("--csv", help="write the sweep table to this file")
     p.set_defaults(func=cmd_sweep)
 
@@ -396,16 +370,12 @@ def build_parser():
     p.add_argument("--gnuplot", help="plot script path (default: csv path with .gp)")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("bench", help="grid x method comparison table")
+    p = sub.add_parser("bench", parents=[solver], help="grid x method comparison table")
     p.add_argument("--grids", required=True, help="comma list, e.g. 4,8,16")
-    p.add_argument("--methods", required=True, help="comma list from " + ",".join(KINDS))
+    p.add_argument("--methods", required=True, help="comma list from " + ",".join(SHIFTS))
     p.add_argument("--alpha", type=float, default=0.001)
     p.add_argument("--beta", type=float, default=0.001)
     p.add_argument("--hss-alpha", type=float, default=0.1)
-    p.add_argument("--restart", type=int, default=5)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-outer", type=int, default=2000)
-    p.add_argument("--inner", choices=("cg", "direct"), default="cg")
     p.add_argument(
         "--pin",
         action=argparse.BooleanOptionalAction,

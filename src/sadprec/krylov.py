@@ -192,7 +192,8 @@ def gmres_restarted(op, b, precond=None, rule=None):
     history = [rn]
     steps = 0
     while rn > tol_abs and steps < rule.max_outer:
-        kmax = min(rule.restart, rule.max_outer - steps)
+        # a cycle spans at most dim directions; a longer one would only grow V, Z and H
+        kmax = min(rule.restart, rule.max_outer - steps, dim)
         V = np.zeros((dim, kmax + 1))
         # without a preconditioner the update lives in the Arnoldi basis
         Z = V if precond is None else np.zeros((dim, kmax))

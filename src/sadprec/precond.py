@@ -51,7 +51,8 @@ __all__ = [
     "dense_preconditioner_matrix",
 ]
 
-KINDS = ("mgss", "rmgss", "hss", "none")
+# the shifts each kind takes; a kind's other shifts stay 0
+SHIFTS = {"mgss": ("alpha", "beta"), "rmgss": ("beta",), "hss": ("alpha",), "none": ()}
 
 # the inner CG rule: stop at a residual reduction of 100 or after 40 steps
 _INNER_REDUCTION = 100.0
@@ -61,29 +62,25 @@ _INNER_MAX_ITERS = 40
 class PrecondSpec:
     """Preconditioner identity plus finite shift parameters and inner-solve mode.
 
-    ``mgss`` needs alpha > 0 and beta > 0; ``rmgss`` fixes alpha to 0
-    and needs beta > 0; ``hss`` uses alpha > 0 only.  ``inner`` is
+    A shift the kind takes (``SHIFTS[kind]``: alpha and beta for
+    ``mgss``, beta for ``rmgss``, alpha for ``hss``, none for ``none``)
+    must be > 0, and every other shift must be 0.  ``inner`` is
     ``"cg"`` (the fixed factor-100 / 40-step inner CG rule) or
     ``"direct"`` (dense Cholesky).
     """
 
     def __init__(self, kind, alpha=0.0, beta=0.0, inner="cg"):
-        if kind not in KINDS:
+        if kind not in SHIFTS:
             raise ValueError(f"unknown preconditioner kind {kind!r}")
         if inner not in ("cg", "direct"):
             raise ValueError(f"inner solve must be 'cg' or 'direct', got {inner!r}")
         for name, shift in (("alpha", alpha), ("beta", beta)):
             if not np.isfinite(shift):
                 raise ValueError(f"shift {name} must be finite, got {shift}")
-        if kind == "mgss" and not (alpha > 0 and beta > 0):
-            raise ValueError("mgss requires alpha > 0 and beta > 0")
-        if kind == "rmgss":
-            if alpha != 0.0:
-                raise ValueError("rmgss fixes alpha to 0")
-            if not beta > 0:
-                raise ValueError("rmgss requires beta > 0")
-        if kind == "hss" and not alpha > 0:
-            raise ValueError("hss requires alpha > 0")
+            if name in SHIFTS[kind] and not shift > 0:
+                raise ValueError(f"{kind} requires {name} > 0")
+            if name not in SHIFTS[kind] and shift != 0.0:
+                raise ValueError(f"{kind} takes no {name}; it must be 0, got {shift}")
         self.kind = kind
         self.alpha = float(alpha)
         self.beta = float(beta)

@@ -154,8 +154,10 @@ def predicted_rmgss_spectrum(sys, beta):
 
     The multiset {1 with multiplicity n} plus mu_i / (beta + mu_i),
     where mu_i are the eigenvalues of G = C + B A^{-1} B^T.  G is
-    formed densely through a Cholesky factorization of A.
+    formed densely through a Cholesky factorization of A.  beta must
+    be > 0 and finite, as for an rmgss ``PrecondSpec``.
     """
+    beta = PrecondSpec("rmgss", beta=beta).beta
     n, m = sys.n, sys.m
     lams = [1.0] * n
     if m:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import time
@@ -11,7 +12,7 @@ from sadprec.problems import load_bundle, save_bundle
 from sadprec.sparse import CsrMatrix, SaddleSystem
 
 
-def toy_bundle(tmp_path):
+def toy_bundle(tmp_path, name="t1", generator="toy"):
     sys_ = SaddleSystem(
         CsrMatrix.from_dense([[2.0]]),
         CsrMatrix.from_dense([[1.0]]),
@@ -19,8 +20,8 @@ def toy_bundle(tmp_path):
         np.array([1.0]),
         np.array([0.0]),
     )
-    path = tmp_path / "t1"
-    save_bundle(sys_, path, meta={"generator": "toy"})
+    path = tmp_path / name
+    save_bundle(sys_, path, meta={"generator": generator})
     return str(path)
 
 
@@ -151,6 +152,20 @@ class TestSolve:
         assert float(cells[7]) == rec["final_relres"]
         assert cells[11] == rec["stop_reason"] == "tolerance"
 
+    def test_csv_quotes_commas(self, tmp_path, capsys):
+        # solve ids carry the bundle directory, sweep ids the generator name
+        bundle = toy_bundle(tmp_path, name="a,b", generator="toy,v2")
+        csv_path = tmp_path / "rec.csv"
+        assert main(["solve", "--in", bundle, "--method", "rmgss", "--beta", "1",
+                     "--csv", str(csv_path)]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--in", bundle, "--method", "rmgss", "--beta-grid", "1:2:2"]) == 0
+        sweep_rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        for rows, problem in ((list(csv.reader(csv_path.open())), "toy,v2:a,b"),
+                              (sweep_rows, "toy,v2")):
+            assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
+            assert all(row[0] == problem for row in rows[1:])
+
     def test_step_cap_reports_max_outer(self, q12_bundle, capsys):
         rc = main(["solve", "--in", q12_bundle, "--method", "none", "--max-outer", "3"])
         rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -269,6 +284,13 @@ class TestSpectrum:
         bundle = toy_bundle(tmp_path)
         rc = main(["spectrum", "--in", bundle, "--operator", "gamma", "--csv", str(tmp_path / "x.csv")])
         assert rc != 0
+
+    @pytest.mark.parametrize("operator", ["rmgss-prec", "rmgss-predicted"])
+    def test_zero_beta_rejected(self, tmp_path, capsys, operator):
+        rc = main(["spectrum", "--in", toy_bundle(tmp_path), "--operator", operator,
+                   "--beta", "0", "--csv", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "rmgss requires beta > 0" in capsys.readouterr().err
 
     def test_pinned_q12_spectrum(self, q12_bundle, tmp_path, capsys):
         # order 481, beyond the 400 the dense eigensolver was once capped at

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,22 @@ class TestGmres:
         k = sys_.order
         rep = gmres_restarted(saddle_operator(sys_), sys_.rhs(), None, StoppingRule(1e-9, k, k))
         assert rep.converged and rep.outer_iterations <= k
+
+    def test_restart_beyond_order_sized_by_order(self):
+        # a cycle holds at most dim Arnoldi vectors, so restart 3000 on an
+        # order-10 system runs and allocates as restart 10 does
+        sys_ = generate_random_saddle(7, 3, seed=0)
+        op, b = saddle_operator(sys_), sys_.rhs()
+        tracemalloc.start()
+        try:
+            rep = gmres_restarted(op, b, None, StoppingRule(1e-9, 3000, 3000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        ref = gmres_restarted(op, b, None, StoppingRule(1e-9, 3000, sys_.order))
+        assert rep.converged and rep.outer_iterations == ref.outer_iterations
+        assert np.array_equal(rep.solution, ref.solution)
 
     @pytest.mark.parametrize("n,m,seed", [(12, 5, 0), (40, 16, 7), (120, 60, 8)])
     def test_rmgss_m_plus_one_random(self, n, m, seed):

@@ -48,6 +48,12 @@ class TestPrecondSpec:
         with pytest.raises(ValueError):
             PrecondSpec("hss", alpha=0.0)
 
+    @pytest.mark.parametrize("kind,shifts", [("hss", {"alpha": 0.1, "beta": 5.0}),
+                                             ("none", {"alpha": 3.0})])
+    def test_shift_the_kind_does_not_take_rejected(self, kind, shifts):
+        with pytest.raises(ValueError, match=f"{kind} takes no"):
+            PrecondSpec(kind, **shifts)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             PrecondSpec("ilu")

@@ -188,6 +188,11 @@ class TestPredictedSpectrum:
         spec = predicted_rmgss_spectrum(sys_, 0.5)
         assert np.allclose(spec.eigenvalues, [1.0, 1.0])
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, np.nan])
+    def test_beta_checked_as_for_rmgss(self, beta):
+        with pytest.raises(ValueError, match="rmgss requires beta > 0|shift beta must be finite"):
+            predicted_rmgss_spectrum(toy_t1(), beta)
+
     @pytest.mark.parametrize("beta", [0.001, 0.1, 1.0])
     def test_matches_dense_spectrum(self, beta):
         sys_ = generate_random_saddle(40, 17, seed=8)
