@@ -26,6 +26,7 @@ from .precond import SHIFTS, PrecondSpec, make_preconditioner
 from .sparse import assemble_block_saddle, to_dense
 
 TIMING_SCOPE = "solver call only"
+DEFAULT_SHIFT = 0.001  # alpha and beta of solve and bench when not given
 
 
 @dataclass
@@ -90,6 +91,12 @@ def _kv_pairs(tokens, what):
 def _make_spec(method, shifts, inner):
     # shifts maps shift names to values; only those the method takes reach the spec
     return PrecondSpec(method, inner=inner, **{name: shifts[name] for name in SHIFTS[method]})
+
+
+def _load(indir):
+    """A bundle's system and its problem id, ``<generator>:<bundle directory>``."""
+    sys_, meta = problems.load_bundle(indir)
+    return sys_, meta.get("generator", "bundle") + f":{os.path.basename(os.path.normpath(indir))}"
 
 
 def _rule(args):
@@ -168,11 +175,14 @@ def cmd_generate(args):
 
 
 def cmd_solve(args):
-    sys_, meta = problems.load_bundle(args.indir)
+    sys_, problem_id = _load(args.indir)
     if args.stationary and args.method != "mgss":
         raise CliError("--stationary runs the mgss splitting scheme; use --method mgss")
-    problem_id = meta.get("generator", "bundle") + f":{os.path.basename(os.path.normpath(args.indir))}"
-    spec = _make_spec(args.method, vars(args), args.inner)
+    # every given shift reaches the spec, which refuses one the method does
+    # not take; a taken shift left unset gets the default
+    shifts = {name: getattr(args, name) for name in ("alpha", "beta") if getattr(args, name) is not None}
+    spec = PrecondSpec(args.method, inner=args.inner,
+                       **{name: DEFAULT_SHIFT for name in SHIFTS[args.method]} | shifts)
     record = _solve_once(sys_, problem_id, spec, _rule(args), args.stationary)
     print(json.dumps(asdict(record), sort_keys=True))
     if args.csv:
@@ -197,18 +207,20 @@ def _parse_grid(text, what):
 
 
 def cmd_sweep(args):
-    sys_, meta = problems.load_bundle(args.indir)
+    sys_, problem_id = _load(args.indir)
     names = SHIFTS[args.method]
     if not names:
         raise CliError("sweeping the unpreconditioned solver has no parameters")
+    for name in ("alpha", "beta"):
+        if name not in names and getattr(args, f"{name}_grid") is not None:
+            raise CliError(f"{args.method} takes no {name}; drop --{name}-grid")
     texts = [getattr(args, f"{name}_grid") for name in names]
     if None in texts:
         raise CliError(f"{args.method} sweeps need " + " and ".join(f"--{name}-grid" for name in names))
     grids = [_parse_grid(text, f"--{name}-grid") for name, text in zip(names, texts)]
     rule = _rule(args)
     records = [
-        _solve_once(sys_, meta.get("generator", "bundle"),
-                    _make_spec(args.method, dict(zip(names, point)), args.inner), rule)
+        _solve_once(sys_, problem_id, _make_spec(args.method, dict(zip(names, point)), args.inner), rule)
         for point in itertools.product(*grids)
     ]
     best = None
@@ -347,8 +359,8 @@ def build_parser():
     p = sub.add_parser("solve", parents=[solver], help="solve one bundle and print a JSON record")
     p.add_argument("--in", dest="indir", required=True, help="bundle directory")
     p.add_argument("--method", choices=SHIFTS, required=True)
-    p.add_argument("--alpha", type=float, default=0.001)
-    p.add_argument("--beta", type=float, default=0.001)
+    p.add_argument("--alpha", type=float, help=f"default {DEFAULT_SHIFT} if the method takes it")
+    p.add_argument("--beta", type=float, help=f"default {DEFAULT_SHIFT} if the method takes it")
     p.add_argument("--stationary", action="store_true", help="run the splitting iteration instead of GMRES")
     p.add_argument("--csv", help="also write the record as CSV")
     p.set_defaults(func=cmd_solve)
@@ -373,8 +385,8 @@ def build_parser():
     p = sub.add_parser("bench", parents=[solver], help="grid x method comparison table")
     p.add_argument("--grids", required=True, help="comma list, e.g. 4,8,16")
     p.add_argument("--methods", required=True, help="comma list from " + ",".join(SHIFTS))
-    p.add_argument("--alpha", type=float, default=0.001)
-    p.add_argument("--beta", type=float, default=0.001)
+    p.add_argument("--alpha", type=float, default=DEFAULT_SHIFT)
+    p.add_argument("--beta", type=float, default=DEFAULT_SHIFT)
     p.add_argument("--hss-alpha", type=float, default=0.1)
     p.add_argument(
         "--pin",

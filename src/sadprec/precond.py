@@ -16,17 +16,20 @@ Four preconditioners share one ``apply(r) -> P^{-1} r`` interface:
 
 Every SPD sub-solve of an elimination (the Schur matrix for mgss and
 rmgss; alpha I + A, alpha I + C and alpha^2 I + B B^T for hss) runs
-either as an inner CG on the unassembled operator (``inner="cg"``,
-residual reduction 100, at most 40 steps; the rule is fixed) or through
-a dense Cholesky of the explicitly formed matrix (``inner="direct"``),
-which makes the preconditioner an exactly linear operator for spectral
-work.
+either as an inner CG (``inner="cg"``, residual reduction 100, at most
+40 steps; the rule is fixed) or through a Cholesky factor
+(``inner="direct"``), which makes the preconditioner an exactly linear
+operator for spectral work.  The Schur matrix is applied unassembled in
+CG mode and formed densely in direct mode.  The three hss blocks are
+assembled as sparse matrices, B B^T by a Gram product: CG mode applies
+each with one ``spmv`` per step, direct mode factors the same matrices.
 
 Applicators allocate fresh work vectors per call, so concurrent
-``apply`` calls are safe.  Two things change in place: the
-``inner_iterations`` statistics counter, and each Cholesky factor's
-inverse factors, cached on its first solve; racing first calls can
-only store identical arrays.
+``apply`` calls are safe.  Three things change in place: the
+``inner_iterations`` statistics counter; the CG-mode hss blocks,
+assembled on the first ``apply``; and each Cholesky factor's inverse
+factors, cached on its first solve.  Racing first calls can only store
+identical arrays.
 """
 
 import numpy as np
@@ -36,6 +39,7 @@ from .krylov import LinearOperator, cg
 from .sparse import (
     add_scaled_identity,
     assemble_block_saddle,
+    gram_plus_identity,
     spmv,
     spmv_transpose,
     to_dense,
@@ -106,10 +110,10 @@ def _schur_dense(sys, alpha, shifted):
 
 
 class _Applicator:
-    """Shared parts of the eliminations: the residual split and the SPD blocks.
+    """Shared parts of the eliminations: the residual split and the SPD solves.
 
-    An SPD block is the Cholesky factor of its dense matrix in direct mode,
-    else an operator for inner CG, whose steps add to ``inner_iterations``.
+    An SPD block is a Cholesky factor in direct mode, else an operator
+    or a matrix for inner CG, whose steps add to ``inner_iterations``.
     """
 
     def __init__(self, sys, spec):
@@ -122,11 +126,6 @@ class _Applicator:
         if r.shape[0] != self.sys.order:
             raise ValueError("residual length does not match the system order")
         return r[:self.sys.n], r[self.sys.n:]
-
-    def _spd_block(self, dim, matvec, dense):
-        if self.spec.inner == "direct":
-            return factor.cholesky_dense(dense())
-        return LinearOperator(dim, matvec)
 
     def _spd_solve(self, block, rhs):
         if isinstance(block, factor.CholeskyFactor):
@@ -163,6 +162,9 @@ class MgssApplicator(_Applicator):
         super().__init__(sys, spec)
         A, B, alpha = sys.A, sys.B, spec.alpha
         shifted = self.shifted_factor = factor.cholesky(add_scaled_identity(sys.C, spec.beta))
+        if spec.inner == "direct":
+            self.schur = factor.cholesky_dense(_schur_dense(sys, alpha, shifted))
+            return
 
         def schur_matvec(x):
             x = np.asarray(x, dtype=np.float64)
@@ -173,7 +175,7 @@ class MgssApplicator(_Applicator):
                 y = y + spmv_transpose(B, factor.solve(shifted, spmv(B, x)))
             return y
 
-        self.schur = self._spd_block(sys.n, schur_matvec, lambda: _schur_dense(sys, alpha, shifted))
+        self.schur = LinearOperator(sys.n, schur_matvec)
 
     def apply(self, r):
         r1, r2 = self._split(r)
@@ -193,40 +195,44 @@ class HssApplicator(_Applicator):
     P^{-1} r = 2 alpha (alpha I + S)^{-1} (alpha I + H)^{-1} r.  The
     skew part is inverted by eliminating the first block:
     (alpha^2 I + B B^T) z2 = alpha t2 + B t1, then
-    z1 = (t1 - B^T z2) / alpha.  In CG mode all three SPD solves are
-    inner CG runs on unassembled operators (B B^T is never formed); in
-    direct mode the three matrices are formed densely and
-    Cholesky-factored once.
+    z1 = (t1 - B^T z2) / alpha.  ``blocks()`` holds the three SPD
+    blocks alpha I + A, alpha I + C and alpha^2 I + B B^T, each
+    assembled once as a CsrMatrix (B B^T by
+    ``sparse.gram_plus_identity``): in CG mode inner CG applies them
+    with one ``spmv`` per step, and they are assembled on the first
+    call; in direct mode the constructor factors them
+    (``factor.cholesky``).
     """
 
     def __init__(self, sys, spec):
         if spec.kind != "hss":
             raise ValueError(f"expected an hss spec, got {spec.kind!r}")
         super().__init__(sys, spec)
-        a, n, m = spec.alpha, sys.n, sys.m
-        A, B, C = sys.A, sys.B, sys.C
-        self.shifted_A = self._spd_block(
-            n, lambda x: spmv(A, x) + a * x, lambda: to_dense(A) + a * np.eye(n))
-        self.shifted_C = self._spd_block(
-            m, lambda x: spmv(C, x) + a * x, lambda: to_dense(C) + a * np.eye(m))
+        self._blocks = None
+        if spec.inner == "direct":
+            self._blocks = [factor.cholesky(M) for M in self._assemble()]
 
-        def bbt_dense():
-            # one array on both sides of @, so numpy forms B B^T exactly symmetric
-            Bd = to_dense(B)
-            return Bd @ Bd.T + a * a * np.eye(m)
+    def _assemble(self):
+        a, sys = self.spec.alpha, self.sys
+        return [add_scaled_identity(sys.A, a), add_scaled_identity(sys.C, a),
+                gram_plus_identity(sys.B, a * a)]
 
-        self.shifted_BBt = self._spd_block(
-            m, lambda x: spmv(B, spmv_transpose(B, x)) + a * a * x, bbt_dense)
+    def blocks(self):
+        # racing first calls can only store identical matrices
+        if self._blocks is None:
+            self._blocks = self._assemble()
+        return self._blocks
 
     def apply(self, r):
         r1, r2 = self._split(r)
         a = self.spec.alpha
         B = self.sys.B
-        t1 = self._spd_solve(self.shifted_A, r1)
+        shifted_A, shifted_C, shifted_BBt = self.blocks()
+        t1 = self._spd_solve(shifted_A, r1)
         if self.sys.m == 0:
             return 2.0 * t1
-        t2 = self._spd_solve(self.shifted_C, r2)
-        z2 = self._spd_solve(self.shifted_BBt, a * t2 + spmv(B, t1))
+        t2 = self._spd_solve(shifted_C, r2)
+        z2 = self._spd_solve(shifted_BBt, a * t2 + spmv(B, t1))
         z1 = (t1 - spmv_transpose(B, z2)) / a
         return 2.0 * a * np.concatenate([z1, z2])
 

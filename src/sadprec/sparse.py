@@ -22,6 +22,7 @@ __all__ = [
     "spmv_transpose",
     "assemble_block_saddle",
     "add_scaled_identity",
+    "gram_plus_identity",
     "to_dense",
     "norm2",
     "dense_cap",
@@ -269,18 +270,69 @@ def spmv_transpose(M, x):
 
 
 def add_scaled_identity(M, s):
-    """Return M + s*I as a new CsrMatrix (square M)."""
+    """Return M + s*I as a new CsrMatrix (square M), in O(nnz).
+
+    The shift is added to the stored diagonal; a missing diagonal entry
+    is inserted in its row, and one that cancels to exactly 0 is
+    dropped, so the arrays equal those of ``from_triplets`` on the
+    triplets of M plus (i, i, s).
+    """
     if M.nrows != M.ncols:
         raise ValueError("matrix must be square")
-    rows, cols, vals = M.to_triplets()
-    diag = np.arange(M.nrows, dtype=np.int64)
-    return CsrMatrix.from_triplets(
-        M.nrows,
-        M.ncols,
-        np.concatenate([rows, diag]),
-        np.concatenate([cols, diag]),
-        np.concatenate([vals, np.full(M.nrows, float(s))]),
-    )
+    s = float(s)
+    rows, cols = M._rows(), M.col_idx
+    vals = M.values.copy()
+    on_diag = rows == cols
+    vals[on_diag] += s
+    missing = np.full(M.nrows, s != 0.0)  # a zero shift inserts nothing
+    missing[rows[on_diag]] = False
+    missing = np.flatnonzero(missing)
+    # a missing diagonal entry goes after its row's entries left of the diagonal
+    at = (M.row_ptr[:-1] + np.bincount(rows[cols < rows], minlength=M.nrows))[missing]
+    rows, cols = np.insert(rows, at, missing), np.insert(cols, at, missing)
+    vals = np.insert(vals, at, s)
+    keep = vals != 0.0
+    row_ptr = np.zeros(M.nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=M.nrows), out=row_ptr[1:])
+    return CsrMatrix(M.nrows, M.ncols, row_ptr, cols[keep], vals[keep])
+
+
+def gram_plus_identity(M, s):
+    """Return M M^T + s*I as a new CsrMatrix, exactly symmetric.
+
+    Entry (i, j) adds the products M[i, k] M[j, k] over the columns k
+    the two rows share, in increasing k, and then s on the diagonal;
+    entry (j, i) adds the same products in the same order, so the two
+    are bitwise equal.  Entries that cancel to exactly 0 are dropped.
+    Each row's candidate products come from M's padded layouts (the
+    ones ``spmv`` and ``spmv_transpose`` cache) and are sorted within
+    the row only: a temporary of 16 bytes x rows x widest row x widest
+    column.
+    """
+    m, n = M.nrows, M.ncols
+    idx, val = M._padded_rows()
+    tidx, tval = M._padded_cols()
+    # one more column of the transposed layout for the row pads' index n
+    tidx = np.hstack([tidx[:, :n], np.full((tidx.shape[0], 1), m)]).T
+    tval = np.hstack([tval[:, :n], np.zeros((tval.shape[0], 1))]).T
+    k = idx[:, :m].T
+    width = k.shape[1] * tidx.shape[1]
+    # row i's candidates (j, M[i, k] M[j, k]) in the order (k, j), then (i, s)
+    cand = np.hstack([tidx[k].reshape(m, width), np.arange(m)[:, None]])
+    prod = np.hstack([(val[:, :m].T[:, :, None] * tval[k]).reshape(m, width),
+                      np.full((m, 1), float(s))])
+    order = np.argsort(cand, axis=1, kind="stable")
+    cand = np.take_along_axis(cand, order, axis=1)
+    prod = np.take_along_axis(prod, order, axis=1)
+    first = np.ones(cand.shape, dtype=bool)
+    first[:, 1:] = cand[:, 1:] != cand[:, :-1]
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(prod.ravel(), starts)
+    cols = cand.ravel()[starts]
+    keep = (cols < m) & (sums != 0.0)
+    row_ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(starts[keep] // cand.shape[1], minlength=m), out=row_ptr[1:])
+    return CsrMatrix(m, m, row_ptr, cols[keep], sums[keep])
 
 
 def to_dense(M):

@@ -80,6 +80,26 @@ class TestSolve:
         rc = main(["solve", "--in", bundle, "--method", "mgss", "--alpha", "0", "--beta", "1"])
         assert rc != 0
 
+    @pytest.mark.parametrize("method,shift,message", [
+        ("hss", ["--alpha", "0.1", "--beta", "5"], "hss takes no beta"),
+        ("rmgss", ["--alpha", "0.1"], "rmgss takes no alpha"),
+        ("none", ["--alpha", "3"], "none takes no alpha"),
+    ], ids=["hss-beta", "rmgss-alpha", "none-alpha"])
+    def test_shift_the_method_does_not_take_rejected(self, tmp_path, capsys, method, shift, message):
+        bundle = toy_bundle(tmp_path)
+        rc = main(["solve", "--in", bundle, "--method", method] + shift)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("method,shifts", [("mgss", (0.001, 0.001)), ("rmgss", (0.0, 0.001)),
+                                               ("hss", (0.001, 0.0)), ("none", (0.0, 0.0))])
+    def test_unset_shifts_default(self, tmp_path, capsys, method, shifts):
+        bundle = toy_bundle(tmp_path)
+        main(["solve", "--in", bundle, "--method", method])
+        rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (rec["alpha"], rec["beta"]) == shifts
+
     def test_missing_bundle(self, tmp_path, capsys):
         rc = main(["solve", "--in", str(tmp_path / "nope"), "--method", "none"])
         assert rc != 0
@@ -153,7 +173,7 @@ class TestSolve:
         assert cells[11] == rec["stop_reason"] == "tolerance"
 
     def test_csv_quotes_commas(self, tmp_path, capsys):
-        # solve ids carry the bundle directory, sweep ids the generator name
+        # solve and sweep ids are both <generator>:<bundle directory>
         bundle = toy_bundle(tmp_path, name="a,b", generator="toy,v2")
         csv_path = tmp_path / "rec.csv"
         assert main(["solve", "--in", bundle, "--method", "rmgss", "--beta", "1",
@@ -162,7 +182,7 @@ class TestSolve:
         assert main(["sweep", "--in", bundle, "--method", "rmgss", "--beta-grid", "1:2:2"]) == 0
         sweep_rows = list(csv.reader(capsys.readouterr().out.splitlines()))
         for rows, problem in ((list(csv.reader(csv_path.open())), "toy,v2:a,b"),
-                              (sweep_rows, "toy,v2")):
+                              (sweep_rows, "toy,v2:a,b")):
             assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
             assert all(row[0] == problem for row in rows[1:])
 
@@ -233,6 +253,24 @@ class TestSweep:
         assert rc == 0
         assert len(rows) == 2
         assert all(row.split(",")[6] == "true" for row in rows)
+
+    def test_same_problem_cell_as_solve(self, tmp_path, capsys):
+        out = tmp_path / "b8"
+        assert main(["generate", "--stokes", "q=8", "--out", str(out)]) == 0
+        solve_csv, sweep_csv = tmp_path / "solve.csv", tmp_path / "sweep.csv"
+        # the id does not depend on convergence, so five steps will do
+        main(["solve", "--in", str(out), "--method", "rmgss", "--max-outer", "5",
+              "--csv", str(solve_csv)])
+        main(["sweep", "--in", str(out), "--method", "rmgss", "--beta-grid", "0.001:0.001:1",
+              "--max-outer", "5", "--csv", str(sweep_csv)])
+        cells = [row[0] for path in (solve_csv, sweep_csv) for row in list(csv.reader(path.open()))[1:]]
+        assert cells == ["stokes-q1p0:b8", "stokes-q1p0:b8"]
+
+    def test_grid_the_method_does_not_take_rejected(self, tmp_path, capsys):
+        bundle = toy_bundle(tmp_path)
+        rc = main(["sweep", "--in", bundle, "--method", "hss", "--alpha-grid", "0.1:0.2:2",
+                   "--beta-grid", "1:2:2"])
+        assert rc == 2 and "hss takes no beta" in capsys.readouterr().err
 
     def test_missing_grid_rejected(self, tmp_path, capsys):
         bundle = toy_bundle(tmp_path)

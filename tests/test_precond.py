@@ -11,12 +11,14 @@ from sadprec.precond import (
     form_schur_dense,
     make_preconditioner,
 )
-from sadprec.krylov import StoppingRule, gmres_restarted, saddle_operator
+from sadprec.krylov import LinearOperator, StoppingRule, cg, gmres_restarted, saddle_operator
 from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
 from sadprec.sparse import (
     CsrMatrix,
     SaddleSystem,
     assemble_block_saddle,
+    spmv,
+    spmv_transpose,
     to_dense,
 )
 
@@ -195,6 +197,62 @@ class TestHssApply:
         z2_exp = 2.0 * r[n:] / alpha
         assert np.allclose(z[:n], z1_exp, atol=1e-12)
         assert np.allclose(z[n:], z2_exp, atol=1e-12)
+
+
+def hss_apply_unassembled(sys_, alpha, r):
+    # the hss apply with each SPD block applied as products plus a shifted
+    # copy of the operand, never assembled: spmv + alpha x for alpha I + A
+    # and alpha I + C, B (B^T x) + alpha^2 x for alpha^2 I + B B^T
+    A, B, C, n = sys_.A, sys_.B, sys_.C, sys_.n
+
+    def solve(dim, matvec, rhs):
+        return cg(LinearOperator(dim, matvec), rhs, 100.0, 40).solution
+
+    t1 = solve(n, lambda x: spmv(A, x) + alpha * x, r[:n])
+    t2 = solve(sys_.m, lambda x: spmv(C, x) + alpha * x, r[n:])
+    z2 = solve(sys_.m, lambda x: spmv(B, spmv_transpose(B, x)) + alpha * alpha * x,
+               alpha * t2 + spmv(B, t1))
+    z1 = (t1 - spmv_transpose(B, z2)) / alpha
+    return 2.0 * alpha * np.concatenate([z1, z2])
+
+
+class TestHssAssembledBlocks:
+    @pytest.mark.parametrize("make", [lambda: generate_random_saddle(60, 24, seed=3),
+                                      lambda: generate_stokes_q1p0(StokesConfig(8))],
+                             ids=["random-60x24", "stokes-q8"])
+    def test_cg_apply_matches_unassembled_blocks(self, make):
+        sys_ = make()
+        app = HssApplicator(sys_, PrecondSpec("hss", alpha=0.1))
+        rng = np.random.default_rng(5)
+        # the products round differently; inner CG on the ill-conditioned
+        # random alpha^2 I + B B^T carries that to about 3e-12 relative
+        for _ in range(3):
+            r = rng.standard_normal(sys_.order)
+            want = hss_apply_unassembled(sys_, 0.1, r)
+            assert np.linalg.norm(app.apply(r) - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_cg_blocks_assembled_on_first_apply(self):
+        sys_ = generate_random_saddle(30, 12, seed=2)
+        app = HssApplicator(sys_, PrecondSpec("hss", alpha=0.3))
+        assert app._blocks is None
+        app.apply(np.ones(sys_.order))
+        shifted_A, shifted_C, shifted_BBt = app.blocks()
+        assert all(isinstance(M, CsrMatrix) for M in app.blocks())
+        Bd = to_dense(sys_.B)
+        assert np.allclose(to_dense(shifted_A), to_dense(sys_.A) + 0.3 * np.eye(30), rtol=0, atol=1e-15)
+        assert np.allclose(to_dense(shifted_C), to_dense(sys_.C) + 0.3 * np.eye(12), rtol=0, atol=1e-15)
+        assert np.allclose(to_dense(shifted_BBt), Bd @ Bd.T + 0.09 * np.eye(12), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("q,steps", [(16, (59, 993)), (32, (124, 2192))])
+    def test_unpinned_stokes_steps(self, q, steps):
+        # the Table-2 hss rows (alpha = 0.1): the same counts under one
+        # BLAS thread and under the Haswell kernel with two
+        sys_ = generate_stokes_q1p0(StokesConfig(q, pin_pressure=False))
+        prec = make_preconditioner(sys_, PrecondSpec("hss", alpha=0.1))
+        rule = StoppingRule(rel_tol=1e-9, max_outer=2000, restart=5)
+        report = gmres_restarted(saddle_operator(sys_), sys_.rhs(), prec, rule)
+        assert report.converged
+        assert (report.outer_iterations, report.total_inner_cg_iterations) == steps
 
 
 class TestBatchedResidual:

@@ -4,9 +4,11 @@ import pytest
 from sadprec.sparse import (
     CsrMatrix,
     SaddleSystem,
+    _check_symmetric,
     add_scaled_identity,
     assemble_block_saddle,
     dense_cap,
+    gram_plus_identity,
     norm2,
     spmv,
     spmv_transpose,
@@ -95,6 +97,69 @@ class TestConstruction:
         S = add_scaled_identity(M, 3.0)
         assert np.allclose(to_dense(S), [[4.0, 2.0], [2.0, 0.0]])
         assert S.nnz == 3  # the (1,1) entry cancelled exactly and was dropped
+
+
+def shifted_by_triplets(M, s):
+    # M + s I through from_triplets: the shift as n more triplets, re-sorted
+    rows, cols, vals = M.to_triplets()
+    diag = np.arange(M.nrows)
+    return CsrMatrix.from_triplets(M.nrows, M.ncols, np.concatenate([rows, diag]),
+                                   np.concatenate([cols, diag]),
+                                   np.concatenate([vals, np.full(M.nrows, s)]))
+
+
+def shift_cases():
+    stokes = generate_stokes_q1p0(StokesConfig(8))
+    yield "stokes-A", stokes.A, 0.1
+    yield "stokes-C", stokes.C, 1e-3
+    stokes = generate_stokes_q1p0(StokesConfig(64, pin_pressure=False))
+    yield "stokes64-A", stokes.A, 0.1
+    yield "stokes64-C", stokes.C, 0.1
+    yield "zero-C", CsrMatrix.zeros(3, 3), 0.5
+    yield "empty", CsrMatrix.zeros(0, 0), 0.5
+    # rows 0 and 2 hold no diagonal entry, row 3 is empty
+    gaps = CsrMatrix.from_dense([[0.0, 2.0, 0.0, 0.0], [2.0, 1.0, -1.0, 0.0],
+                                 [0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    yield "missing-diagonal", gaps, 0.25
+    yield "zero-shift-missing-diagonal", gaps, 0.0
+    # the diagonal entry -0.75 cancels to exactly 0
+    yield "cancelling-diagonal", CsrMatrix.from_dense([[-0.75, 1.0], [1.0, 2.0]]), 0.75
+
+
+class TestShiftedAssembly:
+    @pytest.mark.parametrize("case", list(shift_cases()), ids=lambda c: c[0])
+    def test_add_scaled_identity_bitwise_equals_triplet_path(self, case):
+        _, M, s = case
+        got, want = add_scaled_identity(M, s), shifted_by_triplets(M, s)
+        for name in ("row_ptr", "col_idx", "values"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("make", [lambda: generate_stokes_q1p0(StokesConfig(8)),
+                                      lambda: generate_random_saddle(60, 24, seed=3)],
+                             ids=["stokes-q8", "random-60x24"])
+    @pytest.mark.parametrize("s", [1e-2, 0.0])
+    def test_gram_symmetric_and_matches_dense(self, make, s):
+        B = make().B
+        G = gram_plus_identity(B, s)
+        _check_symmetric(G, "gram", rtol=0.0)
+        Bd = to_dense(B)
+        want = Bd @ Bd.T + s * np.eye(B.nrows)
+        assert np.abs(to_dense(G) - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_gram_drops_cancelled_entries(self):
+        # Q1-P0: pressures of edge-neighbour elements cancel exactly,
+        # leaving each element and its four diagonal neighbours
+        B = generate_stokes_q1p0(StokesConfig(16, pin_pressure=False)).B
+        assert np.diff(gram_plus_identity(B, 0.01).row_ptr).max() == 5
+
+    @pytest.mark.parametrize("B,want", [
+        (CsrMatrix.zeros(0, 4), np.zeros((0, 0))),
+        (CsrMatrix.zeros(2, 3), 2.0 * np.eye(2)),
+        (CsrMatrix.from_dense([[1.0], [2.0]]), [[3.0, 2.0], [2.0, 6.0]]),
+    ], ids=["no-rows", "zero-B", "one-column"])
+    def test_gram_edge_shapes(self, B, want):
+        assert np.array_equal(to_dense(gram_plus_identity(B, 2.0)), want)
 
 
 class TestVectorOps:
