@@ -21,7 +21,6 @@ from .krylov import (
 )
 from .precond import (
     HssApplicator,
-    IdentityApplicator,
     MgssApplicator,
     PrecondSpec,
     dense_preconditioner_matrix,

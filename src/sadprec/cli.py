@@ -26,7 +26,8 @@ from .precond import SHIFTS, PrecondSpec, make_preconditioner
 from .sparse import assemble_block_saddle, to_dense
 
 TIMING_SCOPE = "solver call only"
-DEFAULT_SHIFT = 0.001  # alpha and beta of solve and bench when not given
+# alpha and beta of each kind in solve and bench when not given (hss: Table 2)
+DEFAULT_SHIFTS = {"mgss": 0.001, "rmgss": 0.001, "hss": 0.1}
 
 
 @dataclass
@@ -107,7 +108,7 @@ def _solve_once(sys_, problem_id, spec, rule, stationary=False):
     op = saddle_operator(sys_)
     b = sys_.rhs()
     # the clock starts after preconditioner setup: cpu is the solver call only
-    prec = None if spec.kind == "none" else make_preconditioner(sys_, spec)
+    prec = make_preconditioner(sys_, spec)
     solver = stationary_richardson if stationary else gmres_restarted
     t0 = time.perf_counter()
     report = solver(op, b, prec, rule)
@@ -182,7 +183,7 @@ def cmd_solve(args):
     # not take; a taken shift left unset gets the default
     shifts = {name: getattr(args, name) for name in ("alpha", "beta") if getattr(args, name) is not None}
     spec = PrecondSpec(args.method, inner=args.inner,
-                       **{name: DEFAULT_SHIFT for name in SHIFTS[args.method]} | shifts)
+                       **{name: DEFAULT_SHIFTS[args.method] for name in SHIFTS[args.method]} | shifts)
     record = _solve_once(sys_, problem_id, spec, _rule(args), args.stationary)
     print(json.dumps(asdict(record), sort_keys=True))
     if args.csv:
@@ -359,8 +360,8 @@ def build_parser():
     p = sub.add_parser("solve", parents=[solver], help="solve one bundle and print a JSON record")
     p.add_argument("--in", dest="indir", required=True, help="bundle directory")
     p.add_argument("--method", choices=SHIFTS, required=True)
-    p.add_argument("--alpha", type=float, help=f"default {DEFAULT_SHIFT} if the method takes it")
-    p.add_argument("--beta", type=float, help=f"default {DEFAULT_SHIFT} if the method takes it")
+    p.add_argument("--alpha", type=float, help=f"if the method takes it; default by method {DEFAULT_SHIFTS}")
+    p.add_argument("--beta", type=float, help=f"if the method takes it; default by method {DEFAULT_SHIFTS}")
     p.add_argument("--stationary", action="store_true", help="run the splitting iteration instead of GMRES")
     p.add_argument("--csv", help="also write the record as CSV")
     p.set_defaults(func=cmd_solve)
@@ -385,9 +386,9 @@ def build_parser():
     p = sub.add_parser("bench", parents=[solver], help="grid x method comparison table")
     p.add_argument("--grids", required=True, help="comma list, e.g. 4,8,16")
     p.add_argument("--methods", required=True, help="comma list from " + ",".join(SHIFTS))
-    p.add_argument("--alpha", type=float, default=DEFAULT_SHIFT)
-    p.add_argument("--beta", type=float, default=DEFAULT_SHIFT)
-    p.add_argument("--hss-alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=float, default=DEFAULT_SHIFTS["mgss"])
+    p.add_argument("--beta", type=float, default=DEFAULT_SHIFTS["mgss"])
+    p.add_argument("--hss-alpha", type=float, default=DEFAULT_SHIFTS["hss"])
     p.add_argument(
         "--pin",
         action=argparse.BooleanOptionalAction,

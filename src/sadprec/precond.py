@@ -1,6 +1,6 @@
 """Shift-splitting preconditioners for saddle point systems.
 
-Four preconditioners share one ``apply(r) -> P^{-1} r`` interface:
+Four kinds; the first three share one ``apply(r) -> P^{-1} r`` interface:
 
 * ``mgss``  : P = (1/2) [[alpha I + A, B^T], [-B, beta I + C]], the
   modified generalized shift-splitting matrix.  Applied through a block
@@ -12,7 +12,9 @@ Four preconditioners share one ``apply(r) -> P^{-1} r`` interface:
 * ``hss``   : Hermitian / skew-Hermitian splitting,
   P = (1/(2 alpha)) (alpha I + H)(alpha I + S) with H = blkdiag(A, C)
   and S = [[0, B^T], [-B, 0]].
-* ``none``  : identity, for unpreconditioned baselines.
+* ``none``  : identity, for unpreconditioned baselines;
+  ``make_preconditioner`` returns None, which the Krylov solvers take
+  as no preconditioner.
 
 Every SPD sub-solve of an elimination (the Schur matrix for mgss and
 rmgss; alpha I + A, alpha I + C and alpha^2 I + B B^T for hss) runs
@@ -49,7 +51,6 @@ __all__ = [
     "PrecondSpec",
     "MgssApplicator",
     "HssApplicator",
-    "IdentityApplicator",
     "make_preconditioner",
     "form_schur_dense",
     "dense_preconditioner_matrix",
@@ -237,20 +238,13 @@ class HssApplicator(_Applicator):
         return 2.0 * a * np.concatenate([z1, z2])
 
 
-class IdentityApplicator:
-    def __init__(self, sys=None, spec=None):
-        self.inner_iterations = 0
-
-    def apply(self, r):
-        return np.array(r, dtype=np.float64, copy=True)
-
-
 def make_preconditioner(sys, spec):
+    """The applicator of ``spec.kind`` for ``sys``; None for ``none``."""
     if spec.kind in ("mgss", "rmgss"):
         return MgssApplicator(sys, spec)
     if spec.kind == "hss":
         return HssApplicator(sys, spec)
-    return IdentityApplicator(sys, spec)
+    return None
 
 
 def dense_preconditioner_matrix(sys, spec):

@@ -84,7 +84,13 @@ class CsrMatrix:
 
     @classmethod
     def from_triplets(cls, nrows, ncols, rows, cols, vals):
-        """Build from COO triplets; duplicates are summed, exact zeros dropped."""
+        """Build from COO triplets; duplicates are summed, exact zeros dropped.
+
+        The triplets are ordered by one stable sort of their position key
+        ``row * ncols + col`` (``np.ravel_multi_index``), so the entries at
+        one position are added in input order.  A shape whose key would
+        overflow int64 (nrows * ncols >= 2**63) raises ValueError.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
@@ -95,20 +101,10 @@ class CsrMatrix:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= ncols:
                 raise ValueError("column index out of range")
-            order = np.lexsort((cols, rows))
-            rows, cols, vals = rows[order], cols[order], vals[order]
-            new_group = np.empty(rows.size, dtype=bool)
-            new_group[0] = True
-            new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            starts = np.flatnonzero(new_group)
-            vals = np.add.reduceat(vals, starts)
-            rows, cols = rows[starts], cols[starts]
-            keep = vals != 0.0
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        counts = np.bincount(rows, minlength=nrows) if rows.size else np.zeros(nrows, dtype=np.int64)
-        row_ptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.cumsum(counts, out=row_ptr[1:])
-        return cls(nrows, ncols, row_ptr, cols, vals)
+        order = np.argsort(np.ravel_multi_index((rows, cols), (nrows, ncols)), kind="stable")
+        # rebound, so the unsorted arrays can be freed during the merge
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        return _merge_sorted(nrows, ncols, rows, cols, vals)
 
     @classmethod
     def from_dense(cls, arr):
@@ -143,13 +139,6 @@ class CsrMatrix:
     def transpose(self):
         return CsrMatrix.from_triplets(self.ncols, self.nrows, self.col_idx, self._rows(), self.values)
 
-    @property
-    def T(self):
-        return self.transpose()
-
-    def __matmul__(self, x):
-        return spmv(self, x)
-
     def __repr__(self):
         return f"CsrMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
@@ -164,17 +153,27 @@ class CsrMatrix:
         return self._row_of
 
     def _padded_rows(self):
+        # a column-major (width, max(nrows, 2)) index array and value
+        # array: column i holds row i's entries in storage order, padded
+        # to the widest row with index ncols (the zero slot
+        # _padded_product appends to x) and value 0.0.  With one column
+        # numpy would sum it pairwise, not left to right.
         if self._padded is None:
-            self._padded = _pad(self._rows(), self.col_idx, self.values, self.nrows, self.ncols)
+            rows = self._rows()
+            width = int(np.diff(self.row_ptr).max(initial=0))
+            idx = np.full((width, max(self.nrows, 2)), self.ncols, dtype=np.int64)
+            val = np.zeros(idx.shape)
+            slot = np.arange(self.nnz) - self.row_ptr[rows]
+            idx[slot, rows] = self.col_idx
+            val[slot, rows] = self.values
+            self._padded = idx, val
         return self._padded
 
     def _padded_cols(self):
-        # stable sort by column keeps each column's entries in row order,
-        # the order in which the transpose product adds them
+        # the transpose keeps each column's entries in row order, the
+        # order in which the transpose product adds them
         if self._padded_t is None:
-            order = np.argsort(self.col_idx, kind="stable")
-            self._padded_t = _pad(self.col_idx[order], self._rows()[order],
-                                  self.values[order], self.ncols, self.nrows)
+            self._padded_t = self.transpose()._padded_rows()
         return self._padded_t
 
     def _validate(self):
@@ -203,26 +202,23 @@ class CsrMatrix:
             raise ValueError("explicitly stored zero entry")
 
 
-def _pad(out, inp, vals, nout, nin):
-    """Padded-row layout of the entries (out[k], inp[k], vals[k]).
+def _merge_sorted(nrows, ncols, rows, cols, vals):
+    """CsrMatrix of triplets sorted by position (row, then column).
 
-    ``out`` is non-decreasing.  Returns a column-major ``(width, cols)``
-    index array and value array: column i holds output row i's entries
-    in storage order, padded to the widest row with index ``nin`` (the
-    zero slot ``_padded_product`` appends to x) and value 0.0.  ``cols``
-    is at least 2: with one column numpy would sum it pairwise, not
-    left to right.
+    Each run of equal positions is summed left to right, and sums that
+    are exactly 0 are dropped, together with their positions.
     """
-    counts = np.bincount(out, minlength=nout)
-    width = int(counts.max(initial=0))
-    cols = max(nout, 2)
-    idx = np.full((width, cols), nin, dtype=np.int64)
-    val = np.zeros((width, cols))
-    starts = np.cumsum(counts) - counts
-    slot = np.arange(out.size) - starts[out]
-    idx[slot, out] = inp
-    val[slot, out] = vals
-    return idx, val
+    if rows.size:
+        first = np.empty(rows.size, dtype=bool)
+        first[0] = True
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(first)
+        vals = np.add.reduceat(vals, starts)
+        keep = vals != 0.0
+        rows, cols, vals = rows[starts][keep], cols[starts][keep], vals[keep]
+    row_ptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nrows), out=row_ptr[1:])
+    return CsrMatrix(nrows, ncols, row_ptr, cols, vals)
 
 
 def _padded_product(layout, x, nout):
@@ -260,41 +256,30 @@ def spmv(M, x):
 
 
 def spmv_transpose(M, x):
-    """Product M.T @ x of a vector or a 2-D block, without forming the transpose.
+    """Product M.T @ x of a vector or a 2-D block.
 
     Each column's entries are accumulated in row order.  The first call
-    caches the padded layout of the transpose (16 bytes x columns x
-    widest column).
+    forms the transpose once and caches its padded-row layout (16 bytes
+    x columns x widest column); the transposed matrix itself is not
+    kept.
     """
     return _padded_product(M._padded_cols(), _check_operand(M, x, M.nrows), M.ncols)
 
 
 def add_scaled_identity(M, s):
-    """Return M + s*I as a new CsrMatrix (square M), in O(nnz).
+    """Return M + s*I as a new CsrMatrix (square M).
 
-    The shift is added to the stored diagonal; a missing diagonal entry
-    is inserted in its row, and one that cancels to exactly 0 is
-    dropped, so the arrays equal those of ``from_triplets`` on the
-    triplets of M plus (i, i, s).
+    ``from_triplets`` of M's triplets plus (i, i, s) for every i: the
+    shift is added to a stored diagonal entry, a missing one is
+    inserted (unless s is 0), and one that cancels to exactly 0 is
+    dropped.  Costs one position-key sort of nnz + n entries.
     """
     if M.nrows != M.ncols:
         raise ValueError("matrix must be square")
-    s = float(s)
-    rows, cols = M._rows(), M.col_idx
-    vals = M.values.copy()
-    on_diag = rows == cols
-    vals[on_diag] += s
-    missing = np.full(M.nrows, s != 0.0)  # a zero shift inserts nothing
-    missing[rows[on_diag]] = False
-    missing = np.flatnonzero(missing)
-    # a missing diagonal entry goes after its row's entries left of the diagonal
-    at = (M.row_ptr[:-1] + np.bincount(rows[cols < rows], minlength=M.nrows))[missing]
-    rows, cols = np.insert(rows, at, missing), np.insert(cols, at, missing)
-    vals = np.insert(vals, at, s)
-    keep = vals != 0.0
-    row_ptr = np.zeros(M.nrows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=M.nrows), out=row_ptr[1:])
-    return CsrMatrix(M.nrows, M.ncols, row_ptr, cols[keep], vals[keep])
+    diag = np.arange(M.nrows)
+    return CsrMatrix.from_triplets(M.nrows, M.ncols, np.concatenate([M._rows(), diag]),
+                                   np.concatenate([M.col_idx, diag]),
+                                   np.concatenate([M.values, np.full(M.nrows, float(s))]))
 
 
 def gram_plus_identity(M, s):
@@ -303,11 +288,11 @@ def gram_plus_identity(M, s):
     Entry (i, j) adds the products M[i, k] M[j, k] over the columns k
     the two rows share, in increasing k, and then s on the diagonal;
     entry (j, i) adds the same products in the same order, so the two
-    are bitwise equal.  Entries that cancel to exactly 0 are dropped.
-    Each row's candidate products come from M's padded layouts (the
-    ones ``spmv`` and ``spmv_transpose`` cache) and are sorted within
-    the row only: a temporary of 16 bytes x rows x widest row x widest
-    column.
+    are bitwise equal.  Each row's candidate products come from M's
+    padded layouts (the ones ``spmv`` and ``spmv_transpose`` cache) and
+    are sorted within the row, not globally, then summed as in
+    ``from_triplets``, which drops entries that cancel to exactly 0: a
+    temporary of 16 bytes x rows x widest row x widest column.
     """
     m, n = M.nrows, M.ncols
     idx, val = M._padded_rows()
@@ -324,15 +309,10 @@ def gram_plus_identity(M, s):
     order = np.argsort(cand, axis=1, kind="stable")
     cand = np.take_along_axis(cand, order, axis=1)
     prod = np.take_along_axis(prod, order, axis=1)
-    first = np.ones(cand.shape, dtype=bool)
-    first[:, 1:] = cand[:, 1:] != cand[:, :-1]
-    starts = np.flatnonzero(first)
-    sums = np.add.reduceat(prod.ravel(), starts)
-    cols = cand.ravel()[starts]
-    keep = (cols < m) & (sums != 0.0)
-    row_ptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(starts[keep] // cand.shape[1], minlength=m), out=row_ptr[1:])
-    return CsrMatrix(m, m, row_ptr, cols[keep], sums[keep])
+    del order  # freed before the row index of the same size is made
+    prod[cand == m] = 0.0  # pads, in column m, sum to 0 and drop, even beside an inf
+    rows = np.repeat(np.arange(m), cand.shape[1])
+    return _merge_sorted(m, m, rows, cand.ravel(), prod.ravel())
 
 
 def to_dense(M):

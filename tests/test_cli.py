@@ -93,12 +93,21 @@ class TestSolve:
         assert message in captured.err
 
     @pytest.mark.parametrize("method,shifts", [("mgss", (0.001, 0.001)), ("rmgss", (0.0, 0.001)),
-                                               ("hss", (0.001, 0.0)), ("none", (0.0, 0.0))])
+                                               ("hss", (0.1, 0.0)), ("none", (0.0, 0.0))])
     def test_unset_shifts_default(self, tmp_path, capsys, method, shifts):
         bundle = toy_bundle(tmp_path)
         main(["solve", "--in", bundle, "--method", method])
         rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert (rec["alpha"], rec["beta"]) == shifts
+
+    def test_hss_default_shift_converges(self, tmp_path, capsys):
+        # hss defaults to the Table-2 alpha 0.1; at 0.001 it stagnates here
+        out = tmp_path / "b8"
+        assert main(["generate", "--stokes", "q=8", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--in", str(out), "--method", "hss"]) == 0
+        rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert rec["alpha"] == 0.1 and rec["converged"]
 
     def test_missing_bundle(self, tmp_path, capsys):
         rc = main(["solve", "--in", str(tmp_path / "nope"), "--method", "none"])
@@ -181,7 +190,7 @@ class TestSolve:
         capsys.readouterr()
         assert main(["sweep", "--in", bundle, "--method", "rmgss", "--beta-grid", "1:2:2"]) == 0
         sweep_rows = list(csv.reader(capsys.readouterr().out.splitlines()))
-        for rows, problem in ((list(csv.reader(csv_path.open())), "toy,v2:a,b"),
+        for rows, problem in ((list(csv.reader(csv_path.read_text().splitlines())), "toy,v2:a,b"),
                               (sweep_rows, "toy,v2:a,b")):
             assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
             assert all(row[0] == problem for row in rows[1:])
@@ -263,7 +272,8 @@ class TestSweep:
               "--csv", str(solve_csv)])
         main(["sweep", "--in", str(out), "--method", "rmgss", "--beta-grid", "0.001:0.001:1",
               "--max-outer", "5", "--csv", str(sweep_csv)])
-        cells = [row[0] for path in (solve_csv, sweep_csv) for row in list(csv.reader(path.open()))[1:]]
+        cells = [row[0] for path in (solve_csv, sweep_csv)
+                 for row in list(csv.reader(path.read_text().splitlines()))[1:]]
         assert cells == ["stokes-q1p0:b8", "stokes-q1p0:b8"]
 
     def test_grid_the_method_does_not_take_rejected(self, tmp_path, capsys):

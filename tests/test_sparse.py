@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,60 @@ class TestConstruction:
         assert S.nnz == 3  # the (1,1) entry cancelled exactly and was dropped
 
 
+    def test_position_key_overflow_rejected(self):
+        # row * ncols + col would pass 2**63 for row 2
+        with pytest.raises(ValueError):
+            CsrMatrix.from_triplets(3, 2**62, [2, 0], [0, 5], [1.0, 2.0])
+
+
+def lexsort_triplets(nrows, ncols, rows, cols, vals):
+    """CSR arrays of the triplets, ordered by np.lexsort on (row, col).
+
+    Equal positions keep their input order and are summed in it, exact
+    zeros are dropped.
+    """
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(first)
+    vals = np.add.reduceat(vals, starts)
+    keep = vals != 0.0
+    rows, cols, vals = rows[starts][keep], cols[starts][keep], vals[keep]
+    row_ptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nrows), out=row_ptr[1:])
+    return row_ptr, cols, vals
+
+
+def shuffled_triplet_cases():
+    rng = np.random.default_rng(11)
+    A = generate_stokes_q1p0(StokesConfig(8)).A
+    rows, cols, vals = A.to_triplets()
+    # every entry twice, the copy scaled, in a random order
+    rows, cols = np.tile(rows, 2), np.tile(cols, 2)
+    vals = np.concatenate([vals, vals * rng.uniform(-2.0, 2.0, vals.size)])
+    order = rng.permutation(rows.size)
+    yield "stokes8-A", (A.nrows, A.ncols, rows[order], cols[order], vals[order])
+    # 600 triplets on 30 x 20 positions, magnitudes from 1e-8 to 1e8, and
+    # in row 30 one pair that cancels exactly
+    rows = np.append(rng.integers(0, 30, 600), [30, 30])
+    cols = np.append(rng.integers(0, 20, 600), [4, 4])
+    vals = rng.choice([-1.0, 1.0], 600) * 10.0 ** rng.uniform(-8, 8, 600)
+    vals = np.append(vals, [2.5, -2.5])
+    order = rng.permutation(rows.size)
+    yield "random-wide-range", (31, 20, rows[order], cols[order], vals[order])
+
+
+class TestTripletOrder:
+    @pytest.mark.parametrize("case", list(shuffled_triplet_cases()), ids=lambda c: c[0])
+    def test_bitwise_equal_to_lexsort(self, case):
+        _, args = case
+        M = CsrMatrix.from_triplets(*args)
+        for name, want in zip(("row_ptr", "col_idx", "values"), lexsort_triplets(*args)):
+            got = getattr(M, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 def shifted_by_triplets(M, s):
     # M + s I through from_triplets: the shift as n more triplets, re-sorted
     rows, cols, vals = M.to_triplets()
@@ -157,9 +213,53 @@ class TestShiftedAssembly:
         (CsrMatrix.zeros(0, 4), np.zeros((0, 0))),
         (CsrMatrix.zeros(2, 3), 2.0 * np.eye(2)),
         (CsrMatrix.from_dense([[1.0], [2.0]]), [[3.0, 2.0], [2.0, 6.0]]),
-    ], ids=["no-rows", "zero-B", "one-column"])
+        # column 0 is padded next to an inf: the pad's NaN product is dropped
+        (CsrMatrix.from_dense([[np.inf, 1.0], [0.0, 1.0]]), [[np.inf, 1.0], [1.0, 3.0]]),
+    ], ids=["no-rows", "zero-B", "one-column", "inf-beside-pad"])
     def test_gram_edge_shapes(self, B, want):
-        assert np.array_equal(to_dense(gram_plus_identity(B, 2.0)), want)
+        with np.errstate(invalid="ignore"):
+            G = gram_plus_identity(B, 2.0)
+        assert np.array_equal(to_dense(G), want)
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+class TestDerivedGolden:
+    # sha256 of the derived matrices (row_ptr, col_idx, values) and of a
+    # 5-column transpose product, recorded with the code before the
+    # constructors shared one sort
+    DIGESTS = {
+        (16, True): {
+            "A+0.1I": "91c2dd8e49e565fefbc9660ed22e941555691b05e8d4a225003cf7fd23ad6efb",
+            "C+1e-3I": "cd0dc51b591e392e99869eca7220722857705d6bd218611032d275a48b2bd415",
+            "BBt+0.01I": "4c08bef45ef85b9c99b4f9d2f7fd2ede9b71551d084839eb97ed2acf3261c825",
+            "B^T Y": "f776da7dea009a210df4c236d3fc22fb539abb6cb3f21469cf140619c237e1fe",
+        },
+        (64, False): {
+            "A+0.1I": "aeb83f01702f209d55321bd7c0e66007f9e5660a330ced2adaee8405083f825e",
+            "C+1e-3I": "a7037904d0f16833d25de8934d9af592b74351bb4a3a15eb5b92ea8cb7b4dbad",
+            "BBt+0.01I": "230c70696c7281a2ba6cc92ea64f2adab90a77c33b7a45fc142f7e1036bf4976",
+            "B^T Y": "21b94a3929f98486e58733362863a47467d1fb1d7f93dc593269ba941c806097",
+        },
+    }
+
+    @pytest.mark.parametrize("q,pin", sorted(DIGESTS))
+    def test_derived_digests(self, q, pin):
+        sys_ = generate_stokes_q1p0(StokesConfig(q, pin_pressure=pin))
+        rng = np.random.default_rng(q)
+        m = sys_.m
+        Y = rng.standard_normal((m, 5)) * 10.0 ** rng.uniform(-8, 8, (m, 5))
+        matrices = {"A+0.1I": add_scaled_identity(sys_.A, 0.1),
+                    "C+1e-3I": add_scaled_identity(sys_.C, 1e-3),
+                    "BBt+0.01I": gram_plus_identity(sys_.B, 0.01)}
+        got = {name: digest(M.row_ptr, M.col_idx, M.values) for name, M in matrices.items()}
+        got["B^T Y"] = digest(spmv_transpose(sys_.B, Y))
+        assert got == self.DIGESTS[(q, pin)]
 
 
 class TestVectorOps:
