@@ -50,11 +50,10 @@ from .spectral import (
     Spectrum,
     dense_eigen_real_schur,
     jacobi_symmetric,
-    jacobi_symmetric_eigen,
     power_spectral_radius,
     predicted_rmgss_spectrum,
     iteration_matrix_check,
 )
-from .stationary import IterationMatrixOperator, run_mgss_iteration
+from .stationary import IterationMatrixOperator
 
 __version__ = "0.1.0"

@@ -46,10 +46,6 @@ class BenchRecord:
     stop_reason: str
     timing_scope: str = TIMING_SCOPE
 
-    @staticmethod
-    def csv_header():
-        return ",".join(f.name for f in fields(BenchRecord))
-
 
 def _csv_text(records, optimal=None):
     """The records as CSV text under a header line.
@@ -255,6 +251,9 @@ _OPERATORS = {
 def cmd_spectrum(args):
     sys_, _ = problems.load_bundle(args.indir)
     kind, dense = _OPERATORS[args.operator]
+    for name in ("alpha", "beta"):
+        if name not in SHIFTS[kind] and getattr(args, name) is not None:
+            raise CliError(f"--operator {args.operator} takes no {name}; drop --{name}")
     shifts = [getattr(args, name) for name in SHIFTS[kind]]
     missing = [name for name, shift in zip(SHIFTS[kind], shifts) if shift is None]
     if missing:

@@ -103,10 +103,8 @@ def form_schur_dense(sys, alpha, beta):
 
 def _schur_dense(sys, alpha, shifted):
     # the dense Schur matrix, given the factor of beta I + C
-    S = to_dense(sys.A) + alpha * np.eye(sys.n)
-    if sys.m:
-        Bd = to_dense(sys.B)
-        S = S + Bd.T @ factor.solve(shifted, Bd)
+    Bd = to_dense(sys.B)
+    S = to_dense(sys.A) + alpha * np.eye(sys.n) + Bd.T @ factor.solve(shifted, Bd)
     return 0.5 * (S + S.T)
 
 
@@ -172,9 +170,7 @@ class MgssApplicator(_Applicator):
             y = spmv(A, x)
             if alpha != 0.0:
                 y = y + alpha * x
-            if B.nrows:
-                y = y + spmv_transpose(B, factor.solve(shifted, spmv(B, x)))
-            return y
+            return y + spmv_transpose(B, factor.solve(shifted, spmv(B, x)))
 
         self.schur = LinearOperator(sys.n, schur_matvec)
 
@@ -182,8 +178,6 @@ class MgssApplicator(_Applicator):
         r1, r2 = self._split(r)
         B = self.sys.B
         scale = 2.0 if self.spec.kind == "mgss" else 1.0
-        if self.sys.m == 0:
-            return np.concatenate([self._spd_solve(self.schur, scale * r1), r2])
         w = factor.solve(self.shifted_factor, scale * r2)
         z1 = self._spd_solve(self.schur, scale * r1 - spmv_transpose(B, w))
         z2 = factor.solve(self.shifted_factor, spmv(B, z1)) + w
@@ -230,8 +224,6 @@ class HssApplicator(_Applicator):
         B = self.sys.B
         shifted_A, shifted_C, shifted_BBt = self.blocks()
         t1 = self._spd_solve(shifted_A, r1)
-        if self.sys.m == 0:
-            return 2.0 * t1
         t2 = self._spd_solve(shifted_C, r2)
         z2 = self._spd_solve(shifted_BBt, a * t2 + spmv(B, t1))
         z1 = (t1 - spmv_transpose(B, z2)) / a

@@ -204,35 +204,22 @@ class MatrixMarketError(ValueError):
     pass
 
 
-def write_matrix_market(M, path, symmetric=False):
-    """Write a CsrMatrix in coordinate format with 1-based indices.
+def write_matrix_market(M, path):
+    """Write a CsrMatrix in general coordinate format with 1-based indices.
 
-    With ``symmetric`` only the lower triangle is stored; the matrix
-    must then be exactly symmetric.  Values carry 17 significant
-    digits, enough for an exact float64 round trip.
+    Values carry 17 significant digits, enough for an exact float64
+    round trip.
     """
     rows, cols, vals = M.to_triplets()
-    kind = "general"
-    if symmetric:
-        Mt = M.transpose()
-        if not (
-            np.array_equal(M.row_ptr, Mt.row_ptr)
-            and np.array_equal(M.col_idx, Mt.col_idx)
-            and np.array_equal(M.values, Mt.values)
-        ):
-            raise MatrixMarketError("symmetric output requires an exactly symmetric matrix")
-        keep = rows >= cols
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        kind = "symmetric"
     with open(path, "w") as fh:
-        fh.write(f"%%MatrixMarket matrix coordinate real {kind}\n")
+        fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write(f"{M.nrows} {M.ncols} {rows.size}\n")
         for r, c, v in zip(rows, cols, vals):
             fh.write(f"{r + 1} {c + 1} {v:.17g}\n")
 
 
 def read_matrix_market(path):
-    """Read a coordinate-format Matrix Market file into a CsrMatrix."""
+    """Read a general or symmetric coordinate Matrix Market file into a CsrMatrix."""
     with open(path, "r") as fh:
         lines = fh.readlines()
     if not lines:

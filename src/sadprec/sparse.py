@@ -349,9 +349,10 @@ class SaddleSystem:
 
     The assembled operator is [[A, B^T], [-B, C]] acting on (x; y) with
     right-hand side (f; -g).  Finite entries (no NaN or inf) and symmetry
-    of A and C are enforced here; definiteness is checked on demand
-    (``check_spd_A``, ``check_spsd_C``) because it requires a
-    factorization or sampling.
+    of A and C are enforced here.  Definiteness is not, because it needs
+    a factorization or sampling: ``factor.cholesky(sys.A)`` raises
+    ``NotPositiveDefiniteError`` unless A is positive definite, and
+    ``check_spsd_C`` probes C with random vectors.
     """
 
     def __init__(self, A, B, C, f, g):
@@ -399,18 +400,6 @@ class SaddleSystem:
         top = spmv(self.A, x) + spmv_transpose(self.B, y)
         bot = -spmv(self.B, x) + spmv(self.C, y)
         return np.concatenate([top, bot])
-
-    def check_spd_A(self):
-        """Cholesky-based SPD check of A; raises if it fails.
-
-        Each connected component of A is factored densely.  The Stokes
-        generator's A has two (q-1)^2-node velocity components, above
-        the default dense cap from q = 46 on: raise SADPREC_DENSE_CAP
-        (to (q-1)^4 entries) to check those grids.
-        """
-        from . import factor
-
-        factor.cholesky(self.A)
 
     def check_spsd_C(self, samples=64, seed=0, tol=1e-10):
         rng = np.random.default_rng(seed)

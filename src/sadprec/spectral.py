@@ -26,10 +26,8 @@ from .sparse import assemble_block_saddle, to_dense
 __all__ = [
     "Spectrum",
     "COMPUTED_DENSE",
-    "COMPUTED_SYMMETRIC",
     "PREDICTED",
     "jacobi_symmetric",
-    "jacobi_symmetric_eigen",
     "dense_eigen_real_schur",
     "power_spectral_radius",
     "predicted_rmgss_spectrum",
@@ -40,7 +38,6 @@ __all__ = [
 ]
 
 COMPUTED_DENSE = "COMPUTED_DENSE"
-COMPUTED_SYMMETRIC = "COMPUTED_SYMMETRIC"
 PREDICTED = "PREDICTED"
 
 
@@ -56,7 +53,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     source: str
-    order: int
 
     def __post_init__(self):
         self.eigenvalues = _sorted_complex(self.eigenvalues)
@@ -90,11 +86,6 @@ def jacobi_symmetric(M):
     return np.linalg.eigh(a)
 
 
-def jacobi_symmetric_eigen(M):
-    w, _ = jacobi_symmetric(M)
-    return Spectrum(w.astype(np.complex128), COMPUTED_SYMMETRIC, len(w))
-
-
 def dense_eigen_real_schur(M):
     """All eigenvalues of a real square matrix, via LAPACK's real Schur form.
 
@@ -102,10 +93,9 @@ def dense_eigen_real_schur(M):
     the shifted QR iteration.
     """
     a = np.asarray(M, dtype=np.float64)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    return Spectrum(np.linalg.eigvals(a), COMPUTED_DENSE, n)
+    return Spectrum(np.linalg.eigvals(a), COMPUTED_DENSE)
 
 
 # -- operator spectra ------------------------------------------------------
@@ -168,7 +158,7 @@ def predicted_rmgss_spectrum(sys, beta):
         G = 0.5 * (G + G.T)
         mu, _ = jacobi_symmetric(G)
         lams.extend(mu_i / (beta + mu_i) for mu_i in mu)
-    return Spectrum(np.array(lams, dtype=np.complex128), PREDICTED, n + m)
+    return Spectrum(np.array(lams, dtype=np.complex128), PREDICTED)
 
 
 def iteration_matrix_check(sys, alpha, beta):

@@ -1,16 +1,17 @@
-"""The stationary mgss scheme and its iteration-matrix operator.
+"""The iteration-matrix operator of the stationary mgss scheme.
 
 Splitting the saddle matrix as A = M - N with M the mgss matrix turns
-M u+ = N u + b into the fixed point iteration implemented by
-``krylov.stationary_richardson``; the iteration matrix
-G = M^{-1} N = I - M^{-1} A is exposed as an operator and never
-assembled outside of column-probe use in tests and spectra.
+M u+ = N u + b into the fixed point iteration u+ = u + M^{-1}(b - A u),
+which ``krylov.stationary_richardson`` runs with an ``MgssApplicator``.
+Its iteration matrix G = M^{-1} N = I - M^{-1} A is exposed here as an
+operator, for ``spectral.power_spectral_radius``, and never assembled
+outside of column-probe use in tests and spectra.
 """
 
-from .krylov import LinearOperator, StoppingRule, saddle_operator, stationary_richardson
+from .krylov import LinearOperator, saddle_operator
 from .precond import MgssApplicator, PrecondSpec
 
-__all__ = ["IterationMatrixOperator", "run_mgss_iteration"]
+__all__ = ["IterationMatrixOperator"]
 
 
 class IterationMatrixOperator(LinearOperator):
@@ -24,23 +25,3 @@ class IterationMatrixOperator(LinearOperator):
 
     def _matvec(self, v):
         return v - self._prec.apply(self._block(v))
-
-
-def run_mgss_iteration(sys, spec, rule=None, estimate_rho=False):
-    """Run the stationary scheme on A u = (f; -g) and report.
-
-    With ``estimate_rho`` the report carries a power-iteration estimate
-    of the iteration matrix spectral radius, computed with an exact
-    (direct inner) twin of the preconditioner.
-    """
-    if spec.kind != "mgss":
-        raise ValueError("the stationary scheme is defined for the mgss splitting")
-    rule = rule or StoppingRule(max_outer=5000)
-    prec = MgssApplicator(sys, spec)
-    report = stationary_richardson(saddle_operator(sys), sys.rhs(), prec, rule)
-    if estimate_rho:
-        from .spectral import power_spectral_radius
-
-        gamma = IterationMatrixOperator(sys, spec.alpha, spec.beta)
-        report.rho_estimate = power_spectral_radius(gamma, iters=100, restarts=5)
-    return report

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from sadprec.cli import BenchRecord, main
+from sadprec.cli import _csv_text, main
 from sadprec.precond import make_preconditioner
 from sadprec.problems import load_bundle, save_bundle
 from sadprec.sparse import CsrMatrix, SaddleSystem
@@ -174,7 +174,7 @@ class TestSolve:
         assert rc == 0
         rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         header, row = csv_path.read_text().strip().splitlines()
-        assert header == BenchRecord.csv_header()
+        assert header == _csv_text([]).strip()
         cells = row.split(",")
         assert cells[0] == rec["problem"]
         assert int(cells[4]) == rec["it"]
@@ -202,7 +202,7 @@ class TestSolve:
         assert rec["stop_reason"] == "max_outer"
 
     def test_csv_header_names_every_field(self):
-        header = BenchRecord.csv_header().split(",")
+        header = _csv_text([]).strip().split(",")
         assert header[:11] == ["problem", "method", "alpha", "beta", "it", "cpu", "converged",
                                "final_relres", "inner_iterations", "restart", "tol"]
         assert header[11:] == ["stop_reason", "timing_scope"]
@@ -332,6 +332,18 @@ class TestSpectrum:
         bundle = toy_bundle(tmp_path)
         rc = main(["spectrum", "--in", bundle, "--operator", "gamma", "--csv", str(tmp_path / "x.csv")])
         assert rc != 0
+
+    @pytest.mark.parametrize("operator,shift", [
+        ("saddle", "alpha"), ("saddle", "beta"),
+        ("rmgss-prec", "alpha"), ("rmgss-predicted", "alpha"),
+    ])
+    def test_shift_the_operator_does_not_take_rejected(self, tmp_path, capsys, operator, shift):
+        shifts = ["--beta", "0.1"] if operator.startswith("rmgss") else []
+        rc = main(["spectrum", "--in", toy_bundle(tmp_path), "--operator", operator, *shifts,
+                   f"--{shift}", "5", "--csv", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert f"--operator {operator} takes no {shift}; drop --{shift}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("operator", ["rmgss-prec", "rmgss-predicted"])
     def test_zero_beta_rejected(self, tmp_path, capsys, operator):

@@ -218,6 +218,11 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="not positive"):
             cg(nan_operator(3), np.ones(3), 100.0, 40)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cg_non_finite_rhs_raises(self, bad):
+        with pytest.raises(ValueError, match="right-hand side"):
+            cg(CsrMatrix.from_dense(np.eye(3)), np.array([1.0, bad, 0.0]))
+
     def test_gmres_nan_rhs_raises(self):
         with pytest.raises(ValueError, match="right-hand side has a non-finite entry"):
             gmres_restarted(CsrMatrix.identity(3), np.array([1.0, np.nan, 0.0]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sadprec import precond
+from sadprec import factor, precond
 from sadprec.precond import (
     HssApplicator,
     MgssApplicator,
@@ -457,3 +457,47 @@ class TestReconstruction:
         assert app.inner_iterations > 0
         A = to_dense(sys_.A)
         assert np.linalg.norm(A @ report.solution - sys_.f) <= 1e-8 * np.linalg.norm(sys_.f)
+
+
+class TestNoConstraintsPaths:
+    """m = 0 runs the general eliminations: the empty blocks drop out."""
+
+    @pytest.mark.parametrize("inner", ["cg", "direct"])
+    @pytest.mark.parametrize("spec_args,scale", [
+        (("mgss", 0.3, 0.8), 2.0),
+        (("rmgss", 0.0, 0.8), 1.0),
+    ], ids=["mgss", "rmgss"])
+    def test_mgss_apply_is_the_schur_solve(self, spec_args, scale, inner):
+        sys_ = no_constraints()
+        app = MgssApplicator(sys_, PrecondSpec(*spec_args, inner=inner))
+        r1 = np.random.default_rng(5).standard_normal(sys_.n)
+        if inner == "cg":
+            expected = cg(app.schur, scale * r1, 100.0, 40).solution
+        else:
+            expected = factor.solve(app.schur, scale * r1)
+        assert np.array_equal(app.apply(r1), expected)
+
+    @pytest.mark.parametrize("inner", ["cg", "direct"])
+    def test_hss_apply_is_twice_the_shifted_A_solve(self, inner):
+        sys_ = no_constraints()
+        app = HssApplicator(sys_, PrecondSpec("hss", alpha=0.6, inner=inner))
+        r1 = np.random.default_rng(6).standard_normal(sys_.n)
+        shifted_A = app.blocks()[0]
+        if inner == "cg":
+            t1 = cg(shifted_A, r1, 100.0, 40).solution
+        else:
+            t1 = factor.solve(shifted_A, r1)
+        z = app.apply(r1)
+        assert np.linalg.norm(z - 2.0 * t1) <= 1e-15 * np.linalg.norm(2.0 * t1)
+
+    @pytest.mark.parametrize("inner,steps", [("cg", (7, 1, 10)), ("direct", (7, 1, 9))])
+    def test_gmres_steps(self, inner, steps):
+        sys_ = no_constraints()
+        specs = (PrecondSpec("mgss", 0.3, 0.8, inner=inner), PrecondSpec("rmgss", beta=0.8, inner=inner),
+                 PrecondSpec("hss", alpha=0.6, inner=inner))
+        rule = StoppingRule(rel_tol=1e-9, max_outer=50, restart=5)
+        got = tuple(
+            gmres_restarted(saddle_operator(sys_), sys_.rhs(), make_preconditioner(sys_, spec), rule)
+            .outer_iterations for spec in specs
+        )
+        assert got == steps
