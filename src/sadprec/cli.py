@@ -26,7 +26,7 @@ from .precond import SHIFTS, PrecondSpec, make_preconditioner
 from .sparse import assemble_block_saddle, to_dense
 
 TIMING_SCOPE = "solver call only"
-# alpha and beta of each kind in solve and bench when not given (hss: Table 2)
+# the shifts of each kind where a command is not given them (hss: Table 2)
 DEFAULT_SHIFTS = {"mgss": 0.001, "rmgss": 0.001, "hss": 0.1}
 
 
@@ -75,19 +75,17 @@ class CliError(Exception):
     pass
 
 
-def _kv_pairs(tokens, what):
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise CliError(f"{what} expects key=value tokens, got {tok!r}")
-        key, val = tok.split("=", 1)
-        out[key] = val
-    return out
+def _spec(method, given, inner):
+    """The method's preconditioner spec from the shifts given on the command line.
 
-
-def _make_spec(method, shifts, inner):
-    # shifts maps shift names to values; only those the method takes reach the spec
-    return PrecondSpec(method, inner=inner, **{name: shifts[name] for name in SHIFTS[method]})
+    ``given`` maps shift names to values, None where not given.  Every
+    shift the method takes and was not given gets its default from
+    ``DEFAULT_SHIFTS``; ``PrecondSpec`` refuses a given shift the
+    method does not take.
+    """
+    shifts = {name: DEFAULT_SHIFTS[method] for name in SHIFTS[method]}
+    shifts.update({name: value for name, value in given.items() if value is not None})
+    return PrecondSpec(method, inner=inner, **shifts)
 
 
 def _load(indir):
@@ -129,20 +127,8 @@ def _solve_once(sys_, problem_id, spec, rule, stationary=False):
 
 
 def cmd_generate(args):
-    if (args.stokes is None) == (args.random is None):
-        raise CliError("choose exactly one of --stokes or --random")
-    if args.stokes is not None:
-        kv = _kv_pairs(args.stokes, "--stokes")
-        unknown = set(kv) - {"q", "stab"}
-        if unknown:
-            raise CliError(f"--stokes got unknown keys {sorted(unknown)}")
-        if "q" not in kv:
-            raise CliError("--stokes requires q=<cells per side>")
-        cfg = problems.StokesConfig(
-            int(kv["q"]),
-            stab_param=float(kv.get("stab", 0.25)),
-            pin_pressure=not args.no_pin,
-        )
+    if args.generator == "stokes":
+        cfg = problems.StokesConfig(args.q, stab_param=args.stab, pin_pressure=args.pin)
         sys_ = problems.generate_stokes_q1p0(cfg)
         meta = {
             "generator": "stokes-q1p0",
@@ -151,18 +137,8 @@ def cmd_generate(args):
             "pin_pressure": cfg.pin_pressure,
         }
     else:
-        kv = _kv_pairs(args.random, "--random")
-        unknown = set(kv) - {"n", "m", "seed", "density"}
-        if unknown:
-            raise CliError(f"--random got unknown keys {sorted(unknown)}")
-        for need in ("n", "m"):
-            if need not in kv:
-                raise CliError(f"--random requires {need}=<count>")
-        n, m = int(kv["n"]), int(kv["m"])
-        seed = int(kv.get("seed", 0))
-        density = float(kv.get("density", 0.3))
-        sys_ = problems.generate_random_saddle(n, m, density=density, seed=seed)
-        meta = {"generator": "random", "seed": seed, "density": density}
+        sys_ = problems.generate_random_saddle(args.n, args.m, density=args.density, seed=args.seed)
+        meta = {"generator": "random", "seed": args.seed, "density": args.density}
     problems.save_bundle(sys_, args.out, meta)
     print(f"wrote bundle to {args.out} (n={sys_.n}, m={sys_.m})")
     return 0
@@ -175,11 +151,7 @@ def cmd_solve(args):
     sys_, problem_id = _load(args.indir)
     if args.stationary and args.method != "mgss":
         raise CliError("--stationary runs the mgss splitting scheme; use --method mgss")
-    # every given shift reaches the spec, which refuses one the method does
-    # not take; a taken shift left unset gets the default
-    shifts = {name: getattr(args, name) for name in ("alpha", "beta") if getattr(args, name) is not None}
-    spec = PrecondSpec(args.method, inner=args.inner,
-                       **{name: DEFAULT_SHIFTS[args.method] for name in SHIFTS[args.method]} | shifts)
+    spec = _spec(args.method, {"alpha": args.alpha, "beta": args.beta}, args.inner)
     record = _solve_once(sys_, problem_id, spec, _rule(args), args.stationary)
     print(json.dumps(asdict(record), sort_keys=True))
     if args.csv:
@@ -190,36 +162,26 @@ def cmd_solve(args):
 # -- sweep ----------------------------------------------------------------
 
 
-def _parse_grid(text, what):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise CliError(f"{what} expects start:stop:count, got {text!r}")
+def _grid(text):
+    """``start:stop:count`` as the ``count`` evenly spaced points."""
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
-        raise CliError(f"{what}: malformed grid {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected start:stop:count, got {text!r}") from exc
     if count < 1:
-        raise CliError(f"{what}: grid must contain at least one point")
+        raise argparse.ArgumentTypeError("a grid must contain at least one point")
     return np.linspace(start, stop, count)
 
 
 def cmd_sweep(args):
     sys_, problem_id = _load(args.indir)
-    names = SHIFTS[args.method]
-    if not names:
-        raise CliError("sweeping the unpreconditioned solver has no parameters")
-    for name in ("alpha", "beta"):
-        if name not in names and getattr(args, f"{name}_grid") is not None:
-            raise CliError(f"{args.method} takes no {name}; drop --{name}-grid")
-    texts = [getattr(args, f"{name}_grid") for name in names]
-    if None in texts:
-        raise CliError(f"{args.method} sweeps need " + " and ".join(f"--{name}-grid" for name in names))
-    grids = [_parse_grid(text, f"--{name}-grid") for name, text in zip(names, texts)]
+    # a shift without a grid takes the one point None: its default
+    grids = [[None] if grid is None else grid for grid in (args.alpha_grid, args.beta_grid)]
+    specs = [_spec(args.method, {"alpha": alpha, "beta": beta}, args.inner)
+             for alpha, beta in itertools.product(*grids)]
     rule = _rule(args)
-    records = [
-        _solve_once(sys_, problem_id, _make_spec(args.method, dict(zip(names, point)), args.inner), rule)
-        for point in itertools.product(*grids)
-    ]
+    records = [_solve_once(sys_, problem_id, spec, rule) for spec in specs]
     best = None
     for idx, rec in enumerate(records):
         if not rec.converged:
@@ -251,13 +213,8 @@ _OPERATORS = {
 def cmd_spectrum(args):
     sys_, _ = problems.load_bundle(args.indir)
     kind, dense = _OPERATORS[args.operator]
-    for name in ("alpha", "beta"):
-        if name not in SHIFTS[kind] and getattr(args, name) is not None:
-            raise CliError(f"--operator {args.operator} takes no {name}; drop --{name}")
-    shifts = [getattr(args, name) for name in SHIFTS[kind]]
-    missing = [name for name, shift in zip(SHIFTS[kind], shifts) if shift is None]
-    if missing:
-        raise CliError(f"--operator {args.operator} requires --{missing[0]}")
+    prec = _spec(kind, {"alpha": args.alpha, "beta": args.beta}, "direct")
+    shifts = [getattr(prec, name) for name in SHIFTS[kind]]
     if dense is None:
         spec = spectral.predicted_rmgss_spectrum(sys_, *shifts)
     else:
@@ -292,23 +249,15 @@ def _write_gnuplot(path, csv_path, title):
 
 
 def cmd_bench(args):
-    grids = [int(tok) for tok in args.grids.split(",") if tok]
-    methods = [tok for tok in args.methods.split(",") if tok]
-    if not grids:
-        raise CliError("--grids must name at least one grid size")
-    if not methods:
-        raise CliError("--methods must name at least one method")
-    for meth in methods:
-        if meth not in SHIFTS:
-            raise CliError(f"unknown method {meth!r}")
+    # every grid and shift is checked before the first solve
+    configs = [problems.StokesConfig(q, pin_pressure=args.pin) for q in args.grids]
+    specs = [_spec(meth, {"alpha": args.alpha, "beta": args.beta}, args.inner) for meth in args.methods]
     rule = _rule(args)
     records = []
-    for q in grids:
-        sys_ = problems.generate_stokes_q1p0(problems.StokesConfig(q, pin_pressure=args.pin))
-        pid = f"stokes-{q}x{q}" + ("-pinned" if args.pin else "")
-        for meth in methods:
-            shifts = {"alpha": args.hss_alpha if meth == "hss" else args.alpha, "beta": args.beta}
-            records.append(_solve_once(sys_, pid, _make_spec(meth, shifts, args.inner), rule))
+    for cfg in configs:
+        sys_ = problems.generate_stokes_q1p0(cfg)
+        pid = f"stokes-{cfg.q}x{cfg.q}" + ("-pinned" if args.pin else "")
+        records.extend(_solve_once(sys_, pid, spec, rule) for spec in specs)
     widths = (20, 18, 10, 10, 6, 10, 10)
     headers = ("problem", "method", "alpha", "beta", "IT", "CPU", "converged")
     def fmt(cells):
@@ -348,19 +297,29 @@ def build_parser():
     solver.add_argument("--tol", type=float, default=1e-9)
     solver.add_argument("--max-outer", type=int, default=2000)
     solver.add_argument("--inner", choices=("cg", "direct"), default="cg")
+    shifts = argparse.ArgumentParser(add_help=False)
+    for name in ("alpha", "beta"):
+        shifts.add_argument(f"--{name}", type=float, help="if the method takes it (default: the method's)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, help="output bundle directory")
 
     p = sub.add_parser("generate", help="write a saddle system bundle")
-    p.add_argument("--stokes", nargs="+", metavar="KEY=VAL", help="q=16 [stab=0.25]")
-    p.add_argument("--random", nargs="+", metavar="KEY=VAL", help="n=10 m=4 [seed=0 density=0.3]")
-    p.add_argument("--no-pin", action="store_true", help="keep the singular unpinned pressure space")
-    p.add_argument("--out", required=True, help="output bundle directory")
     p.set_defaults(func=cmd_generate)
+    generators = p.add_subparsers(dest="generator", required=True)
+    g = generators.add_parser("stokes", parents=[out], help="stabilized Q1-P0 Stokes system")
+    g.add_argument("--q", type=int, required=True, help="cells per side, even")
+    g.add_argument("--stab", type=float, default=0.25, help="stabilization parameter")
+    g.add_argument("--no-pin", dest="pin", action="store_false",
+                   help="keep the singular unpinned pressure space")
+    g = generators.add_parser("random", parents=[out], help="seeded random saddle system")
+    g.add_argument("--n", type=int, required=True, help="velocity unknowns")
+    g.add_argument("--m", type=int, required=True, help="constraints, at most n")
+    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--density", type=float, default=0.3)
 
-    p = sub.add_parser("solve", parents=[solver], help="solve one bundle and print a JSON record")
+    p = sub.add_parser("solve", parents=[solver, shifts], help="solve one bundle and print a JSON record")
     p.add_argument("--in", dest="indir", required=True, help="bundle directory")
     p.add_argument("--method", choices=SHIFTS, required=True)
-    p.add_argument("--alpha", type=float, help=f"if the method takes it; default by method {DEFAULT_SHIFTS}")
-    p.add_argument("--beta", type=float, help=f"if the method takes it; default by method {DEFAULT_SHIFTS}")
     p.add_argument("--stationary", action="store_true", help="run the splitting iteration instead of GMRES")
     p.add_argument("--csv", help="also write the record as CSV")
     p.set_defaults(func=cmd_solve)
@@ -368,26 +327,22 @@ def build_parser():
     p = sub.add_parser("sweep", parents=[solver], help="parameter sweep, CSV output with the optimum marked")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--method", choices=SHIFTS, required=True)
-    p.add_argument("--alpha-grid", help="start:stop:count")
-    p.add_argument("--beta-grid", help="start:stop:count")
+    p.add_argument("--alpha-grid", type=_grid, help="start:stop:count (default: the method's alpha)")
+    p.add_argument("--beta-grid", type=_grid, help="start:stop:count (default: the method's beta)")
     p.add_argument("--csv", help="write the sweep table to this file")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("spectrum", help="export an eigenvalue scatter as CSV plus gnuplot script")
+    p = sub.add_parser("spectrum", parents=[shifts],
+                       help="export an eigenvalue scatter as CSV plus gnuplot script")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--operator", choices=_OPERATORS, required=True)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
     p.add_argument("--csv", default="spectrum.csv")
     p.add_argument("--gnuplot", help="plot script path (default: csv path with .gp)")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("bench", parents=[solver], help="grid x method comparison table")
-    p.add_argument("--grids", required=True, help="comma list, e.g. 4,8,16")
-    p.add_argument("--methods", required=True, help="comma list from " + ",".join(SHIFTS))
-    p.add_argument("--alpha", type=float, default=DEFAULT_SHIFTS["mgss"])
-    p.add_argument("--beta", type=float, default=DEFAULT_SHIFTS["mgss"])
-    p.add_argument("--hss-alpha", type=float, default=DEFAULT_SHIFTS["hss"])
+    p = sub.add_parser("bench", parents=[solver, shifts], help="grid x method comparison table")
+    p.add_argument("--grids", nargs="+", type=int, required=True, metavar="Q", help="e.g. 4 8 16")
+    p.add_argument("--methods", nargs="+", choices=SHIFTS, required=True)
     p.add_argument(
         "--pin",
         action=argparse.BooleanOptionalAction,

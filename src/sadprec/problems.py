@@ -177,14 +177,10 @@ def generate_random_saddle(n, m, density=0.3, seed=0):
     W = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
     Ad = W @ W.T + n * np.eye(n)
     Ad = 0.5 * (Ad + Ad.T)
-    Bd = np.zeros((m, n))
-    if m:
-        Bd[:, :m] = np.diag(rng.uniform(0.5, 1.5, size=m))
-        if n > m:
-            E = rng.standard_normal((m, n - m)) * (rng.random((m, n - m)) < density)
-            Bd[:, m:] = E
-    V = rng.standard_normal((m, m // 2)) if m else np.zeros((0, 0))
-    Cd = V @ V.T if m else np.zeros((0, 0))
+    Bd = np.hstack([np.diag(rng.uniform(0.5, 1.5, size=m)),
+                    rng.standard_normal((m, n - m)) * (rng.random((m, n - m)) < density)])
+    V = rng.standard_normal((m, m // 2))
+    Cd = V @ V.T
     Cd = 0.5 * (Cd + Cd.T)
     f = rng.standard_normal(n)
     g = rng.standard_normal(m)
@@ -219,7 +215,11 @@ def write_matrix_market(M, path):
 
 
 def read_matrix_market(path):
-    """Read a general or symmetric coordinate Matrix Market file into a CsrMatrix."""
+    """Read a general or symmetric coordinate Matrix Market file into a CsrMatrix.
+
+    A symmetric file stores the lower triangle; each off-diagonal entry
+    is mirrored, and an entry above the diagonal is refused.
+    """
     with open(path, "r") as fh:
         lines = fh.readlines()
     if not lines:
@@ -261,6 +261,9 @@ def read_matrix_market(path):
             raise MatrixMarketError(f"{path}:{ln + 1}: non-numeric entry") from exc
         if not (1 <= r <= nrows and 1 <= c <= ncols):
             raise MatrixMarketError(f"{path}:{ln + 1}: index ({r}, {c}) out of range")
+        if kind == "symmetric" and c > r:
+            raise MatrixMarketError(f"{path}:{ln + 1}: entry ({r}, {c}) above the diagonal "
+                                    "of a symmetric file, which stores the lower triangle")
         rows.append(r - 1)
         cols.append(c - 1)
         vals.append(v)

@@ -148,17 +148,12 @@ def predicted_rmgss_spectrum(sys, beta):
     be > 0 and finite, as for an rmgss ``PrecondSpec``.
     """
     beta = PrecondSpec("rmgss", beta=beta).beta
-    n, m = sys.n, sys.m
-    lams = [1.0] * n
-    if m:
-        Ad = to_dense(sys.A)
-        Bd = to_dense(sys.B)
-        fac = factor.cholesky_dense(Ad)
-        G = to_dense(sys.C) + Bd @ factor.solve(fac, Bd.T)
-        G = 0.5 * (G + G.T)
-        mu, _ = jacobi_symmetric(G)
-        lams.extend(mu_i / (beta + mu_i) for mu_i in mu)
-    return Spectrum(np.array(lams, dtype=np.complex128), PREDICTED)
+    Bd = to_dense(sys.B)
+    fac = factor.cholesky_dense(to_dense(sys.A))
+    G = to_dense(sys.C) + Bd @ factor.solve(fac, Bd.T)
+    G = 0.5 * (G + G.T)
+    mu, _ = jacobi_symmetric(G)
+    return Spectrum(np.concatenate([np.ones(sys.n), mu / (beta + mu)]), PREDICTED)
 
 
 def iteration_matrix_check(sys, alpha, beta):
@@ -171,7 +166,7 @@ def iteration_matrix_check(sys, alpha, beta):
     spec = dense_eigen_real_schur(gamma_dense(sys, alpha, beta))
     lam = spec.eigenvalues
     return {
-        "rho": float(np.max(np.abs(lam))) if lam.size else 0.0,
-        "min_dist_to_plus1": float(np.min(np.abs(lam - 1.0))) if lam.size else np.inf,
-        "min_dist_to_minus1": float(np.min(np.abs(lam + 1.0))) if lam.size else np.inf,
+        "rho": float(np.max(np.abs(lam), initial=0.0)),
+        "min_dist_to_plus1": float(np.min(np.abs(lam - 1.0), initial=np.inf)),
+        "min_dist_to_minus1": float(np.min(np.abs(lam + 1.0), initial=np.inf)),
     }

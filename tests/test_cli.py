@@ -1,15 +1,20 @@
 import csv
 import json
 import os
+import pathlib
+import shlex
 import time
 
 import numpy as np
 import pytest
 
-from sadprec.cli import _csv_text, main
+from sadprec.cli import DEFAULT_SHIFTS, _csv_text, main
 from sadprec.precond import make_preconditioner
 from sadprec.problems import load_bundle, save_bundle
 from sadprec.sparse import CsrMatrix, SaddleSystem
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def toy_bundle(tmp_path, name="t1", generator="toy"):
@@ -28,35 +33,37 @@ def toy_bundle(tmp_path, name="t1", generator="toy"):
 @pytest.fixture(scope="module")
 def q12_bundle(tmp_path_factory):
     path = tmp_path_factory.mktemp("q12") / "stokes"
-    assert main(["generate", "--stokes", "q=12", "--out", str(path)]) == 0
+    assert main(["generate", "stokes", "--q", "12", "--out", str(path)]) == 0
     return str(path)
 
 
 class TestGenerate:
     def test_stokes_table_dimensions(self, tmp_path, capsys):
         out = tmp_path / "t16"
-        rc = main(["generate", "--stokes", "q=16", "--no-pin", "--out", str(out)])
+        rc = main(["generate", "stokes", "--q", "16", "--no-pin", "--out", str(out)])
         assert rc == 0
         _, meta = load_bundle(out)
         assert meta["n"] == 578 and meta["m"] == 256
 
     def test_random_deterministic(self, tmp_path):
         a, b = tmp_path / "ra", tmp_path / "rb"
-        assert main(["generate", "--random", "n=10", "m=4", "seed=1", "--out", str(a)]) == 0
-        assert main(["generate", "--random", "n=10", "m=4", "seed=1", "--out", str(b)]) == 0
+        assert main(["generate", "random", "--n", "10", "--m", "4", "--seed", "1", "--out", str(a)]) == 0
+        assert main(["generate", "random", "--n", "10", "--m", "4", "--seed", "1", "--out", str(b)]) == 0
         assert (a / "A.mtx").read_text() == (b / "A.mtx").read_text()
         assert (a / "f.vec").read_text() == (b / "f.vec").read_text()
 
     def test_odd_q_rejected(self, tmp_path, capsys):
-        rc = main(["generate", "--stokes", "q=3", "--out", str(tmp_path / "x")])
+        rc = main(["generate", "stokes", "--q", "3", "--out", str(tmp_path / "x")])
         assert rc != 0
         assert "error" in capsys.readouterr().err
 
-    def test_both_generators_rejected(self, tmp_path):
-        rc = main(
-            ["generate", "--stokes", "q=4", "--random", "n=4", "m=2", "--out", str(tmp_path / "x")]
-        )
-        assert rc != 0
+    def test_other_generators_options_rejected(self, tmp_path, capsys):
+        # each generator takes only its own options
+        for argv in (["random", "--n", "4", "--m", "2", "--no-pin"], ["stokes", "--q", "4", "--seed", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["generate", *argv, "--out", str(tmp_path / "x")])
+            assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestSolve:
@@ -103,7 +110,7 @@ class TestSolve:
     def test_hss_default_shift_converges(self, tmp_path, capsys):
         # hss defaults to the Table-2 alpha 0.1; at 0.001 it stagnates here
         out = tmp_path / "b8"
-        assert main(["generate", "--stokes", "q=8", "--out", str(out)]) == 0
+        assert main(["generate", "stokes", "--q", "8", "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(["solve", "--in", str(out), "--method", "hss"]) == 0
         rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -234,14 +241,16 @@ class TestSweep:
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         bundle = toy_bundle(tmp_path)
-        rc = main(["sweep", "--in", bundle, "--method", "hss", "--alpha-grid", "1:2:0"])
-        assert rc != 0
+        for grid in ("1:2:0", "1:2", "1:x:2"):
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--in", bundle, "--method", "hss", "--alpha-grid", grid])
+            assert exc.value.code == 2
 
     def test_hss_sweep_q16_interior_optimum(self, tmp_path, capsys):
         # on the 16x16 grid the best hss shift lies strictly inside a
         # bracketing grid, and both benchmark mgss points converge
         out = tmp_path / "q16"
-        assert main(["generate", "--stokes", "q=16", "--no-pin", "--out", str(out)]) == 0
+        assert main(["generate", "stokes", "--q", "16", "--no-pin", "--out", str(out)]) == 0
         capsys.readouterr()
         rc = main(
             ["sweep", "--in", str(out), "--method", "hss", "--alpha-grid", "0.02:0.4:5"]
@@ -265,7 +274,7 @@ class TestSweep:
 
     def test_same_problem_cell_as_solve(self, tmp_path, capsys):
         out = tmp_path / "b8"
-        assert main(["generate", "--stokes", "q=8", "--out", str(out)]) == 0
+        assert main(["generate", "stokes", "--q", "8", "--out", str(out)]) == 0
         solve_csv, sweep_csv = tmp_path / "solve.csv", tmp_path / "sweep.csv"
         # the id does not depend on convergence, so five steps will do
         main(["solve", "--in", str(out), "--method", "rmgss", "--max-outer", "5",
@@ -282,10 +291,16 @@ class TestSweep:
                    "--beta-grid", "1:2:2"])
         assert rc == 2 and "hss takes no beta" in capsys.readouterr().err
 
-    def test_missing_grid_rejected(self, tmp_path, capsys):
+    def test_no_grid_runs_default_shifts(self, tmp_path, capsys):
+        # a shift without a grid is swept at its default: one point for hss
+        # without a grid, the alpha grid times the default beta for mgss
         bundle = toy_bundle(tmp_path)
-        rc = main(["sweep", "--in", bundle, "--method", "hss"])
-        assert rc != 0
+        beta = DEFAULT_SHIFTS["mgss"]
+        for method, grid, shifts in (("hss", [], [(DEFAULT_SHIFTS["hss"], 0.0)]),
+                                     ("mgss", ["--alpha-grid", "0.5:1:2"], [(0.5, beta), (1.0, beta)])):
+            assert main(["sweep", "--in", bundle, "--method", method, *grid]) == 0
+            rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+            assert [(float(row["alpha"]), float(row["beta"])) for row in rows] == shifts
 
 
 class TestSpectrum:
@@ -328,10 +343,20 @@ class TestSpectrum:
             re_, im_, _ = r.split(",")
             assert abs(float(re_)) <= 1e-8 and abs(float(im_)) <= 1e-8
 
-    def test_missing_parameter(self, tmp_path, capsys):
+    def test_unset_shifts_default(self, tmp_path, capsys):
+        # an operator takes its preconditioner's default shifts, as solve does
         bundle = toy_bundle(tmp_path)
-        rc = main(["spectrum", "--in", bundle, "--operator", "gamma", "--csv", str(tmp_path / "x.csv")])
-        assert rc != 0
+        mgss, rmgss = str(DEFAULT_SHIFTS["mgss"]), str(DEFAULT_SHIFTS["rmgss"])
+        for operator, given in (("gamma", ["--alpha", mgss, "--beta", mgss]), ("rmgss-prec", ["--beta", rmgss])):
+            unset, explicit = tmp_path / f"{operator}-unset.csv", tmp_path / f"{operator}-given.csv"
+            assert main(["spectrum", "--in", bundle, "--operator", operator, "--csv", str(unset)]) == 0
+            assert main(["spectrum", "--in", bundle, "--operator", operator, *given,
+                         "--csv", str(explicit)]) == 0
+            assert unset.read_text() == explicit.read_text()
+        # the toy's mu is 1/2, so rmgss-prec has 1 and mu / (beta + mu)
+        vals = sorted(float(row.split(",")[0]) for row in unset.read_text().splitlines()[1:])
+        beta = DEFAULT_SHIFTS["rmgss"]
+        assert np.allclose(vals, [0.5 / (beta + 0.5), 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("operator,shift", [
         ("saddle", "alpha"), ("saddle", "beta"),
@@ -341,8 +366,9 @@ class TestSpectrum:
         shifts = ["--beta", "0.1"] if operator.startswith("rmgss") else []
         rc = main(["spectrum", "--in", toy_bundle(tmp_path), "--operator", operator, *shifts,
                    f"--{shift}", "5", "--csv", str(tmp_path / "x.csv")])
+        kind = "none" if operator == "saddle" else "rmgss"
         assert rc == 2
-        assert f"--operator {operator} takes no {shift}; drop --{shift}" in capsys.readouterr().err
+        assert f"{kind} takes no {shift}; it must be 0" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("operator", ["rmgss-prec", "rmgss-predicted"])
@@ -371,7 +397,7 @@ class TestBench:
     def test_small_grid_all_converged(self, tmp_path, capsys):
         csv = tmp_path / "bench.csv"
         rc = main(
-            ["bench", "--grids", "4,8", "--methods", "none,mgss,rmgss", "--csv", str(csv)]
+            ["bench", "--grids", "4", "8", "--methods", "none", "mgss", "rmgss", "--csv", str(csv)]
         )
         out = capsys.readouterr().out
         assert rc == 0
@@ -383,7 +409,7 @@ class TestBench:
     def test_pin_is_opt_in_and_labelled(self, tmp_path, capsys):
         csv = tmp_path / "bench.csv"
         rc = main(
-            ["bench", "--grids", "4,8", "--methods", "mgss,rmgss", "--pin", "--csv", str(csv)]
+            ["bench", "--grids", "4", "8", "--methods", "mgss", "rmgss", "--pin", "--csv", str(csv)]
         )
         assert rc == 0
         rows = [row.split(",") for row in csv.read_text().strip().splitlines()[1:]]
@@ -397,12 +423,32 @@ class TestBench:
         assert csv.read_text().splitlines()[1].startswith("stokes-4x4,")
 
     def test_empty_methods_rejected(self, tmp_path, capsys):
-        rc = main(["bench", "--grids", "4", "--methods", ""])
-        assert rc != 0
+        for methods in ([], [""]):
+            with pytest.raises(SystemExit) as exc:
+                main(["bench", "--grids", "4", "--methods", *methods])
+            assert exc.value.code == 2
 
     def test_unknown_method_rejected(self, capsys):
-        rc = main(["bench", "--grids", "4", "--methods", "ilu"])
-        assert rc != 0
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--grids", "4", "--methods", "mgss", "ilu"])
+        assert exc.value.code == 2
+
+    def test_given_shift_reaches_every_method(self, tmp_path, capsys):
+        csv_path = tmp_path / "bench.csv"
+        assert main(["bench", "--grids", "4", "--methods", "mgss", "hss", "--alpha", "0.05",
+                     "--csv", str(csv_path)]) == 0
+        rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+        assert [(row["method"], float(row["alpha"]), float(row["beta"])) for row in rows] == [
+            ("mgss", 0.05, DEFAULT_SHIFTS["mgss"]), ("hss", 0.05, 0.0)]
+        capsys.readouterr()
+        assert main(["bench", "--grids", "4", "--methods", "mgss", "rmgss", "--alpha", "0.05"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "rmgss takes no alpha" in captured.err
+
+    def test_odd_grid_rejected_before_any_solve(self, capsys, monkeypatch):
+        monkeypatch.setattr("sadprec.cli._solve_once", lambda *args: pytest.fail("solved"))
+        assert main(["bench", "--grids", "4", "3", "--methods", "mgss"]) == 2
+        assert "q must be an even integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["inf", "abc", "-5"])
     def test_malformed_dense_cap_rejected(self, value, capsys, monkeypatch):
@@ -411,3 +457,15 @@ class TestBench:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: SADPREC_DENSE_CAP must be a finite, non-negative number")
+
+
+class TestReadme:
+    def test_command_line_block_runs(self, tmp_path, monkeypatch, capsys):
+        # every sadprec line of the "Command line" bash block, in order
+        section = README.read_text().split("\n## Command line\n", 1)[1]
+        block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+        lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("sadprec ")]
+        assert lines
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            assert main(shlex.split(line)[1:]) == 0, line

@@ -134,6 +134,16 @@ class TestStokesProperties:
             assert sys_.f[nv + k] == exact[nv + k]
 
 
+def system_digest(sys_):
+    h = hashlib.sha256()
+    for M in (sys_.A, sys_.B, sys_.C):
+        for arr in (M.row_ptr, M.col_idx, M.values):
+            h.update(arr.tobytes())
+    h.update(sys_.f.tobytes())
+    h.update(sys_.g.tobytes())
+    return h.hexdigest()
+
+
 class TestStokesGolden:
     # sha256 over A, B and C (row_ptr, col_idx, values each) and f and g,
     # in that order.  Computed with the element-loop generator that the
@@ -151,14 +161,7 @@ class TestStokesGolden:
 
     @pytest.mark.parametrize("q,pin", sorted(DIGESTS))
     def test_generator_digest(self, q, pin):
-        sys_ = generate_stokes_q1p0(StokesConfig(q, pin_pressure=pin))
-        h = hashlib.sha256()
-        for M in (sys_.A, sys_.B, sys_.C):
-            for arr in (M.row_ptr, M.col_idx, M.values):
-                h.update(arr.tobytes())
-        h.update(sys_.f.tobytes())
-        h.update(sys_.g.tobytes())
-        assert h.hexdigest() == self.DIGESTS[(q, pin)]
+        assert system_digest(generate_stokes_q1p0(StokesConfig(q, pin_pressure=pin))) == self.DIGESTS[(q, pin)]
 
 
 class TestRandomSaddle:
@@ -180,6 +183,24 @@ class TestRandomSaddle:
         assert np.array_equal(a.C.values, b.C.values)
         assert np.array_equal(a.f, b.f)
         assert np.array_equal(a.g, b.g)
+
+    # system_digest of generate_random_saddle(n, m, seed=0), recorded with
+    # the generator that skipped its draws of size zero (m = 0, n = m) by
+    # branches: a draw of size zero leaves the generator state as it was
+    DIGESTS = {
+        (5, 0): "118f9fb5628aea84b0ab1821d89a36b849bfe4c565975d884ff5f22500c3df03",
+        (2, 0): "51e1991074b49e19001ae5242630f8b0cb65d2981959d965df3ad31377a41dfa",
+        (4, 4): "545578789bb472251266c34d4981d6aa5d1555cc8a29785418ad967c52443fcf",
+        (1, 1): "e5bdd3bcc0ccc6a5965f13ed0e1281809df6f182b4c14c7bf75cab1acbc69e04",
+        (10, 3): "93ed99094d4340204e57bb21a269555678196ac2b41734283915dccdcc75e7d1",
+        (60, 24): "66f95a4a9778765fb25347f01d380414ccfaa009531374c1c354a107aaec058b",
+    }
+
+    @pytest.mark.parametrize("n,m", sorted(DIGESTS))
+    def test_generator_digest(self, n, m):
+        sys_ = generate_random_saddle(n, m, seed=0)
+        assert (sys_.B.nrows, sys_.B.ncols, sys_.C.nrows) == (m, n, m)
+        assert system_digest(sys_) == self.DIGESTS[(n, m)]
 
     def test_m_greater_n_rejected(self):
         with pytest.raises(ValueError):
@@ -208,6 +229,13 @@ class TestMatrixMarket:
         M2 = read_matrix_market(path)
         assert M2.nnz == 4
         assert np.array_equal(to_dense(M2), to_dense(M))
+
+    def test_symmetric_upper_entry_rejected(self, tmp_path):
+        # (1,2) and (2,1) both given: read as a mirror pair they would add up
+        path = tmp_path / "s.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 4\n1 1 4\n1 2 2\n2 1 2\n2 2 5\n")
+        with pytest.raises(MatrixMarketError, match=r":4: entry \(1, 2\) above the diagonal"):
+            read_matrix_market(path)
 
     def test_array_format_rejected(self, tmp_path):
         path = tmp_path / "bad.mtx"
