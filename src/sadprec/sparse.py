@@ -62,11 +62,18 @@ class CsrMatrix:
     arrays are never mutated after construction, so instances can be
     shared freely between threads.
 
-    The first ``spmv`` caches the rows padded to the widest one (an
-    ELLPACK layout), and the first ``spmv_transpose`` caches the same
-    for the transpose.  Each layout costs 16 bytes x rows x widest row
-    (an int64 index and a float64 value per slot): about nnz when rows
-    are of even length, and at most twice a dense float64 copy.
+    Products use one of two layouts, each built on first use and
+    cached.  A banded matrix whose stored entries lie on no more
+    diagonals than its widest row has entries, with at least 2 rows and
+    2**14 slots (rows x widest row), is multiplied along its diagonals:
+    8 bytes x diagonals x rows, no index array (the Stokes A and
+    alpha I + A from q=32 on, alpha^2 I + B B^T from q=64 on).  Any other
+    matrix, and a banded one whose operand holds inf or NaN, uses its
+    rows padded to the widest one (an ELLPACK layout): 16 bytes x rows
+    x widest row (an int64 index and a float64 value per slot), about
+    nnz when rows are of even length, and at most twice a dense float64
+    copy.  ``spmv_transpose`` always uses the padded layout of the
+    transpose.
     """
 
     def __init__(self, nrows, ncols, row_ptr, col_idx, values):
@@ -78,6 +85,7 @@ class CsrMatrix:
         self._row_of = None
         self._padded = None     # rows padded to the widest, built by the first spmv
         self._padded_t = None   # the same for the transpose, built by the first spmv_transpose
+        self._diagonal = None   # the diagonal layout or False, decided by the first spmv
         self._validate()
 
     # -- construction -------------------------------------------------
@@ -152,6 +160,9 @@ class CsrMatrix:
             )
         return self._row_of
 
+    def _width(self):
+        return int(np.diff(self.row_ptr).max(initial=0))
+
     def _padded_rows(self):
         # a column-major (width, max(nrows, 2)) index array and value
         # array: column i holds row i's entries in storage order, padded
@@ -160,7 +171,7 @@ class CsrMatrix:
         # numpy would sum it pairwise, not left to right.
         if self._padded is None:
             rows = self._rows()
-            width = int(np.diff(self.row_ptr).max(initial=0))
+            width = self._width()
             idx = np.full((width, max(self.nrows, 2)), self.ncols, dtype=np.int64)
             val = np.zeros(idx.shape)
             slot = np.arange(self.nnz) - self.row_ptr[rows]
@@ -168,6 +179,29 @@ class CsrMatrix:
             val[slot, rows] = self.values
             self._padded = idx, val
         return self._padded
+
+    def _diagonals(self):
+        # None, or the diagonal layout of a banded matrix: the window
+        # start of each stored diagonal (offset col - row plus the zero
+        # padding _diagonal_product puts before x) in increasing offset
+        # order, a (ndiag, nrows) value array with 0.0 where a row
+        # stores nothing, and the padded operand's length.  Taken only
+        # when it holds no more slots than the padded-row layout and the
+        # product is large enough to pay for it (_DIAGONAL_MIN_SLOTS).
+        if self._diagonal is None:
+            layout = False
+            width = self._width()
+            if self.nrows >= 2 and width * self.nrows >= _DIAGONAL_MIN_SLOTS:
+                rows = self._rows()
+                offsets, which = np.unique(self.col_idx - rows, return_inverse=True)
+                if offsets.size <= width:
+                    val = np.zeros((offsets.size, self.nrows))
+                    val[which, rows] = self.values
+                    before = max(0, -int(offsets[0]))
+                    after = max(0, self.nrows + int(offsets[-1]) - self.ncols)
+                    layout = offsets + before, val, before, before + self.ncols + after
+            self._diagonal = layout
+        return self._diagonal or None
 
     def _padded_cols(self):
         # the transpose keeps each column's entries in row order, the
@@ -234,6 +268,34 @@ def _padded_product(layout, x, nout):
     return np.add.reduce(prod, axis=0, initial=0.0)[:nout]
 
 
+# below about this many slots (rows x widest row) the diagonal product
+# plus its finiteness check is no faster than the padded product.  Best
+# of 7 x 300 vector products on a 2-vCPU Xeon, one BLAS thread, padded
+# against diagonal plus check: Stokes A at q=16 (5.2k slots) 10.1 us
+# against 8.8 + 1.6, at q=24 (11.3k) 16.2 against 14.8 + 1.9, at q=32
+# (19.6k) 27.5 against 18.3 + 2.2, at q=64 (76k) 111 against 65 + 3.2
+_DIAGONAL_MIN_SLOTS = 1 << 14
+
+
+def _diagonal_product(layout, x):
+    # y[i] = sum over diagonals k of val[k, i] * x[i + offset_k]: the
+    # rows of a strided window over the zero-padded operand are x
+    # shifted by each offset, so one fancy-indexed read gathers them
+    # with no index array.  Offsets increase, so each row adds its
+    # entries in column order; the slots a row does not store add
+    # 0.0 * finite = +-0.0 to a sum that starts at +0.0, which leaves
+    # it unchanged, so the result has the padded product's bits.
+    starts, val, before, length = layout
+    xz = np.zeros((length,) + x.shape[1:])
+    xz[before:before + x.shape[0]] = x
+    nrows = val.shape[1]
+    window = np.ndarray((length - nrows + 1, nrows) + x.shape[1:], buffer=xz,
+                        strides=xz.strides[:1] + xz.strides)
+    prod = window[starts]
+    prod *= val if x.ndim == 1 else val[:, :, None]
+    return np.add.reduce(prod, axis=0, initial=0.0)
+
+
 def _check_operand(M, x, nin):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[0] != nin:
@@ -249,10 +311,17 @@ def spmv(M, x):
     block product is bitwise equal to ``spmv(M, x[:, j])``.  Padding
     reads an exact zero, so a row without a stored entry in a column
     where x holds inf or NaN stays exactly 0.  The first call caches M's
-    padded-row layout (16 bytes x rows x widest row, see ``CsrMatrix``);
-    a block product holds a temporary of widest row x rows x columns.
+    diagonal layout if M is banded, else its padded-row layout (see
+    ``CsrMatrix`` for when each is taken and what it costs); a banded M
+    builds its padded layout too only on an operand with inf or NaN.
+    Both give the same bits for a finite operand.  A block product holds
+    a temporary of (diagonals or widest row) x rows x columns.
     """
-    return _padded_product(M._padded_rows(), _check_operand(M, x, M.ncols), M.nrows)
+    x = _check_operand(M, x, M.ncols)
+    diagonals = M._diagonals()
+    if diagonals is not None and np.isfinite(x).all():
+        return _diagonal_product(diagonals, x)
+    return _padded_product(M._padded_rows(), x, M.nrows)
 
 
 def spmv_transpose(M, x):
@@ -350,9 +419,8 @@ class SaddleSystem:
     The assembled operator is [[A, B^T], [-B, C]] acting on (x; y) with
     right-hand side (f; -g).  Finite entries (no NaN or inf) and symmetry
     of A and C are enforced here.  Definiteness is not, because it needs
-    a factorization or sampling: ``factor.cholesky(sys.A)`` raises
-    ``NotPositiveDefiniteError`` unless A is positive definite, and
-    ``check_spsd_C`` probes C with random vectors.
+    a factorization or an eigensolver: ``factor.cholesky(sys.A)`` raises
+    ``NotPositiveDefiniteError`` unless A is positive definite.
     """
 
     def __init__(self, A, B, C, f, g):
@@ -400,15 +468,6 @@ class SaddleSystem:
         top = spmv(self.A, x) + spmv_transpose(self.B, y)
         bot = -spmv(self.B, x) + spmv(self.C, y)
         return np.concatenate([top, bot])
-
-    def check_spsd_C(self, samples=64, seed=0, tol=1e-10):
-        rng = np.random.default_rng(seed)
-        scale = float(np.max(np.abs(self.C.values))) if self.C.nnz else 1.0
-        for _ in range(samples):
-            x = rng.standard_normal(self.m)
-            quad = float(np.dot(x, spmv(self.C, x)))
-            if quad < -tol * scale * float(np.dot(x, x)):
-                raise ValueError("C failed the positive semidefinite probe")
 
 
 def assemble_block_saddle(sys):

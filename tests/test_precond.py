@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sadprec import factor, precond
+from sadprec import factor, precond, sparse
 from sadprec.precond import (
     HssApplicator,
     MgssApplicator,
@@ -253,6 +253,27 @@ class TestHssAssembledBlocks:
         assert report.converged
         assert (report.outer_iterations, report.total_inner_cg_iterations) == steps
 
+    def test_diagonal_layout_keeps_q32_solution_bits(self, monkeypatch):
+        # unpinned q=32 hss: A and alpha I + A take the diagonal layout;
+        # with its slot floor out of reach every product is padded, and
+        # the counts and the solution are the same to the bit
+        def solve():
+            sys_ = generate_stokes_q1p0(StokesConfig(32, pin_pressure=False))
+            prec = make_preconditioner(sys_, PrecondSpec("hss", alpha=0.1))
+            rule = StoppingRule(rel_tol=1e-9, max_outer=2000, restart=5)
+            report = gmres_restarted(saddle_operator(sys_), sys_.rhs(), prec, rule)
+            layouts = [M._diagonals() is not None for M in (sys_.A, *prec.blocks())]
+            return report, layouts
+
+        diagonal, diagonal_layouts = solve()
+        monkeypatch.setattr(sparse, "_DIAGONAL_MIN_SLOTS", np.inf)
+        padded, padded_layouts = solve()
+        assert diagonal_layouts == [True, True, False, False] and not any(padded_layouts)
+        for report in (diagonal, padded):
+            assert (report.outer_iterations, report.total_inner_cg_iterations) == (124, 2192)
+        assert np.array_equal(diagonal.solution, padded.solution)
+        assert diagonal.residual_history == padded.residual_history
+
 
 class TestBatchedResidual:
     @pytest.mark.parametrize("spec", [
@@ -299,15 +320,21 @@ class TestStokesShiftedBlock:
         assert report.converged
         assert (report.outer_iterations, report.total_inner_cg_iterations) == steps
 
-    @pytest.mark.parametrize("spec,steps", [
-        (PrecondSpec("mgss", alpha=1e-3, beta=1e-3), (24, 943)),
-        (PrecondSpec("rmgss", beta=1e-3), (25, 989)),
-    ], ids=["mgss", "rmgss"])
-    def test_unpinned_stokes_q64_steps(self, spec, steps):
-        # Table-2 rows at q=64: beta I + C is 1024 tiles of four pressures
-        sys_ = generate_stokes_q1p0(StokesConfig(64, pin_pressure=False))
+    @pytest.mark.parametrize("q,spec,steps", [
+        (16, PrecondSpec("mgss", alpha=1e-3, beta=1e-3), (10, 207)),
+        (16, PrecondSpec("rmgss", beta=1e-3), (10, 212)),
+        (32, PrecondSpec("mgss", alpha=1e-3, beta=1e-3), (13, 434)),
+        (32, PrecondSpec("rmgss", beta=1e-3), (13, 428)),
+        (64, PrecondSpec("mgss", alpha=1e-3, beta=1e-3), (24, 943)),
+        (64, PrecondSpec("rmgss", beta=1e-3), (25, 989)),
+    ], ids=["q16-mgss", "q16-rmgss", "q32-mgss", "q32-rmgss", "q64-mgss", "q64-rmgss"])
+    def test_unpinned_stokes_steps(self, q, spec, steps):
+        # the unpinned Table-2 rows: beta I + C is (q/2)^2 tiles of four
+        # pressures; the counts are the same under one BLAS thread and
+        # under the Haswell kernel with two
+        sys_ = generate_stokes_q1p0(StokesConfig(q, pin_pressure=False))
         prec = make_preconditioner(sys_, spec)
-        assert [index.shape for index, _ in prec.shifted_factor.blocks] == [(1024, 4)]
+        assert [index.shape for index, _ in prec.shifted_factor.blocks] == [((q // 2) ** 2, 4)]
         rule = StoppingRule(rel_tol=1e-9, max_outer=2000, restart=5)
         report = gmres_restarted(saddle_operator(sys_), sys_.rhs(), prec, rule)
         assert report.converged

@@ -61,7 +61,8 @@ class TestStokesProperties:
     def test_A_spd_and_C_spsd(self):
         sys_ = generate_stokes_q1p0(StokesConfig(8))
         factor.cholesky(sys_.A)
-        sys_.check_spsd_C()
+        eigs = np.linalg.eigvalsh(to_dense(sys_.C))
+        assert eigs.min() >= -1e-12 * eigs.max()
 
     def test_pressure_column_sums_vanish(self):
         # the divergence of interior basis functions integrates to zero,

@@ -1,12 +1,15 @@
+import functools
 import hashlib
 
 import numpy as np
 import pytest
 
+from sadprec import sparse
 from sadprec.sparse import (
     CsrMatrix,
     SaddleSystem,
     _check_symmetric,
+    _padded_product,
     add_scaled_identity,
     assemble_block_saddle,
     dense_cap,
@@ -417,6 +420,114 @@ class TestPaddedKernel:
         assert_matches_bincount(
             M, wide_range_columns(rng, n, k=2), wide_range_columns(rng, n, k=2)
         )
+
+
+@functools.cache
+def unpinned_stokes(q):
+    return generate_stokes_q1p0(StokesConfig(q, pin_pressure=False))
+
+
+def band_matrix(nrows, ncols, offsets, seed):
+    # the given diagonals with about a tenth of their entries left out,
+    # so some rows miss their diagonal entry, plus two empty rows
+    rng = np.random.default_rng(seed)
+    i = np.arange(nrows)
+    rows = np.concatenate([i[(i + d >= 0) & (i + d < ncols)] for d in offsets])
+    cols = np.concatenate([i[(i + d >= 0) & (i + d < ncols)] + d for d in offsets])
+    keep = (rng.random(rows.size) < 0.9) & (rows != 3) & (rows != nrows // 2)
+    return CsrMatrix.from_triplets(nrows, ncols, rows[keep], cols[keep],
+                                   rng.standard_normal(keep.sum()))
+
+
+def diagonal_cases():
+    # matrices the diagonal layout takes
+    yield "stokes32-A", lambda: unpinned_stokes(32).A
+    yield "stokes64-A", lambda: unpinned_stokes(64).A
+    yield "stokes64-A+0.1I", lambda: add_scaled_identity(unpinned_stokes(64).A, 0.1)
+    yield "stokes64-BBt+0.01I", lambda: gram_plus_identity(unpinned_stokes(64).B, 0.01)
+    yield "band-with-holes", lambda: band_matrix(6000, 6000, (-70, -1, 0, 1, 70), seed=1)
+    yield "tall-band", lambda: band_matrix(5000, 4000, (-9, -2, 0, 5), seed=2)
+    yield "wide-band", lambda: band_matrix(6000, 7000, (1, 3, 800), seed=3)
+
+
+def padded_cases():
+    # matrices that stay on the padded layout, each with the rule that
+    # keeps it there: more diagonals than its widest row has entries,
+    # fewer slots than the floor, or a single row
+    yield "stokes64-B", "diagonals", lambda: unpinned_stokes(64).B
+    yield "stokes128-C", "diagonals", lambda: unpinned_stokes(128).C
+    yield "stokes64-C+0.1I", "slots", lambda: add_scaled_identity(unpinned_stokes(64).C, 0.1)
+    yield "stokes16-A", "slots", lambda: unpinned_stokes(16).A
+    yield "random-A", "diagonals", lambda: generate_random_saddle(200, 80, seed=4).A
+    yield "one-row", "rows", lambda: CsrMatrix.from_dense(np.arange(1.0, 20001.0)[None, :])
+
+
+class TestDiagonalLayout:
+    @pytest.mark.parametrize("case", list(diagonal_cases()), ids=lambda c: c[0])
+    def test_same_bits_as_padded_product(self, case):
+        M = case[1]()
+        assert M._diagonals() is not None
+        rng = np.random.default_rng(M.nrows + M.ncols)
+        X = wide_range_columns(rng, M.ncols, k=5)
+        block = spmv(M, X)
+        assert np.array_equal(block, _padded_product(M._padded_rows(), X, M.nrows))
+        for j in range(X.shape[1]):
+            y = spmv(M, X[:, j])
+            assert np.array_equal(y, _padded_product(M._padded_rows(), X[:, j], M.nrows))
+            assert np.array_equal(y, block[:, j])
+
+    @pytest.mark.parametrize("case", [c for c in diagonal_cases()
+                                      if c[0] in ("stokes32-A", "band-with-holes", "tall-band")],
+                             ids=lambda c: c[0])
+    def test_non_finite_x_stays_out_of_rows_without_entries(self, case):
+        # 0 * inf would be NaN along a diagonal; the padded layout keeps
+        # rows without an entry in an inf or NaN column exactly finite.
+        # Column 3 is read by row 3, empty in the band matrices and an
+        # identity row of the Stokes A, through its main diagonal.
+        M = case[1]()
+        assert M._diagonals() is not None
+        rng = np.random.default_rng(7)
+        X = wide_range_columns(rng, M.ncols, k=3)
+        X[[3, M.ncols // 3], 0] = np.inf
+        X[M.ncols - 2, 1] = np.nan
+        X[0, 2] = -np.inf
+        Y = wide_range_columns(rng, M.nrows, k=1)
+        assert_matches_bincount(M, X, Y)
+
+    @pytest.mark.parametrize("case", list(padded_cases()), ids=lambda c: c[0])
+    def test_stays_on_padded_layout(self, case):
+        _, rule, make = case
+        M = make()
+        slots = M.nrows * M._width()
+        assert {"diagonals": M.nrows >= 2 and slots >= sparse._DIAGONAL_MIN_SLOTS,
+                "slots": M.nrows >= 2 and slots < sparse._DIAGONAL_MIN_SLOTS,
+                "rows": M.nrows == 1 and slots >= sparse._DIAGONAL_MIN_SLOTS}[rule]
+        assert M._diagonals() is None
+        rng = np.random.default_rng(M.nrows + M.ncols)
+        assert_matches_bincount(M, wide_range_columns(rng, M.ncols, k=2),
+                                wide_range_columns(rng, M.nrows, k=1))
+
+    def test_small_workloads_never_take_it(self, monkeypatch):
+        # the pinned Stokes q=16 Table-2 rows and the spectral checks on a
+        # random (60, 24) system and on pinned Stokes q=8 stay padded
+        from sadprec import spectral, stationary
+        from sadprec.krylov import StoppingRule, gmres_restarted, saddle_operator
+        from sadprec.precond import PrecondSpec, make_preconditioner
+
+        def refuse(layout, x):
+            raise AssertionError("a small workload reached the diagonal layout")
+
+        monkeypatch.setattr(sparse, "_diagonal_product", refuse)
+        sys16 = generate_stokes_q1p0(StokesConfig(16))
+        rule = StoppingRule(rel_tol=1e-9, max_outer=2000, restart=5)
+        for spec in (PrecondSpec("mgss", alpha=1e-3, beta=1e-3), PrecondSpec("rmgss", beta=1e-3)):
+            assert gmres_restarted(saddle_operator(sys16), sys16.rhs(),
+                                   make_preconditioner(sys16, spec), rule).converged
+        for sys_ in (generate_random_saddle(60, 24, seed=12), generate_stokes_q1p0(StokesConfig(8))):
+            spectral.predicted_rmgss_spectrum(sys_, 1e-3)
+            spectral.dense_eigen_real_schur(spectral.rmgss_preconditioned_dense(sys_, 1e-3))
+            spectral.iteration_matrix_check(sys_, 0.1, 0.1)
+            spectral.power_spectral_radius(stationary.IterationMatrixOperator(sys_, 0.1, 0.1))
 
 
 class TestSaddleSystem:
