@@ -53,6 +53,7 @@ __all__ = [
     "HssApplicator",
     "make_preconditioner",
     "form_schur_dense",
+    "shift_diagonal",
     "dense_preconditioner_matrix",
 ]
 
@@ -239,6 +240,11 @@ def make_preconditioner(sys, spec):
     return None
 
 
+def shift_diagonal(sys, spec):
+    """The diagonal of Sigma = blkdiag(alpha I, beta I), of length ``sys.order``."""
+    return np.concatenate([np.full(sys.n, spec.alpha), np.full(sys.m, spec.beta)])
+
+
 def dense_preconditioner_matrix(sys, spec):
     """The preconditioner assembled densely, for reconstruction tests."""
     n = sys.n
@@ -251,6 +257,6 @@ def dense_preconditioner_matrix(sys, spec):
         S[:n, n:], S[n:, :n] = K[:n, n:], K[n:, :n]
         aI = spec.alpha * np.eye(sys.order)
         return (aI + K - S) @ (aI + S) / (2.0 * spec.alpha)
-    # mgss and rmgss (whose alpha is 0): K plus blkdiag(alpha I, beta I)
-    P = K + np.diag(np.concatenate([np.full(n, spec.alpha), np.full(sys.m, spec.beta)]))
+    # mgss and rmgss (whose alpha is 0): K plus Sigma
+    P = K + np.diag(shift_diagonal(sys, spec))
     return 0.5 * P if spec.kind == "mgss" else P

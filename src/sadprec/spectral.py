@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factor
-from .precond import MgssApplicator, PrecondSpec
+from .precond import MgssApplicator, PrecondSpec, shift_diagonal
 from .sparse import assemble_block_saddle, to_dense
 
 __all__ = [
@@ -125,8 +125,14 @@ def power_spectral_radius(op, iters=100, restarts=5, seed=20240613):
 
 
 def gamma_dense(sys, alpha, beta):
-    """Dense iteration matrix I - M^{-1} A built with exact inner solves."""
-    return np.eye(sys.order) - mgss_preconditioned_dense(sys, alpha, beta)
+    """Dense iteration matrix Gamma = M^{-1} Sigma - I = (Sigma + K)^{-1} (Sigma - K).
+
+    One direct mgss solve with the columns of Sigma; the dense form of
+    ``stationary.IterationMatrixOperator``.
+    """
+    spec = PrecondSpec("mgss", alpha=alpha, beta=beta, inner="direct")
+    sigma = np.diag(shift_diagonal(sys, spec))
+    return MgssApplicator(sys, spec).apply(sigma) - np.eye(sys.order)
 
 
 def mgss_preconditioned_dense(sys, alpha, beta):
@@ -159,9 +165,10 @@ def predicted_rmgss_spectrum(sys, beta):
 def iteration_matrix_check(sys, alpha, beta):
     """Spectral radius of the iteration matrix and distances to +-1.
 
-    Computes the full dense spectrum of I - M^{-1} A (exact inner
-    solves) and reports max |lambda| together with the minimum distance
-    of any eigenvalue to +1 and to -1.
+    Computes the full dense spectrum of Gamma = (Sigma + K)^{-1}
+    (Sigma - K) (``gamma_dense``: one direct preconditioner solve) and
+    reports max |lambda| together with the minimum distance of any
+    eigenvalue to +1 and to -1.
     """
     spec = dense_eigen_real_schur(gamma_dense(sys, alpha, beta))
     lam = spec.eigenvalues

@@ -1,27 +1,39 @@
 """The iteration-matrix operator of the stationary mgss scheme.
 
-Splitting the saddle matrix as A = M - N with M the mgss matrix turns
-M u+ = N u + b into the fixed point iteration u+ = u + M^{-1}(b - A u),
-which ``krylov.stationary_richardson`` runs with an ``MgssApplicator``.
-Its iteration matrix G = M^{-1} N = I - M^{-1} A is exposed here as an
-operator, for ``spectral.power_spectral_radius``, and never assembled
-outside of column-probe use in tests and spectra.
+With Sigma = blkdiag(alpha I, beta I) and K the saddle matrix, the mgss
+matrix is M = (Sigma + K) / 2 and the splitting K = M - N leaves
+N = (Sigma - K) / 2.  The scheme M u+ = N u + b is the fixed point
+iteration u+ = u + M^{-1}(b - K u), which ``krylov.stationary_richardson``
+runs with an ``MgssApplicator``.  Its iteration matrix
+
+    Gamma = M^{-1} N = (Sigma + K)^{-1} (Sigma - K) = M^{-1} Sigma - I
+
+is exposed here as an operator, for ``spectral.power_spectral_radius``,
+and never assembled outside of column-probe use in tests and spectra.
 """
 
-from .krylov import LinearOperator, saddle_operator
-from .precond import MgssApplicator, PrecondSpec
+import numpy as np
+
+from .krylov import LinearOperator
+from .precond import MgssApplicator, PrecondSpec, shift_diagonal
 
 __all__ = ["IterationMatrixOperator"]
 
 
 class IterationMatrixOperator(LinearOperator):
-    """v -> v - P^{-1}(A v) with the exactly linear (direct) mgss inverse."""
+    """v -> M^{-1}(Sigma v) - v with the exactly linear (direct) mgss inverse.
+
+    One application costs one preconditioner solve and no product with
+    K; Sigma, held as its diagonal, scales vectors and column blocks.
+    """
 
     def __init__(self, sys, alpha, beta):
         spec = PrecondSpec("mgss", alpha=alpha, beta=beta, inner="direct")
         self._prec = MgssApplicator(sys, spec)
-        self._block = saddle_operator(sys)
+        self._shift = shift_diagonal(sys, spec)
         super().__init__(sys.order, self._matvec)
 
     def _matvec(self, v):
-        return v - self._prec.apply(self._block(v))
+        v = np.asarray(v, dtype=np.float64)
+        shift = self._shift if v.ndim == 1 else self._shift[:, None]
+        return self._prec.apply(shift * v) - v

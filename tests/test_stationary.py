@@ -5,7 +5,7 @@ from sadprec.krylov import StoppingRule, saddle_operator, stationary_richardson
 from sadprec.precond import MgssApplicator, PrecondSpec, dense_preconditioner_matrix
 from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
 from sadprec.sparse import CsrMatrix, SaddleSystem, assemble_block_saddle, to_dense
-from sadprec.spectral import power_spectral_radius
+from sadprec.spectral import gamma_dense, power_spectral_radius
 from sadprec.stationary import IterationMatrixOperator
 
 
@@ -22,6 +22,23 @@ def toy_t1():
 TOY_GAMMA = np.array([[-0.5, -0.5], [0.5, 0.5]])  # dense M^{-1} N for alpha=beta=1
 
 
+GAMMA_CASES = [
+    pytest.param(lambda: generate_random_saddle(18, 7, seed=6), 0.3, 0.6, id="random18x7"),
+    pytest.param(lambda: generate_stokes_q1p0(StokesConfig(4)), 0.1, 0.1, id="stokes4-pinned"),
+]
+
+
+def m_inverse_n(sys_, alpha, beta):
+    # (Sigma + K)^{-1} (Sigma - K) from the dense mgss matrix (Sigma + K) / 2
+    K = to_dense(assemble_block_saddle(sys_))
+    plus = 2.0 * dense_preconditioner_matrix(sys_, PrecondSpec("mgss", alpha, beta))
+    return np.linalg.solve(plus, plus - 2.0 * K)
+
+
+def rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
 class TestGammaOperator:
     def test_toy_dense_oracle(self):
         op = IterationMatrixOperator(toy_t1(), 1.0, 1.0)
@@ -35,16 +52,40 @@ class TestGammaOperator:
         op = IterationMatrixOperator(toy_t1(), 1.0, 1.0)
         assert np.allclose(op(np.array([1.0, -1.0])), np.zeros(2), atol=1e-14)
 
-    def test_equals_m_inverse_n(self):
-        sys_ = generate_random_saddle(18, 7, seed=6)
-        alpha, beta = 0.3, 0.6
+    @pytest.mark.parametrize("make,alpha,beta", GAMMA_CASES)
+    def test_equals_m_inverse_n(self, make, alpha, beta):
+        sys_ = make()
+        gamma = m_inverse_n(sys_, alpha, beta)
         op = IterationMatrixOperator(sys_, alpha, beta)
-        M = dense_preconditioner_matrix(sys_, PrecondSpec("mgss", alpha, beta))
-        N = M - to_dense(assemble_block_saddle(sys_))
-        gamma_dense = np.linalg.solve(M, N)
-        rng = np.random.default_rng(2)
-        v = rng.standard_normal(25)
-        assert np.allclose(op(v), gamma_dense @ v, atol=1e-10)
+        rng = np.random.default_rng(8)
+        v = rng.standard_normal(sys_.order)
+        V = rng.standard_normal((sys_.order, 5))
+        assert rel_err(op(v), gamma @ v) <= 1e-12
+        assert rel_err(op(V), gamma @ V) <= 1e-12
+
+    @pytest.mark.parametrize("make,alpha,beta", GAMMA_CASES)
+    def test_gamma_dense_equals_m_inverse_n(self, make, alpha, beta):
+        sys_ = make()
+        assert rel_err(gamma_dense(sys_, alpha, beta), m_inverse_n(sys_, alpha, beta)) <= 1e-12
+
+    def test_one_preconditioner_solve_and_no_saddle_matvec(self, monkeypatch):
+        sys_ = generate_random_saddle(18, 7, seed=6)
+        calls = {"apply": 0, "matvec": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(MgssApplicator, "apply", counted("apply", MgssApplicator.apply))
+        monkeypatch.setattr(SaddleSystem, "matvec", counted("matvec", SaddleSystem.matvec))
+        # built after patching, so a bound sys_.matvec taken at construction counts too
+        op = IterationMatrixOperator(sys_, 0.3, 0.6)
+        for operand in (np.ones(sys_.order), np.ones((sys_.order, 5))):
+            calls.update(apply=0, matvec=0)
+            op(operand)
+            assert calls == {"apply": 1, "matvec": 0}
 
 
 class TestSplittingIdentity:
