@@ -9,17 +9,28 @@ component at k * k entries.  The shifted stabilization block
 beta I + C of the Q1-P0 generator falls apart into 2x2-macroelement
 tiles of four pressures; a general matrix is usually one component.
 
-``solve`` multiplies by the inverse of each component's factor, which
-the first solve builds (``np.linalg.inv``) and the factor keeps: every
-solve, vector or column block, is two batched products.  An explicit
-triangular inverse is accurate enough here (Du Croz and Higham,
-Stability of methods for matrix inversion, IMA J. Numer. Anal. 1992);
-M^{-1} itself is never formed.
+``solve`` multiplies by the inverse factor Linv = L^{-1} and then by
+its transpose, x = Linv^T (Linv b): two products, vector or column
+block, with no loop over components.  The first solve builds Linv
+(``np.linalg.inv`` of each component's factor) and the factor keeps it
+in one of two forms:
+
+- one component: a dense k x k array, multiplied through BLAS;
+- several components: the block-diagonal Linv and Linv^T as padded
+  rows (``sparse._padded_product``, the ELLPACK kernel of ``spmv``), one
+  slot per column of the widest component.  They share one index array,
+  so they take 24 B x rows x widest component (a ``CsrMatrix``'s padded
+  rows take 16 B x rows x widest row).  No slot reads another component,
+  so a NaN stays in its own component.
+
+An explicit triangular inverse is accurate enough here (Du Croz and
+Higham, Stability of methods for matrix inversion, IMA J. Numer. Anal.
+1992); M^{-1} itself is never formed.
 """
 
 import numpy as np
 
-from .sparse import _check_symmetric, dense_cap
+from .sparse import _check_symmetric, _padded_product, dense_cap
 
 __all__ = [
     "CholeskyFactor",
@@ -42,21 +53,15 @@ class CholeskyFactor:
     ``blocks`` holds one ``(index, L)`` pair per component size k:
     ``index`` (c, k) lists the rows of c components, each in increasing
     order, and ``L`` (c, k, k) their lower-triangular factors; neither
-    changes.  ``inverse_blocks()`` builds the inverse factors on its
-    first call (from ``solve``, never from ``cholesky``) and keeps them:
-    one more k x k array per component.
+    changes.  The first ``solve`` (never ``cholesky``) builds the inverse
+    factor and keeps it: one k x k array for a single component of order
+    k, else the padded Linv and Linv^T, 24 B x rows x widest component.
     """
 
     def __init__(self, size, blocks):
         self.size = size
         self.blocks = blocks
-        self._inverses = None
-
-    def inverse_blocks(self):
-        # concurrent first calls can only store identical arrays
-        if self._inverses is None:
-            self._inverses = [np.tril(np.linalg.inv(L)) for _, L in self.blocks]
-        return self._inverses
+        self._inverse = None
 
 
 def cholesky(M):
@@ -150,17 +155,42 @@ def _factor(n, stacks):
     return CholeskyFactor(n, blocks)
 
 
+def _inverse_factor(n, blocks):
+    # a 2-D Linv for one component (its rows are 0 .. n-1), else the
+    # padded layouts (idx, Linv values) and (idx, Linv^T values): slot s
+    # of row index[c, p] reads column index[c, s] in both, and slots past
+    # a component's order read the zero slot n
+    inverses = [np.tril(np.linalg.inv(L)) for _, L in blocks]
+    if len(blocks) == 1 and len(blocks[0][0]) == 1:
+        return inverses[0][0]
+    width = max((index.shape[1] for index, _ in blocks), default=0)
+    idx = np.full((width, n), n, dtype=np.int64)
+    lo, up = np.zeros(idx.shape), np.zeros(idx.shape)
+    for (index, _), Linv in zip(blocks, inverses):
+        k = index.shape[1]
+        idx[:k, index] = index.T[:, :, None]
+        lo[:k, index] = Linv.transpose(2, 0, 1)
+        up[:k, index] = Linv.transpose(1, 0, 2)
+    return (idx, lo), (idx, up)
+
+
 def solve(fac, b):
     """Solve M x = b given the factor of M; b may be a vector or columns.
 
-    Each stack is solved as x = Linv^T (Linv b), two batched products
-    with the inverse factors that the first solve caches on ``fac``.
+    x = Linv^T (Linv b), two products with the inverse factor that the
+    first solve caches on ``fac``: ``Linv.T @ (Linv @ b)`` through BLAS
+    for one component, two padded-row products for several.  In the
+    padded form each row adds its component's entries in column order,
+    so column j of a block solve is bitwise equal to the solve of
+    ``b[:, j]``.
     """
     b = np.asarray(b, dtype=np.float64)
-    if b.shape[0] != fac.size:
-        raise ValueError(f"dimension mismatch: factor of size {fac.size}, rhs of length {b.shape[0]}")
-    x = np.empty_like(b)
-    for (index, _), Linv in zip(fac.blocks, fac.inverse_blocks()):
-        xs = b[index] if b.ndim > 1 else b[index][..., None]
-        x[index] = (np.swapaxes(Linv, 1, 2) @ (Linv @ xs)).reshape(index.shape + b.shape[1:])
-    return x
+    if b.ndim not in (1, 2) or b.shape[0] != fac.size:
+        raise ValueError(f"dimension mismatch: factor of size {fac.size}, operand has shape {b.shape}")
+    if fac._inverse is None:  # concurrent first calls can only store identical arrays
+        fac._inverse = _inverse_factor(fac.size, fac.blocks)
+    inverse = fac._inverse
+    if isinstance(inverse, np.ndarray):
+        return inverse.T @ (inverse @ b)
+    lo, up = inverse
+    return _padded_product(up, _padded_product(lo, b, fac.size), fac.size)

@@ -30,8 +30,9 @@ Applicators allocate fresh work vectors per call, so concurrent
 ``apply`` calls are safe.  Three things change in place: the
 ``inner_iterations`` statistics counter; the CG-mode hss blocks,
 assembled on the first ``apply``; and each Cholesky factor's inverse
-factors, cached on its first solve.  Racing first calls can only store
-identical arrays.
+factor (a dense array for one component, padded rows for several),
+cached on its first solve.  Racing first calls can only store identical
+arrays.
 """
 
 import numpy as np

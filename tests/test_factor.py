@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from sadprec import factor
-from sadprec.sparse import CsrMatrix, spmv, to_dense
+from sadprec.problems import StokesConfig, generate_stokes_q1p0
+from sadprec.sparse import CsrMatrix, add_scaled_identity, spmv, to_dense
 
 
 def random_spd(n, seed, density=0.4):
@@ -31,6 +34,11 @@ def tiled_spd(n, seed):
         start += sizes[0]
         sizes = sizes[1:] + sizes[:1]
     return CsrMatrix.from_dense(0.5 * (M + M.T))
+
+
+def stokes_shifted_q16():
+    """beta I + C of pinned Stokes q=16: 63 tiles of 4 pressures and one of 3."""
+    return add_scaled_identity(generate_stokes_q1p0(StokesConfig(16)).C, 1e-3)
 
 
 def both_cases(n, seed):
@@ -156,6 +164,49 @@ class TestSolve:
         fac = factor.cholesky(CsrMatrix.identity(3))
         with pytest.raises(ValueError):
             factor.solve(fac, np.ones(4))
+
+    @pytest.mark.parametrize("shape", [(), (3, 2, 2)], ids=["0d", "3d"])
+    def test_operand_neither_vector_nor_block(self, shape):
+        for fac in (factor.cholesky(tiled_spd(3, seed=0)), factor.cholesky_dense(np.eye(3))):
+            with pytest.raises(ValueError, match=rf"factor of size 3, operand has shape {re.escape(str(shape))}"):
+                factor.solve(fac, np.ones(shape))
+
+    def test_one_component_is_two_blas_products(self):
+        # the dense inverse factor, multiplied as Linv^T (Linv b)
+        rng = np.random.default_rng(3)
+        b, B = rng.standard_normal(40), rng.standard_normal((40, 5))
+        for fac in (factor.cholesky(random_spd(40, seed=3)),
+                    factor.cholesky_dense(to_dense(random_spd(40, seed=4)))):
+            [(index, L)] = fac.blocks
+            assert index.shape == (1, 40)
+            Linv = np.tril(np.linalg.inv(L[0]))
+            for rhs in (b, B):
+                assert np.array_equal(factor.solve(fac, rhs), Linv.T @ (Linv @ rhs))
+
+    @pytest.mark.parametrize("M", [tiled_spd(60, seed=8), stokes_shifted_q16()], ids=["tiled60", "stokes16"])
+    def test_tiles_block_columns_match_vector_solves(self, M):
+        fac = factor.cholesky(M)
+        assert len(fac.blocks) > 1
+        B = np.random.default_rng(10).standard_normal((M.nrows, 5))
+        X = factor.solve(fac, B)
+        dense = to_dense(M)
+        for j in range(5):
+            assert np.array_equal(X[:, j], factor.solve(fac, B[:, j]))
+            ref = np.linalg.solve(dense, B[:, j])
+            assert np.linalg.norm(X[:, j] - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_nan_stays_in_its_tile(self):
+        M = stokes_shifted_q16()
+        fac = factor.cholesky(M)
+        b = np.random.default_rng(11).standard_normal(M.nrows)
+        finite = factor.solve(fac, b)
+        for index in (tile for stack, _ in fac.blocks for tile in stack):
+            poisoned = b.copy()
+            poisoned[index[0]] = np.nan
+            x = factor.solve(fac, poisoned)
+            others = np.setdiff1d(np.arange(M.nrows), index)
+            assert np.isnan(x[index]).any()
+            assert np.array_equal(x[others], finite[others])
 
     @pytest.mark.parametrize("n,seed", [(10, 0), (60, 1), (200, 2)])
     def test_residual_random_spd(self, n, seed):
