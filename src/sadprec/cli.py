@@ -293,9 +293,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--restart", type=int, default=5)
-    solver.add_argument("--tol", type=float, default=1e-9)
-    solver.add_argument("--max-outer", type=int, default=2000)
+    solver.add_argument("--restart", type=int, default=StoppingRule.restart)
+    solver.add_argument("--tol", type=float, default=StoppingRule.rel_tol)
+    solver.add_argument("--max-outer", type=int, default=StoppingRule.max_outer)
     solver.add_argument("--inner", choices=("cg", "direct"), default="cg")
     shifts = argparse.ArgumentParser(add_help=False)
     for name in ("alpha", "beta"):

@@ -28,6 +28,8 @@ Higham, Stability of methods for matrix inversion, IMA J. Numer. Anal.
 1992); M^{-1} itself is never formed.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .sparse import _check_symmetric, _padded_product, dense_cap
@@ -53,15 +55,36 @@ class CholeskyFactor:
     ``blocks`` holds one ``(index, L)`` pair per component size k:
     ``index`` (c, k) lists the rows of c components, each in increasing
     order, and ``L`` (c, k, k) their lower-triangular factors; neither
-    changes.  The first ``solve`` (never ``cholesky``) builds the inverse
-    factor and keeps it: one k x k array for a single component of order
-    k, else the padded Linv and Linv^T, 24 B x rows x widest component.
+    changes.  ``_inverse`` is the inverse factor, a
+    ``functools.cached_property`` that the first ``solve`` (never
+    ``cholesky``) builds: one k x k array for a single component of
+    order k, else the padded Linv and Linv^T, 24 B x rows x widest
+    component.
     """
 
     def __init__(self, size, blocks):
         self.size = size
         self.blocks = blocks
-        self._inverse = None
+
+    @cached_property
+    def _inverse(self):
+        # a 2-D Linv for one component (its rows are 0 .. n-1), else the
+        # padded layouts (idx, Linv values) and (idx, Linv^T values): slot s
+        # of row index[c, p] reads column index[c, s] in both, and slots past
+        # a component's order read the zero slot n
+        n, blocks = self.size, self.blocks
+        inverses = [np.tril(np.linalg.inv(L)) for _, L in blocks]
+        if len(blocks) == 1 and len(blocks[0][0]) == 1:
+            return inverses[0][0]
+        width = max((index.shape[1] for index, _ in blocks), default=0)
+        idx = np.full((width, n), n, dtype=np.int64)
+        lo, up = np.zeros(idx.shape), np.zeros(idx.shape)
+        for (index, _), Linv in zip(blocks, inverses):
+            k = index.shape[1]
+            idx[:k, index] = index.T[:, :, None]
+            lo[:k, index] = Linv.transpose(2, 0, 1)
+            up[:k, index] = Linv.transpose(1, 0, 2)
+        return (idx, lo), (idx, up)
 
 
 def cholesky(M):
@@ -87,7 +110,7 @@ def cholesky(M):
         raise ValueError("matrix must be square")
     _check_symmetric(M, "matrix")
     n = M.nrows
-    rows, cols = M._rows(), M.col_idx
+    rows, cols = M._rows, M.col_idx
     _, comp, sizes = np.unique(_component_labels(n, rows, cols),
                                return_inverse=True, return_counts=True)
     largest, limit = int(sizes.max(initial=0)), dense_cap()
@@ -155,25 +178,6 @@ def _factor(n, stacks):
     return CholeskyFactor(n, blocks)
 
 
-def _inverse_factor(n, blocks):
-    # a 2-D Linv for one component (its rows are 0 .. n-1), else the
-    # padded layouts (idx, Linv values) and (idx, Linv^T values): slot s
-    # of row index[c, p] reads column index[c, s] in both, and slots past
-    # a component's order read the zero slot n
-    inverses = [np.tril(np.linalg.inv(L)) for _, L in blocks]
-    if len(blocks) == 1 and len(blocks[0][0]) == 1:
-        return inverses[0][0]
-    width = max((index.shape[1] for index, _ in blocks), default=0)
-    idx = np.full((width, n), n, dtype=np.int64)
-    lo, up = np.zeros(idx.shape), np.zeros(idx.shape)
-    for (index, _), Linv in zip(blocks, inverses):
-        k = index.shape[1]
-        idx[:k, index] = index.T[:, :, None]
-        lo[:k, index] = Linv.transpose(2, 0, 1)
-        up[:k, index] = Linv.transpose(1, 0, 2)
-    return (idx, lo), (idx, up)
-
-
 def solve(fac, b):
     """Solve M x = b given the factor of M; b may be a vector or columns.
 
@@ -187,8 +191,6 @@ def solve(fac, b):
     b = np.asarray(b, dtype=np.float64)
     if b.ndim not in (1, 2) or b.shape[0] != fac.size:
         raise ValueError(f"dimension mismatch: factor of size {fac.size}, operand has shape {b.shape}")
-    if fac._inverse is None:  # concurrent first calls can only store identical arrays
-        fac._inverse = _inverse_factor(fac.size, fac.blocks)
     inverse = fac._inverse
     if isinstance(inverse, np.ndarray):
         return inverse.T @ (inverse @ b)

@@ -95,7 +95,7 @@ class SolveReport:
 @dataclass
 class StoppingRule:
     rel_tol: float = 1e-9
-    max_outer: int = 500
+    max_outer: int = 2000
     restart: int = 5
 
     def __post_init__(self):
@@ -107,7 +107,7 @@ class StoppingRule:
             raise ValueError("max_outer must be non-negative")
 
 
-def cg(op, b, reduction_factor=100.0, max_iters=40):
+def cg(op, b, reduction_factor, max_iters):
     """Conjugate gradient from a zero initial guess.
 
     Stops when the residual norm has dropped by ``reduction_factor`` or

@@ -27,13 +27,15 @@ assembled as sparse matrices, B B^T by a Gram product: CG mode applies
 each with one ``spmv`` per step, direct mode factors the same matrices.
 
 Applicators allocate fresh work vectors per call, so concurrent
-``apply`` calls are safe.  Three things change in place: the
-``inner_iterations`` statistics counter; the CG-mode hss blocks,
-assembled on the first ``apply``; and each Cholesky factor's inverse
-factor (a dense array for one component, padded rows for several),
-cached on its first solve.  Racing first calls can only store identical
-arrays.
+``apply`` calls are safe.  Only the ``inner_iterations`` statistics
+counter changes in place.  Everything built lazily is a
+``functools.cached_property``: the CG-mode hss blocks, assembled on the
+first ``apply``; each Cholesky factor's inverse factor, built on its
+first solve; and each sparse matrix's product layouts, built on its
+first product.  Racing first reads can only store identical values.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -192,39 +194,37 @@ class HssApplicator(_Applicator):
     P^{-1} r = 2 alpha (alpha I + S)^{-1} (alpha I + H)^{-1} r.  The
     skew part is inverted by eliminating the first block:
     (alpha^2 I + B B^T) z2 = alpha t2 + B t1, then
-    z1 = (t1 - B^T z2) / alpha.  ``blocks()`` holds the three SPD
-    blocks alpha I + A, alpha I + C and alpha^2 I + B B^T, each
-    assembled once as a CsrMatrix (B B^T by
-    ``sparse.gram_plus_identity``): in CG mode inner CG applies them
-    with one ``spmv`` per step, and they are assembled on the first
-    call; in direct mode the constructor factors them
-    (``factor.cholesky``).
+    z1 = (t1 - B^T z2) / alpha.  ``blocks``, a
+    ``functools.cached_property``, assembles the three SPD blocks
+    alpha I + A, alpha I + C and alpha^2 I + B B^T once as CsrMatrix
+    (B B^T by ``sparse.gram_plus_identity``) and, in direct mode,
+    factors them (``factor.cholesky``).  Direct mode reads it in the
+    constructor, so a block that is not SPD fails there; CG mode reads
+    it on the first ``apply`` and applies each block with one ``spmv``
+    per inner CG step.
     """
 
     def __init__(self, sys, spec):
         if spec.kind != "hss":
             raise ValueError(f"expected an hss spec, got {spec.kind!r}")
         super().__init__(sys, spec)
-        self._blocks = None
         if spec.inner == "direct":
-            self._blocks = [factor.cholesky(M) for M in self._assemble()]
+            self.blocks  # factored now, so a block that is not SPD fails here
 
-    def _assemble(self):
-        a, sys = self.spec.alpha, self.sys
-        return [add_scaled_identity(sys.A, a), add_scaled_identity(sys.C, a),
-                gram_plus_identity(sys.B, a * a)]
-
+    @cached_property
     def blocks(self):
-        # racing first calls can only store identical matrices
-        if self._blocks is None:
-            self._blocks = self._assemble()
-        return self._blocks
+        a, sys = self.spec.alpha, self.sys
+        blocks = [add_scaled_identity(sys.A, a), add_scaled_identity(sys.C, a),
+                  gram_plus_identity(sys.B, a * a)]
+        if self.spec.inner == "direct":
+            blocks = [factor.cholesky(M) for M in blocks]
+        return blocks
 
     def apply(self, r):
         r1, r2 = self._split(r)
         a = self.spec.alpha
         B = self.sys.B
-        shifted_A, shifted_C, shifted_BBt = self.blocks()
+        shifted_A, shifted_C, shifted_BBt = self.blocks
         t1 = self._spd_solve(shifted_A, r1)
         t2 = self._spd_solve(shifted_C, r2)
         z2 = self._spd_solve(shifted_BBt, a * t2 + spmv(B, t1))

@@ -169,19 +169,18 @@ def generate_random_saddle(n, m, density=0.3, seed=0):
     A = W W^T + n I for a sparse random W (positive definite), B has a
     positive diagonal in its left m x m block (full row rank), and
     C = V V^T with rank floor(m/2) (genuinely semidefinite).  Fixed
-    seeds give bitwise identical systems.
+    seeds give bitwise identical systems under every BLAS kernel: the
+    Gram products are einsum sums, no BLAS call, and exactly symmetric.
     """
     if m > n:
         raise ValueError("m <= n is required")
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
-    Ad = W @ W.T + n * np.eye(n)
-    Ad = 0.5 * (Ad + Ad.T)
+    Ad = np.einsum("ik,jk->ij", W, W) + n * np.eye(n)
     Bd = np.hstack([np.diag(rng.uniform(0.5, 1.5, size=m)),
                     rng.standard_normal((m, n - m)) * (rng.random((m, n - m)) < density)])
     V = rng.standard_normal((m, m // 2))
-    Cd = V @ V.T
-    Cd = 0.5 * (Cd + Cd.T)
+    Cd = np.einsum("ik,jk->ij", V, V)
     f = rng.standard_normal(n)
     g = rng.standard_normal(m)
     return SaddleSystem(

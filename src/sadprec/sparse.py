@@ -12,6 +12,7 @@ and B of size m x n, m <= n.  All arithmetic is float64.
 """
 
 import os
+from functools import cached_property
 
 import numpy as np
 
@@ -62,12 +63,15 @@ class CsrMatrix:
     arrays are never mutated after construction, so instances can be
     shared freely between threads.
 
-    Products use one of two layouts, each built on first use and
-    cached.  A banded matrix whose stored entries lie on no more
-    diagonals than its widest row has entries, with at least 2 rows and
-    2**14 slots (rows x widest row), is multiplied along its diagonals:
-    8 bytes x diagonals x rows, no index array (the Stokes A and
-    alpha I + A from q=32 on, alpha^2 I + B B^T from q=64 on).  Any other
+    Products use one of two layouts, each a ``functools.cached_property``
+    (``_diagonals``, ``_padded_rows``; ``_padded_cols`` for the
+    transpose): built on first use, never by a constructor, and then
+    read as a plain attribute.  A banded matrix whose stored entries
+    lie on no more diagonals than its widest row has entries, with at
+    least 2 rows and 2**14 slots (rows x widest row), is multiplied
+    along its diagonals: 8 bytes x diagonals x rows, no index array
+    (the Stokes A and alpha I + A from q=32 on, alpha^2 I + B B^T from
+    q=64 on).  Any other
     matrix, and a banded one whose operand holds inf or NaN, uses its
     rows padded to the widest one (an ELLPACK layout): 16 bytes x rows
     x widest row (an int64 index and a float64 value per slot), about
@@ -82,10 +86,6 @@ class CsrMatrix:
         self.row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
         self.col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
-        self._row_of = None
-        self._padded = None     # rows padded to the widest, built by the first spmv
-        self._padded_t = None   # the same for the transpose, built by the first spmv_transpose
-        self._diagonal = None   # the diagonal layout or False, decided by the first spmv
         self._validate()
 
     # -- construction -------------------------------------------------
@@ -142,44 +142,40 @@ class CsrMatrix:
         return (self.nrows, self.ncols)
 
     def to_triplets(self):
-        return self._rows().copy(), self.col_idx.copy(), self.values.copy()
+        return self._rows.copy(), self.col_idx.copy(), self.values.copy()
 
     def transpose(self):
-        return CsrMatrix.from_triplets(self.ncols, self.nrows, self.col_idx, self._rows(), self.values)
+        return CsrMatrix.from_triplets(self.ncols, self.nrows, self.col_idx, self._rows, self.values)
 
     def __repr__(self):
         return f"CsrMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
     # -- internals -----------------------------------------------------
 
+    @cached_property
     def _rows(self):
-        # expanded row index of every stored entry, cached lazily
-        if self._row_of is None:
-            self._row_of = np.repeat(
-                np.arange(self.nrows, dtype=np.int64), np.diff(self.row_ptr)
-            )
-        return self._row_of
+        # expanded row index of every stored entry
+        return np.repeat(np.arange(self.nrows, dtype=np.int64), np.diff(self.row_ptr))
 
     def _width(self):
         return int(np.diff(self.row_ptr).max(initial=0))
 
+    @cached_property
     def _padded_rows(self):
         # a column-major (width, max(nrows, 2)) index array and value
         # array: column i holds row i's entries in storage order, padded
         # to the widest row with index ncols (the zero slot
         # _padded_product appends to x) and value 0.0.  With one column
         # numpy would sum it pairwise, not left to right.
-        if self._padded is None:
-            rows = self._rows()
-            width = self._width()
-            idx = np.full((width, max(self.nrows, 2)), self.ncols, dtype=np.int64)
-            val = np.zeros(idx.shape)
-            slot = np.arange(self.nnz) - self.row_ptr[rows]
-            idx[slot, rows] = self.col_idx
-            val[slot, rows] = self.values
-            self._padded = idx, val
-        return self._padded
+        rows = self._rows
+        idx = np.full((self._width(), max(self.nrows, 2)), self.ncols, dtype=np.int64)
+        val = np.zeros(idx.shape)
+        slot = np.arange(self.nnz) - self.row_ptr[rows]
+        idx[slot, rows] = self.col_idx
+        val[slot, rows] = self.values
+        return idx, val
 
+    @cached_property
     def _diagonals(self):
         # None, or the diagonal layout of a banded matrix: the window
         # start of each stored diagonal (offset col - row plus the zero
@@ -188,27 +184,24 @@ class CsrMatrix:
         # stores nothing, and the padded operand's length.  Taken only
         # when it holds no more slots than the padded-row layout and the
         # product is large enough to pay for it (_DIAGONAL_MIN_SLOTS).
-        if self._diagonal is None:
-            layout = False
-            width = self._width()
-            if self.nrows >= 2 and width * self.nrows >= _DIAGONAL_MIN_SLOTS:
-                rows = self._rows()
-                offsets, which = np.unique(self.col_idx - rows, return_inverse=True)
-                if offsets.size <= width:
-                    val = np.zeros((offsets.size, self.nrows))
-                    val[which, rows] = self.values
-                    before = max(0, -int(offsets[0]))
-                    after = max(0, self.nrows + int(offsets[-1]) - self.ncols)
-                    layout = offsets + before, val, before, before + self.ncols + after
-            self._diagonal = layout
-        return self._diagonal or None
+        width = self._width()
+        if self.nrows < 2 or width * self.nrows < _DIAGONAL_MIN_SLOTS:
+            return None
+        rows = self._rows
+        offsets, which = np.unique(self.col_idx - rows, return_inverse=True)
+        if offsets.size > width:
+            return None
+        val = np.zeros((offsets.size, self.nrows))
+        val[which, rows] = self.values
+        before = max(0, -int(offsets[0]))
+        after = max(0, self.nrows + int(offsets[-1]) - self.ncols)
+        return offsets + before, val, before, before + self.ncols + after
 
+    @cached_property
     def _padded_cols(self):
         # the transpose keeps each column's entries in row order, the
         # order in which the transpose product adds them
-        if self._padded_t is None:
-            self._padded_t = self.transpose()._padded_rows()
-        return self._padded_t
+        return self.transpose()._padded_rows
 
     def _validate(self):
         if self.nrows < 0 or self.ncols < 0:
@@ -318,10 +311,10 @@ def spmv(M, x):
     a temporary of (diagonals or widest row) x rows x columns.
     """
     x = _check_operand(M, x, M.ncols)
-    diagonals = M._diagonals()
+    diagonals = M._diagonals
     if diagonals is not None and np.isfinite(x).all():
         return _diagonal_product(diagonals, x)
-    return _padded_product(M._padded_rows(), x, M.nrows)
+    return _padded_product(M._padded_rows, x, M.nrows)
 
 
 def spmv_transpose(M, x):
@@ -332,7 +325,7 @@ def spmv_transpose(M, x):
     x columns x widest column); the transposed matrix itself is not
     kept.
     """
-    return _padded_product(M._padded_cols(), _check_operand(M, x, M.nrows), M.ncols)
+    return _padded_product(M._padded_cols, _check_operand(M, x, M.nrows), M.ncols)
 
 
 def add_scaled_identity(M, s):
@@ -346,7 +339,7 @@ def add_scaled_identity(M, s):
     if M.nrows != M.ncols:
         raise ValueError("matrix must be square")
     diag = np.arange(M.nrows)
-    return CsrMatrix.from_triplets(M.nrows, M.ncols, np.concatenate([M._rows(), diag]),
+    return CsrMatrix.from_triplets(M.nrows, M.ncols, np.concatenate([M._rows, diag]),
                                    np.concatenate([M.col_idx, diag]),
                                    np.concatenate([M.values, np.full(M.nrows, float(s))]))
 
@@ -364,8 +357,8 @@ def gram_plus_identity(M, s):
     temporary of 16 bytes x rows x widest row x widest column.
     """
     m, n = M.nrows, M.ncols
-    idx, val = M._padded_rows()
-    tidx, tval = M._padded_cols()
+    idx, val = M._padded_rows
+    tidx, tval = M._padded_cols
     # one more column of the transposed layout for the row pads' index n
     tidx = np.hstack([tidx[:, :n], np.full((tidx.shape[0], 1), m)]).T
     tval = np.hstack([tval[:, :n], np.zeros((tval.shape[0], 1))]).T
@@ -393,7 +386,7 @@ def to_dense(M):
         )
     out = np.zeros((M.nrows, M.ncols))
     if M.nnz:
-        out[M._rows(), M.col_idx] = M.values
+        out[M._rows, M.col_idx] = M.values
     return out
 
 

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factor
-from .precond import MgssApplicator, PrecondSpec, shift_diagonal
+from .precond import MgssApplicator, PrecondSpec
 from .sparse import assemble_block_saddle, to_dense
+from .stationary import IterationMatrixOperator
 
 __all__ = [
     "Spectrum",
@@ -127,12 +128,10 @@ def power_spectral_radius(op, iters=100, restarts=5, seed=20240613):
 def gamma_dense(sys, alpha, beta):
     """Dense iteration matrix Gamma = M^{-1} Sigma - I = (Sigma + K)^{-1} (Sigma - K).
 
-    One direct mgss solve with the columns of Sigma; the dense form of
-    ``stationary.IterationMatrixOperator``.
+    ``stationary.IterationMatrixOperator`` applied to the identity: one
+    direct mgss solve with the columns of Sigma.
     """
-    spec = PrecondSpec("mgss", alpha=alpha, beta=beta, inner="direct")
-    sigma = np.diag(shift_diagonal(sys, spec))
-    return MgssApplicator(sys, spec).apply(sigma) - np.eye(sys.order)
+    return IterationMatrixOperator(sys, alpha, beta)(np.eye(sys.order))
 
 
 def mgss_preconditioned_dense(sys, alpha, beta):

@@ -8,7 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from sadprec.cli import DEFAULT_SHIFTS, _csv_text, main
+from sadprec.cli import DEFAULT_SHIFTS, _csv_text, _rule, build_parser, main
+from sadprec.krylov import StoppingRule
 from sadprec.precond import make_preconditioner
 from sadprec.problems import load_bundle, save_bundle
 from sadprec.sparse import CsrMatrix, SaddleSystem
@@ -67,6 +68,10 @@ class TestGenerate:
 
 
 class TestSolve:
+    def test_solver_defaults_are_the_stopping_rule_defaults(self):
+        args = build_parser().parse_args(["solve", "--in", "b", "--method", "mgss"])
+        assert _rule(args) == StoppingRule()
+
     def test_toy_rmgss_two_steps(self, tmp_path, capsys):
         bundle = toy_bundle(tmp_path)
         rc = main(

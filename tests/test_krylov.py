@@ -221,7 +221,7 @@ class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_cg_non_finite_rhs_raises(self, bad):
         with pytest.raises(ValueError, match="right-hand side"):
-            cg(CsrMatrix.from_dense(np.eye(3)), np.array([1.0, bad, 0.0]))
+            cg(CsrMatrix.from_dense(np.eye(3)), np.array([1.0, bad, 0.0]), 100.0, 40)
 
     def test_gmres_nan_rhs_raises(self):
         with pytest.raises(ValueError, match="right-hand side has a non-finite entry"):

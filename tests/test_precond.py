@@ -233,10 +233,10 @@ class TestHssAssembledBlocks:
     def test_cg_blocks_assembled_on_first_apply(self):
         sys_ = generate_random_saddle(30, 12, seed=2)
         app = HssApplicator(sys_, PrecondSpec("hss", alpha=0.3))
-        assert app._blocks is None
+        assert "blocks" not in vars(app)
         app.apply(np.ones(sys_.order))
-        shifted_A, shifted_C, shifted_BBt = app.blocks()
-        assert all(isinstance(M, CsrMatrix) for M in app.blocks())
+        shifted_A, shifted_C, shifted_BBt = app.blocks
+        assert all(isinstance(M, CsrMatrix) for M in app.blocks)
         Bd = to_dense(sys_.B)
         assert np.allclose(to_dense(shifted_A), to_dense(sys_.A) + 0.3 * np.eye(30), rtol=0, atol=1e-15)
         assert np.allclose(to_dense(shifted_C), to_dense(sys_.C) + 0.3 * np.eye(12), rtol=0, atol=1e-15)
@@ -262,7 +262,7 @@ class TestHssAssembledBlocks:
             prec = make_preconditioner(sys_, PrecondSpec("hss", alpha=0.1))
             rule = StoppingRule(rel_tol=1e-9, max_outer=2000, restart=5)
             report = gmres_restarted(saddle_operator(sys_), sys_.rhs(), prec, rule)
-            layouts = [M._diagonals() is not None for M in (sys_.A, *prec.blocks())]
+            layouts = [M._diagonals is not None for M in (sys_.A, *prec.blocks)]
             return report, layouts
 
         diagonal, diagonal_layouts = solve()
@@ -509,7 +509,7 @@ class TestNoConstraintsPaths:
         sys_ = no_constraints()
         app = HssApplicator(sys_, PrecondSpec("hss", alpha=0.6, inner=inner))
         r1 = np.random.default_rng(6).standard_normal(sys_.n)
-        shifted_A = app.blocks()[0]
+        shifted_A = app.blocks[0]
         if inner == "cg":
             t1 = cg(shifted_A, r1, 100.0, 40).solution
         else:

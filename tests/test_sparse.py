@@ -466,14 +466,14 @@ class TestDiagonalLayout:
     @pytest.mark.parametrize("case", list(diagonal_cases()), ids=lambda c: c[0])
     def test_same_bits_as_padded_product(self, case):
         M = case[1]()
-        assert M._diagonals() is not None
+        assert M._diagonals is not None
         rng = np.random.default_rng(M.nrows + M.ncols)
         X = wide_range_columns(rng, M.ncols, k=5)
         block = spmv(M, X)
-        assert np.array_equal(block, _padded_product(M._padded_rows(), X, M.nrows))
+        assert np.array_equal(block, _padded_product(M._padded_rows, X, M.nrows))
         for j in range(X.shape[1]):
             y = spmv(M, X[:, j])
-            assert np.array_equal(y, _padded_product(M._padded_rows(), X[:, j], M.nrows))
+            assert np.array_equal(y, _padded_product(M._padded_rows, X[:, j], M.nrows))
             assert np.array_equal(y, block[:, j])
 
     @pytest.mark.parametrize("case", [c for c in diagonal_cases()
@@ -485,7 +485,7 @@ class TestDiagonalLayout:
         # Column 3 is read by row 3, empty in the band matrices and an
         # identity row of the Stokes A, through its main diagonal.
         M = case[1]()
-        assert M._diagonals() is not None
+        assert M._diagonals is not None
         rng = np.random.default_rng(7)
         X = wide_range_columns(rng, M.ncols, k=3)
         X[[3, M.ncols // 3], 0] = np.inf
@@ -502,7 +502,7 @@ class TestDiagonalLayout:
         assert {"diagonals": M.nrows >= 2 and slots >= sparse._DIAGONAL_MIN_SLOTS,
                 "slots": M.nrows >= 2 and slots < sparse._DIAGONAL_MIN_SLOTS,
                 "rows": M.nrows == 1 and slots >= sparse._DIAGONAL_MIN_SLOTS}[rule]
-        assert M._diagonals() is None
+        assert M._diagonals is None
         rng = np.random.default_rng(M.nrows + M.ncols)
         assert_matches_bincount(M, wide_range_columns(rng, M.ncols, k=2),
                                 wide_range_columns(rng, M.nrows, k=1))

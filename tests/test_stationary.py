@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sadprec.krylov import StoppingRule, saddle_operator, stationary_richardson
-from sadprec.precond import MgssApplicator, PrecondSpec, dense_preconditioner_matrix
+from sadprec.precond import MgssApplicator, PrecondSpec, dense_preconditioner_matrix, shift_diagonal
 from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
 from sadprec.sparse import CsrMatrix, SaddleSystem, assemble_block_saddle, to_dense
 from sadprec.spectral import gamma_dense, power_spectral_radius
@@ -67,6 +67,15 @@ class TestGammaOperator:
     def test_gamma_dense_equals_m_inverse_n(self, make, alpha, beta):
         sys_ = make()
         assert rel_err(gamma_dense(sys_, alpha, beta), m_inverse_n(sys_, alpha, beta)) <= 1e-12
+
+    @pytest.mark.parametrize("make,alpha,beta", GAMMA_CASES)
+    def test_gamma_dense_is_the_solve_with_sigma(self, make, alpha, beta):
+        # the operator on the identity has the bits of one direct mgss
+        # solve with the columns of Sigma, minus I
+        sys_ = make()
+        spec = PrecondSpec("mgss", alpha=alpha, beta=beta, inner="direct")
+        want = MgssApplicator(sys_, spec).apply(np.diag(shift_diagonal(sys_, spec))) - np.eye(sys_.order)
+        assert gamma_dense(sys_, alpha, beta).tobytes() == want.tobytes()
 
     def test_one_preconditioner_solve_and_no_saddle_matvec(self, monkeypatch):
         sys_ = generate_random_saddle(18, 7, seed=6)
