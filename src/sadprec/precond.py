@@ -16,6 +16,9 @@ Four kinds; the first three share one ``apply(r) -> P^{-1} r`` interface:
   ``make_preconditioner`` returns None, which the Krylov solvers take
   as no preconditioner.
 
+``SHIFTS`` holds the shifts each kind takes at their Table-2 values; a
+``PrecondSpec`` shift left None takes that value.
+
 Every SPD sub-solve of an elimination (the Schur matrix for mgss and
 rmgss; alpha I + A, alpha I + C and alpha^2 I + B B^T for hss) runs
 either as an inner CG (``inner="cg"``, residual reduction 100, at most
@@ -60,8 +63,9 @@ __all__ = [
     "dense_preconditioner_matrix",
 ]
 
-# the shifts each kind takes; a kind's other shifts stay 0
-SHIFTS = {"mgss": ("alpha", "beta"), "rmgss": ("beta",), "hss": ("alpha",), "none": ()}
+# the shifts each kind takes, at their Table-2 values; a kind's other shifts stay 0
+SHIFTS = {"mgss": {"alpha": 0.001, "beta": 0.001}, "rmgss": {"beta": 0.001},
+          "hss": {"alpha": 0.1}, "none": {}}
 
 # the inner CG rule: stop at a residual reduction of 100 or after 40 steps
 _INNER_REDUCTION = 100.0
@@ -71,18 +75,20 @@ _INNER_MAX_ITERS = 40
 class PrecondSpec:
     """Preconditioner identity plus finite shift parameters and inner-solve mode.
 
-    A shift the kind takes (``SHIFTS[kind]``: alpha and beta for
-    ``mgss``, beta for ``rmgss``, alpha for ``hss``, none for ``none``)
-    must be > 0, and every other shift must be 0.  ``inner`` is
-    ``"cg"`` (the fixed factor-100 / 40-step inner CG rule) or
-    ``"direct"`` (dense Cholesky).
+    A shift the kind takes (a key of ``SHIFTS[kind]``) must be > 0, and
+    every other shift must be 0.  A shift left None takes its Table-2
+    value ``SHIFTS[kind][name]``, or 0 if the kind does not take it.
+    ``inner`` is ``"cg"`` (the fixed factor-100 / 40-step inner CG rule)
+    or ``"direct"`` (dense Cholesky).
     """
 
-    def __init__(self, kind, alpha=0.0, beta=0.0, inner="cg"):
+    def __init__(self, kind, alpha=None, beta=None, inner="cg"):
         if kind not in SHIFTS:
             raise ValueError(f"unknown preconditioner kind {kind!r}")
         if inner not in ("cg", "direct"):
             raise ValueError(f"inner solve must be 'cg' or 'direct', got {inner!r}")
+        alpha = SHIFTS[kind].get("alpha", 0.0) if alpha is None else alpha
+        beta = SHIFTS[kind].get("beta", 0.0) if beta is None else beta
         for name, shift in (("alpha", alpha), ("beta", beta)):
             if not np.isfinite(shift):
                 raise ValueError(f"shift {name} must be finite, got {shift}")

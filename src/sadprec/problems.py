@@ -74,7 +74,7 @@ _C_LOC = np.array(
 
 
 class StokesConfig:
-    """Grid resolution and stabilization settings for the Stokes generator."""
+    """Grid and stabilization settings; ``stab_param`` >= 0 and finite keeps C PSD."""
 
     def __init__(self, q, stab_param=0.25, pin_pressure=True):
         q = int(q)
@@ -82,6 +82,8 @@ class StokesConfig:
             raise ValueError("q must be an even integer >= 2 (macroelements need 2x2 tiles)")
         self.q = q
         self.stab_param = float(stab_param)
+        if not 0.0 <= self.stab_param < np.inf:
+            raise ValueError(f"stab_param must be finite and >= 0, got {self.stab_param}")
         self.pin_pressure = bool(pin_pressure)
 
 

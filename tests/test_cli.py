@@ -8,9 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from sadprec.cli import DEFAULT_SHIFTS, _csv_text, _rule, build_parser, main
+from sadprec.cli import _csv_text, _rule, build_parser, main
 from sadprec.krylov import StoppingRule
-from sadprec.precond import make_preconditioner
+from sadprec.precond import SHIFTS, PrecondSpec, make_preconditioner
 from sadprec.problems import load_bundle, save_bundle
 from sadprec.sparse import CsrMatrix, SaddleSystem
 
@@ -57,6 +57,12 @@ class TestGenerate:
         rc = main(["generate", "stokes", "--q", "3", "--out", str(tmp_path / "x")])
         assert rc != 0
         assert "error" in capsys.readouterr().err
+
+    def test_negative_stab_rejected_without_bundle(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        assert main(["generate", "stokes", "--q", "8", "--stab", "-40", "--out", str(out)]) == 2
+        assert "stab_param must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_other_generators_options_rejected(self, tmp_path, capsys):
         # each generator takes only its own options
@@ -107,10 +113,12 @@ class TestSolve:
     @pytest.mark.parametrize("method,shifts", [("mgss", (0.001, 0.001)), ("rmgss", (0.0, 0.001)),
                                                ("hss", (0.1, 0.0)), ("none", (0.0, 0.0))])
     def test_unset_shifts_default(self, tmp_path, capsys, method, shifts):
+        # the CLI passes no shift on, so PrecondSpec fills in the Table-2 values
         bundle = toy_bundle(tmp_path)
         main(["solve", "--in", bundle, "--method", method])
         rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert (rec["alpha"], rec["beta"]) == shifts
+        spec = PrecondSpec(method)
+        assert (rec["alpha"], rec["beta"]) == shifts == (spec.alpha, spec.beta)
 
     def test_hss_default_shift_converges(self, tmp_path, capsys):
         # hss defaults to the Table-2 alpha 0.1; at 0.001 it stagnates here
@@ -300,8 +308,8 @@ class TestSweep:
         # a shift without a grid is swept at its default: one point for hss
         # without a grid, the alpha grid times the default beta for mgss
         bundle = toy_bundle(tmp_path)
-        beta = DEFAULT_SHIFTS["mgss"]
-        for method, grid, shifts in (("hss", [], [(DEFAULT_SHIFTS["hss"], 0.0)]),
+        beta = SHIFTS["mgss"]["beta"]
+        for method, grid, shifts in (("hss", [], [(SHIFTS["hss"]["alpha"], 0.0)]),
                                      ("mgss", ["--alpha-grid", "0.5:1:2"], [(0.5, beta), (1.0, beta)])):
             assert main(["sweep", "--in", bundle, "--method", method, *grid]) == 0
             rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
@@ -351,8 +359,9 @@ class TestSpectrum:
     def test_unset_shifts_default(self, tmp_path, capsys):
         # an operator takes its preconditioner's default shifts, as solve does
         bundle = toy_bundle(tmp_path)
-        mgss, rmgss = str(DEFAULT_SHIFTS["mgss"]), str(DEFAULT_SHIFTS["rmgss"])
-        for operator, given in (("gamma", ["--alpha", mgss, "--beta", mgss]), ("rmgss-prec", ["--beta", rmgss])):
+        mgss, rmgss = SHIFTS["mgss"], SHIFTS["rmgss"]
+        for operator, given in (("gamma", ["--alpha", str(mgss["alpha"]), "--beta", str(mgss["beta"])]),
+                                ("rmgss-prec", ["--beta", str(rmgss["beta"])])):
             unset, explicit = tmp_path / f"{operator}-unset.csv", tmp_path / f"{operator}-given.csv"
             assert main(["spectrum", "--in", bundle, "--operator", operator, "--csv", str(unset)]) == 0
             assert main(["spectrum", "--in", bundle, "--operator", operator, *given,
@@ -360,7 +369,7 @@ class TestSpectrum:
             assert unset.read_text() == explicit.read_text()
         # the toy's mu is 1/2, so rmgss-prec has 1 and mu / (beta + mu)
         vals = sorted(float(row.split(",")[0]) for row in unset.read_text().splitlines()[1:])
-        beta = DEFAULT_SHIFTS["rmgss"]
+        beta = rmgss["beta"]
         assert np.allclose(vals, [0.5 / (beta + 0.5), 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("operator,shift", [
@@ -444,7 +453,7 @@ class TestBench:
                      "--csv", str(csv_path)]) == 0
         rows = list(csv.DictReader(csv_path.read_text().splitlines()))
         assert [(row["method"], float(row["alpha"]), float(row["beta"])) for row in rows] == [
-            ("mgss", 0.05, DEFAULT_SHIFTS["mgss"]), ("hss", 0.05, 0.0)]
+            ("mgss", 0.05, SHIFTS["mgss"]["beta"]), ("hss", 0.05, 0.0)]
         capsys.readouterr()
         assert main(["bench", "--grids", "4", "--methods", "mgss", "rmgss", "--alpha", "0.05"]) == 2
         captured = capsys.readouterr()

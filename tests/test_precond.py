@@ -59,6 +59,20 @@ class TestPrecondSpec:
         with pytest.raises(ValueError):
             PrecondSpec("ilu")
 
+    @pytest.mark.parametrize("kind", precond.SHIFTS)
+    def test_omitted_shifts_take_table_values(self, kind):
+        spec = PrecondSpec(kind)
+        assert (spec.alpha, spec.beta) == (precond.SHIFTS[kind].get("alpha", 0.0),
+                                           precond.SHIFTS[kind].get("beta", 0.0))
+
+    def test_given_shift_still_checked(self):
+        with pytest.raises(ValueError, match="mgss requires alpha > 0"):
+            PrecondSpec("mgss", alpha=0.0)
+        with pytest.raises(ValueError, match="hss takes no beta"):
+            PrecondSpec("hss", beta=5.0)
+        spec = PrecondSpec("mgss", beta=0.5)
+        assert (spec.alpha, spec.beta) == (precond.SHIFTS["mgss"]["alpha"], 0.5)
+
     @pytest.mark.parametrize("kind,shifts,name", [
         ("mgss", {"alpha": np.inf, "beta": 1.0}, "alpha"),
         ("mgss", {"alpha": 1.0, "beta": np.inf}, "beta"),

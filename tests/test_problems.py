@@ -51,6 +51,16 @@ class TestStokesDimensions:
         with pytest.raises(ValueError):
             StokesConfig(0)
 
+    @pytest.mark.parametrize("stab", [-1.0, np.nan, np.inf])
+    def test_bad_stab_param_rejected(self, stab):
+        # C = stab_param h^2 / 4 times a PSD pattern must stay PSD
+        with pytest.raises(ValueError, match="stab_param must be finite and >= 0"):
+            StokesConfig(4, stab_param=stab)
+
+    def test_zero_stab_param_gives_zero_c(self):
+        sys_ = generate_stokes_q1p0(StokesConfig(4, stab_param=0.0, pin_pressure=False))
+        assert not np.any(to_dense(sys_.C))
+
     @pytest.mark.parametrize("q", [4, 8, 16])
     def test_macroelement_nnz_pattern(self, q):
         sys_ = generate_stokes_q1p0(StokesConfig(q, pin_pressure=False))
