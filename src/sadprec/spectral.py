@@ -15,13 +15,14 @@ so ``sparse.dense_cap()`` (``SADPREC_DENSE_CAP``) is the only limit on
 the order of a spectrum; the eigensolvers add none of their own.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import factor
 from .precond import MgssApplicator, PrecondSpec
-from .sparse import assemble_block_saddle, to_dense
+from .sparse import assemble_block_saddle, dense_cap, to_dense
 from .stationary import IterationMatrixOperator
 
 __all__ = [
@@ -109,18 +110,36 @@ def power_spectral_radius(op, iters=100, restarts=5, seed=20240613):
     growth ratio after ``iters`` applications.  The starts are iterated
     together as the columns of one ``(op.dim, restarts)`` block, so
     ``op`` must accept column blocks, as every operator sadprec builds
-    does.  A start or iterate of norm 0 scores 0.
+    does.  A start or iterate of norm 0 scores 0; a NaN or inf norm
+    raises ``ValueError``.
+
+    When the operator has no more columns than the iteration would apply
+    it to (``op.dim <= iters * restarts``) and its dense matrix fits
+    ``sparse.dense_cap()``, it is applied once, to the identity, and the
+    iteration multiplies by that matrix instead.  This probe requires
+    ``op`` to be linear; every operator sadprec builds that accepts
+    blocks is (CG-mode preconditioners reject them).
     """
     if iters < 1 or restarts < 1:
         raise ValueError(f"iters and restarts must be at least 1, got {iters} and {restarts}")
+    if op.dim <= iters * restarts and op.dim ** 2 <= dense_cap():
+        G = op(np.eye(op.dim))
+        if not np.isfinite(G).all():
+            raise ValueError("the probed operator matrix holds NaN or inf")
+        apply = G.__matmul__
+    else:
+        apply = op
     rng = np.random.default_rng(seed)
     # the same numbers as drawing the starts one after another
     V = rng.standard_normal((restarts, op.dim)).T
     norms = np.linalg.norm(V, axis=0)
     live = norms > 0.0
     for _ in range(iters):
-        V = op(V / np.where(live, norms, 1.0))
+        V = apply(V / np.where(live, norms, 1.0))
         norms = np.linalg.norm(V, axis=0)
+        top = norms.max()
+        if not math.isfinite(top):
+            raise ValueError(f"power iterate norm is {top}: the operator produced NaN or inf")
         live &= norms > 0.0
     return float(np.max(norms, where=live, initial=0.0))
 
@@ -128,10 +147,10 @@ def power_spectral_radius(op, iters=100, restarts=5, seed=20240613):
 def gamma_dense(sys, alpha, beta):
     """Dense iteration matrix Gamma = M^{-1} Sigma - I = (Sigma + K)^{-1} (Sigma - K).
 
-    ``stationary.IterationMatrixOperator`` applied to the identity: one
-    direct mgss solve with the columns of Sigma.
+    ``stationary.IterationMatrixOperator.dense``: one direct mgss solve
+    with the columns of Sigma.
     """
-    return IterationMatrixOperator(sys, alpha, beta)(np.eye(sys.order))
+    return IterationMatrixOperator(sys, alpha, beta).dense()
 
 
 def mgss_preconditioned_dense(sys, alpha, beta):

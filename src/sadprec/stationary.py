@@ -8,8 +8,9 @@ runs with an ``MgssApplicator``.  Its iteration matrix
 
     Gamma = M^{-1} N = (Sigma + K)^{-1} (Sigma - K) = M^{-1} Sigma - I
 
-is exposed here as an operator, for ``spectral.power_spectral_radius``,
-and never assembled outside of column-probe use in tests and spectra.
+is exposed here as an operator.  ``dense`` assembles it for
+``spectral.gamma_dense``, and ``spectral.power_spectral_radius`` probes
+it with the identity when its order is small enough.
 """
 
 import numpy as np
@@ -37,3 +38,13 @@ class IterationMatrixOperator(LinearOperator):
         v = np.asarray(v, dtype=np.float64)
         shift = self._shift if v.ndim == 1 else self._shift[:, None]
         return self._prec.apply(shift * v) - v
+
+    def dense(self):
+        """Gamma as an array: one solve with the columns of Sigma, then I subtracted in place.
+
+        The same bits as applying the operator to the identity, with one
+        order x order array fewer alive during the solve.
+        """
+        gamma = self._prec.apply(np.diag(self._shift))
+        gamma[np.diag_indices_from(gamma)] -= 1.0
+        return gamma

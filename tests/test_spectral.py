@@ -126,26 +126,79 @@ class TestPowerRadius:
         assert est >= 0.99 * rho
 
 
-    @pytest.mark.parametrize("make", [
-        lambda: generate_stokes_q1p0(StokesConfig(8, pin_pressure=True)),
-        lambda: generate_random_saddle(60, 24, seed=12),
-    ], ids=["stokes8-pinned", "random60x24"])
-    def test_block_matches_per_restart_loop(self, make):
+    # order 225 and 84, at most iters * restarts = 500: the plain ids take
+    # the probe path, and a zero dense cap forces the operator path
+    @pytest.mark.parametrize("make,cap", [
+        pytest.param(make, cap, id=name + suffix)
+        for suffix, cap in (("", None), ("-operator", "0"))
+        for name, make in (
+            ("stokes8-pinned", lambda: generate_stokes_q1p0(StokesConfig(8, pin_pressure=True))),
+            ("random60x24", lambda: generate_random_saddle(60, 24, seed=12)),
+        )
+    ])
+    def test_block_matches_per_restart_loop(self, make, cap, monkeypatch):
         # block products and column norms round differently from the
         # vector ones, so the estimates agree to rounding, not bitwise
         op = IterationMatrixOperator(make(), 0.1, 0.1)
-        est, ref = power_spectral_radius(op), power_radius_loop(op)
+        ref = power_radius_loop(op)
+        if cap is not None:
+            monkeypatch.setenv("SADPREC_DENSE_CAP", cap)
+        est = power_spectral_radius(op)
         assert abs(est - ref) <= 1e-13 * ref
+
+    def test_small_operator_is_probed_once_with_the_identity(self):
+        op = IterationMatrixOperator(generate_random_saddle(60, 24, seed=12), 0.1, 0.1)
+        counted, operands = counting(op)
+        est = power_spectral_radius(counted)
+        assert len(operands) == 1 and np.array_equal(operands[0], np.eye(op.dim))
+        assert est == power_spectral_radius(op)
+
+    def test_operator_with_more_columns_than_steps_is_iterated(self):
+        # 40 steps of 5 starts apply it to 200 columns, fewer than its 225
+        op = IterationMatrixOperator(generate_stokes_q1p0(StokesConfig(8, pin_pressure=True)), 0.1, 0.1)
+        counted, operands = counting(op)
+        power_spectral_radius(counted, iters=40, restarts=5)
+        assert [x.shape for x in operands] == [(225, 5)] * 40
+
+    def test_dense_cap_zero_forces_the_operator_path(self, monkeypatch):
+        op = IterationMatrixOperator(generate_stokes_q1p0(StokesConfig(8, pin_pressure=True)), 0.1, 0.1)
+        probed = power_spectral_radius(op)
+        monkeypatch.setenv("SADPREC_DENSE_CAP", "0")
+        counted, operands = counting(op)
+        iterated = power_spectral_radius(counted)
+        assert len(operands) == 100
+        assert abs(probed - iterated) <= 1e-13 * probed
 
     def test_zero_operator_scores_zero(self):
         op = LinearOperator(6, np.zeros_like)
         assert power_spectral_radius(op) == 0.0 == power_radius_loop(op)
+
+    @pytest.mark.parametrize("cap", [None, "0"], ids=["probe", "operator"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_operator_raises(self, value, cap, monkeypatch):
+        # a NaN column norm used to drop out of the score and read as 0
+        if cap is not None:
+            monkeypatch.setenv("SADPREC_DENSE_CAP", cap)
+        op = LinearOperator(6, lambda x: np.full_like(x, value))
+        with pytest.raises(ValueError, match="NaN or inf"):
+            power_spectral_radius(op)
 
     @pytest.mark.parametrize("kwargs", [{"iters": 0}, {"restarts": 0}])
     def test_no_iterations_or_restarts_raises(self, kwargs):
         op = as_operator(CsrMatrix.identity(3))
         with pytest.raises(ValueError, match="at least 1"):
             power_spectral_radius(op, **kwargs)
+
+
+def counting(op):
+    """``op`` wrapped so that every operand it is applied to is recorded."""
+    operands = []
+
+    def apply(x):
+        operands.append(np.array(x))
+        return op(x)
+
+    return LinearOperator(op.dim, apply), operands
 
 
 def power_radius_loop(op, iters=100, restarts=5, seed=20240613):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,23 @@ class TestGammaOperator:
         spec = PrecondSpec("mgss", alpha=alpha, beta=beta, inner="direct")
         want = MgssApplicator(sys_, spec).apply(np.diag(shift_diagonal(sys_, spec))) - np.eye(sys_.order)
         assert gamma_dense(sys_, alpha, beta).tobytes() == want.tobytes()
+
+    def test_gamma_dense_never_holds_the_identity(self):
+        # the old formula applied the operator to the identity and so kept
+        # I and Sigma I alive together through the solve
+        sys_ = generate_stokes_q1p0(StokesConfig(8, pin_pressure=True))
+        gamma_dense(sys_, 0.1, 0.1)  # builds the system's lazy layouts outside the traces
+
+        def peak(build):
+            tracemalloc.start()
+            try:
+                build()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        old = peak(lambda: IterationMatrixOperator(sys_, 0.1, 0.1)(np.eye(sys_.order)))
+        assert peak(lambda: gamma_dense(sys_, 0.1, 0.1)) < old
 
     def test_one_preconditioner_solve_and_no_saddle_matvec(self, monkeypatch):
         sys_ = generate_random_saddle(18, 7, seed=6)
