@@ -8,18 +8,17 @@ whole story of why the shift-splitting preconditioners work.
 
 import numpy as np
 
-from sadprec import StokesConfig, dense_eigen_real_schur, generate_stokes_q1p0, to_dense
-from sadprec.sparse import assemble_block_saddle
-from sadprec.spectral import mgss_preconditioned_dense, rmgss_preconditioned_dense
+from sadprec import PrecondSpec, StokesConfig, dense_eigen_real_schur, generate_stokes_q1p0
+from sadprec.spectral import preconditioned_dense
 
 BETA = 0.001
 sys_ = generate_stokes_q1p0(StokesConfig(8))
 print(f"stokes 8x8, order {sys_.order}, shifts alpha = beta = {BETA}")
 
 jobs = {
-    "saddle": to_dense(assemble_block_saddle(sys_)),
-    "mgss": mgss_preconditioned_dense(sys_, BETA, BETA),
-    "rmgss": rmgss_preconditioned_dense(sys_, BETA),
+    "saddle": preconditioned_dense(sys_, PrecondSpec("none")),
+    "mgss": preconditioned_dense(sys_, PrecondSpec("mgss", BETA, BETA)),
+    "rmgss": preconditioned_dense(sys_, PrecondSpec("rmgss", beta=BETA)),
 }
 for name, matrix in jobs.items():
     spec = dense_eigen_real_schur(matrix)

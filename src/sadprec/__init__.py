@@ -41,7 +41,6 @@ from .sparse import (
     CsrMatrix,
     SaddleSystem,
     assemble_block_saddle,
-    norm2,
     spmv,
     spmv_transpose,
     to_dense,

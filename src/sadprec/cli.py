@@ -24,7 +24,6 @@ import numpy as np
 from . import problems, spectral
 from .krylov import StoppingRule, gmres_restarted, saddle_operator, stationary_richardson
 from .precond import SHIFTS, PrecondSpec, make_preconditioner
-from .sparse import assemble_block_saddle, to_dense
 
 TIMING_SCOPE = "solver call only"
 
@@ -68,10 +67,6 @@ def _csv_text(records, optimal=None):
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows([names] + rows)
     return out.getvalue()
-
-
-class CliError(Exception):
-    pass
 
 
 def _load(indir):
@@ -136,7 +131,7 @@ def cmd_generate(args):
 def cmd_solve(args):
     sys_, problem_id = _load(args.indir)
     if args.stationary and args.method != "mgss":
-        raise CliError("--stationary runs the mgss splitting scheme; use --method mgss")
+        raise ValueError("--stationary runs the mgss splitting scheme; use --method mgss")
     spec = PrecondSpec(args.method, args.alpha, args.beta, args.inner)
     record = _solve_once(sys_, problem_id, spec, _rule(args), args.stationary)
     print(json.dumps(asdict(record), sort_keys=True))
@@ -168,13 +163,9 @@ def cmd_sweep(args):
              for alpha, beta in itertools.product(*grids)]
     rule = _rule(args)
     records = [_solve_once(sys_, problem_id, spec, rule) for spec in specs]
-    best = None
-    for idx, rec in enumerate(records):
-        if not rec.converged:
-            continue
-        # ties resolve to the earliest grid point so reruns agree
-        if best is None or rec.it < records[best].it:
-            best = idx
+    # min keeps the earliest of tied grid points, so reruns agree
+    best = min((idx for idx, rec in enumerate(records) if rec.converged),
+               key=lambda idx: records[idx].it, default=None)
     text = _csv_text(records, [idx == best for idx in range(len(records))])
     if args.csv:
         pathlib.Path(args.csv).write_text(text)
@@ -184,14 +175,14 @@ def cmd_sweep(args):
 
 # -- spectrum -------------------------------------------------------------
 
-# each operator: the preconditioner kind whose shifts it takes, and the
-# function of the system and those shifts that forms its dense matrix
-# (none for the predicted spectrum, which is not computed from a matrix)
+# each operator: the preconditioner kind whose shifts it takes, and the function
+# of the system and its direct-mode spec that forms the dense matrix (none for
+# the predicted spectrum, which is not computed from a matrix)
 _OPERATORS = {
-    "saddle": ("none", lambda sys_: to_dense(assemble_block_saddle(sys_))),
-    "mgss-prec": ("mgss", spectral.mgss_preconditioned_dense),
-    "rmgss-prec": ("rmgss", spectral.rmgss_preconditioned_dense),
-    "gamma": ("mgss", spectral.gamma_dense),
+    "saddle": ("none", spectral.preconditioned_dense),
+    "mgss-prec": ("mgss", spectral.preconditioned_dense),
+    "rmgss-prec": ("rmgss", spectral.preconditioned_dense),
+    "gamma": ("mgss", lambda sys_, spec: spectral.gamma_dense(sys_, spec.alpha, spec.beta)),
     "rmgss-predicted": ("rmgss", None),
 }
 
@@ -200,11 +191,10 @@ def cmd_spectrum(args):
     sys_, _ = problems.load_bundle(args.indir)
     kind, dense = _OPERATORS[args.operator]
     prec = PrecondSpec(kind, args.alpha, args.beta, "direct")
-    shifts = [getattr(prec, name) for name in SHIFTS[kind]]
     if dense is None:
-        spec = spectral.predicted_rmgss_spectrum(sys_, *shifts)
+        spec = spectral.predicted_rmgss_spectrum(sys_, prec.beta)
     else:
-        spec = spectral.dense_eigen_real_schur(dense(sys_, *shifts))
+        spec = spectral.dense_eigen_real_schur(dense(sys_, prec))
     spec.save_csv(args.csv)
     gp_path = args.gnuplot or (os.path.splitext(args.csv)[0] + ".gp")
     _write_gnuplot(gp_path, args.csv, args.operator)
@@ -347,7 +337,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

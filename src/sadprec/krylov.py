@@ -7,11 +7,12 @@ handled without any linearity assumption.  Convergence tests use the
 true residual norm ||b - A x||, recomputed at every restart boundary.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import CsrMatrix, norm2, spmv
+from .sparse import CsrMatrix, spmv
 
 __all__ = [
     "LinearOperator",
@@ -35,7 +36,7 @@ class LinearOperator:
     columns of shape ``(dim, k)``, and the result must have the
     operand's shape.  ``apply`` must accept both, as every operator
     sadprec builds does; the Krylov solvers pass vectors only, and
-    ``spectral.power_spectral_radius`` passes blocks.
+    ``spectral.power_spectral_radius`` passes blocks or calls ``dense``.
     """
 
     def __init__(self, dim, apply):
@@ -51,6 +52,10 @@ class LinearOperator:
                 f"for an operand of shape {shape}"
             )
         return y
+
+    def dense(self):
+        """The operator as an array: its columns applied to the identity."""
+        return self(np.eye(self.dim))
 
 
 def as_operator(M):
@@ -101,10 +106,11 @@ class StoppingRule:
     def __post_init__(self):
         if not 0 < self.rel_tol < np.inf:  # NaN fails too
             raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        if self.restart < 1:
-            raise ValueError("restart must be at least 1")
-        if self.max_outer < 0:
-            raise ValueError("max_outer must be non-negative")
+        for name, low in (("restart", 1), ("max_outer", 0)):
+            value = getattr(self, name)
+            # bool is an int subclass; numpy integers are Integral
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 def cg(op, b, reduction_factor, max_iters):
@@ -121,7 +127,7 @@ def cg(op, b, reduction_factor, max_iters):
     b = np.asarray(b, dtype=np.float64)
     r = b.copy()
     x = np.zeros(op.dim)
-    rn0 = norm2(r)
+    rn0 = float(np.linalg.norm(r))
     if not np.isfinite(rn0):
         raise ValueError(f"right-hand side norm is {rn0}: an entry is NaN or inf, or the norm overflows")
     history = [rn0]
@@ -177,7 +183,7 @@ def gmres_restarted(op, b, precond=None, rule=None):
     rule = rule or StoppingRule()
     b = _finite_rhs(b)
     dim = op.dim
-    bn = norm2(b)
+    bn = float(np.linalg.norm(b))
     inner0 = getattr(precond, "inner_iterations", 0)
     x = np.zeros(dim)
     if bn == 0.0:
@@ -209,7 +215,7 @@ def gmres_restarted(op, b, precond=None, rule=None):
             for i in range(j + 1):
                 H[i, j] = float(np.dot(V[:, i], w))
                 w -= H[i, j] * V[:, i]
-            hj = norm2(w)
+            hj = float(np.linalg.norm(w))
             H[j + 1, j] = hj
             happy = hj <= 1e-14 * max(1.0, float(np.max(np.abs(H[: j + 1, j]))))
             if not happy:
@@ -253,7 +259,7 @@ def _true_residual(op, b, x):
     # one scalar check per restart catches NaN or inf from the operator
     # or the preconditioner, which every later comparison would let through
     r = b - op(x)
-    rn = norm2(r)
+    rn = float(np.linalg.norm(r))
     if not np.isfinite(rn):
         raise ValueError(
             f"true residual norm is {rn}: the operator or preconditioner produced NaN or inf"
@@ -285,7 +291,7 @@ def stationary_richardson(op, b, precond, rule=None):
     inner0 = getattr(precond, "inner_iterations", 0)
     x = np.zeros(op.dim)
     r = b.copy()
-    rn0 = norm2(r)
+    rn0 = float(np.linalg.norm(r))
     history = [rn0]
     if rn0 == 0.0:
         return SolveReport(True, 0, 0, history, x, "tolerance")

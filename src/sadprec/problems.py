@@ -208,11 +208,10 @@ def write_matrix_market(M, path):
     round trip.
     """
     rows, cols, vals = M.to_triplets()
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{M.nrows} {M.ncols} {rows.size}\n")
-        for r, c, v in zip(rows, cols, vals):
-            fh.write(f"{r + 1} {c + 1} {v:.17g}\n")
+    header = f"%%MatrixMarket matrix coordinate real general\n{M.nrows} {M.ncols} {rows.size}"
+    # float64 holds every index up to 2**53 exactly
+    np.savetxt(path, np.column_stack([rows + 1, cols + 1, vals]), fmt="%d %d %.17g",
+               header=header, comments="")
 
 
 def read_matrix_market(path):
@@ -279,9 +278,7 @@ def read_matrix_market(path):
 
 
 def write_vector(x, path):
-    with open(path, "w") as fh:
-        for v in np.asarray(x, dtype=np.float64):
-            fh.write(f"{v:.17g}\n")
+    np.savetxt(path, np.asarray(x, dtype=np.float64), fmt="%.17g")
 
 
 def read_vector(path):

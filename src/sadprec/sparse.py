@@ -25,7 +25,6 @@ __all__ = [
     "add_scaled_identity",
     "gram_plus_identity",
     "to_dense",
-    "norm2",
     "dense_cap",
 ]
 
@@ -388,10 +387,6 @@ def to_dense(M):
     if M.nnz:
         out[M._rows, M.col_idx] = M.values
     return out
-
-
-def norm2(x):
-    return float(np.linalg.norm(np.asarray(x, dtype=np.float64)))
 
 
 def _check_symmetric(M, name, rtol=1e-12):

@@ -10,6 +10,8 @@ consists of the eigenvalue 1 with multiplicity n together with
 mu_i / (beta + mu_i) where mu_i are the eigenvalues of
 C + B A^{-1} B^T.
 
+``preconditioned_dense`` is the one builder of P^{-1} K for every
+kind, and ``gamma_dense`` (``IterationMatrixOperator.dense``) of Gamma.
 Every dense matrix here is built from ``sparse.to_dense`` conversions,
 so ``sparse.dense_cap()`` (``SADPREC_DENSE_CAP``) is the only limit on
 the order of a spectrum; the eigensolvers add none of their own.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factor
-from .precond import MgssApplicator, PrecondSpec
+from .precond import PrecondSpec, make_preconditioner
 from .sparse import assemble_block_saddle, dense_cap, to_dense
 from .stationary import IterationMatrixOperator
 
@@ -35,12 +37,15 @@ __all__ = [
     "predicted_rmgss_spectrum",
     "iteration_matrix_check",
     "gamma_dense",
-    "mgss_preconditioned_dense",
+    "preconditioned_dense",
     "rmgss_preconditioned_dense",
 ]
 
 COMPUTED_DENSE = "COMPUTED_DENSE"
 PREDICTED = "PREDICTED"
+
+# the power iteration's steps, fixed-seed random starts, and seed
+_POWER_ITERS, _POWER_RESTARTS, _POWER_SEED = 100, 5, 20240613
 
 
 def _sorted_complex(vals):
@@ -60,10 +65,9 @@ class Spectrum:
         self.eigenvalues = _sorted_complex(self.eigenvalues)
 
     def save_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("re,im,source\n")
-            for lam in self.eigenvalues:
-                fh.write(f"{lam.real:.17g},{lam.imag:.17g},{self.source}\n")
+        lam = self.eigenvalues
+        np.savetxt(path, np.column_stack([lam.real, lam.imag]), fmt=f"%.17g,%.17g,{self.source}",
+                   header="re,im,source", comments="")
 
     def __len__(self):
         return self.eigenvalues.size
@@ -103,38 +107,35 @@ def dense_eigen_real_schur(M):
 # -- operator spectra ------------------------------------------------------
 
 
-def power_spectral_radius(op, iters=100, restarts=5, seed=20240613):
+def power_spectral_radius(op):
     """Power-iteration estimate of the spectral radius (lower biased).
 
-    The best estimate over ``restarts`` fixed-seed random starts of the
-    growth ratio after ``iters`` applications.  The starts are iterated
-    together as the columns of one ``(op.dim, restarts)`` block, so
-    ``op`` must accept column blocks, as every operator sadprec builds
-    does.  A start or iterate of norm 0 scores 0; a NaN or inf norm
-    raises ``ValueError``.
+    The best estimate over 5 fixed-seed random starts of the growth
+    ratio after 100 applications.  The starts are iterated together as
+    the columns of one ``(op.dim, 5)`` block, so ``op`` must accept
+    column blocks, as every operator sadprec builds does.  A start or
+    iterate of norm 0 scores 0; a NaN or inf norm raises ``ValueError``.
 
-    When the operator has no more columns than the iteration would apply
-    it to (``op.dim <= iters * restarts``) and its dense matrix fits
-    ``sparse.dense_cap()``, it is applied once, to the identity, and the
-    iteration multiplies by that matrix instead.  This probe requires
-    ``op`` to be linear; every operator sadprec builds that accepts
-    blocks is (CG-mode preconditioners reject them).
+    When the operator's order is at most 500 (the 100 x 5 columns the
+    iteration would apply it to) and its dense matrix fits
+    ``sparse.dense_cap()``, the iteration multiplies by ``op.dense()``
+    instead.  This probe requires ``op`` to be linear; every operator
+    sadprec builds that accepts blocks is (CG-mode preconditioners
+    reject them).
     """
-    if iters < 1 or restarts < 1:
-        raise ValueError(f"iters and restarts must be at least 1, got {iters} and {restarts}")
-    if op.dim <= iters * restarts and op.dim ** 2 <= dense_cap():
-        G = op(np.eye(op.dim))
+    if op.dim <= _POWER_ITERS * _POWER_RESTARTS and op.dim ** 2 <= dense_cap():
+        G = op.dense()
         if not np.isfinite(G).all():
             raise ValueError("the probed operator matrix holds NaN or inf")
         apply = G.__matmul__
     else:
         apply = op
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_POWER_SEED)
     # the same numbers as drawing the starts one after another
-    V = rng.standard_normal((restarts, op.dim)).T
+    V = rng.standard_normal((_POWER_RESTARTS, op.dim)).T
     norms = np.linalg.norm(V, axis=0)
     live = norms > 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         V = apply(V / np.where(live, norms, 1.0))
         norms = np.linalg.norm(V, axis=0)
         top = norms.max()
@@ -153,14 +154,15 @@ def gamma_dense(sys, alpha, beta):
     return IterationMatrixOperator(sys, alpha, beta).dense()
 
 
-def mgss_preconditioned_dense(sys, alpha, beta):
-    spec = PrecondSpec("mgss", alpha=alpha, beta=beta, inner="direct")
-    return MgssApplicator(sys, spec).apply(to_dense(assemble_block_saddle(sys)))
+def preconditioned_dense(sys, spec):
+    """Dense P^{-1} K, P the direct-mode preconditioner of ``spec``; K itself for ``none``."""
+    K = to_dense(assemble_block_saddle(sys))
+    prec = make_preconditioner(sys, PrecondSpec(spec.kind, spec.alpha, spec.beta, "direct"))
+    return K if prec is None else prec.apply(K)
 
 
 def rmgss_preconditioned_dense(sys, beta):
-    spec = PrecondSpec("rmgss", beta=beta, inner="direct")
-    return MgssApplicator(sys, spec).apply(to_dense(assemble_block_saddle(sys)))
+    return preconditioned_dense(sys, PrecondSpec("rmgss", beta=beta))
 
 
 def predicted_rmgss_spectrum(sys, beta):

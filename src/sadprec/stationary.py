@@ -8,9 +8,9 @@ runs with an ``MgssApplicator``.  Its iteration matrix
 
     Gamma = M^{-1} N = (Sigma + K)^{-1} (Sigma - K) = M^{-1} Sigma - I
 
-is exposed here as an operator.  ``dense`` assembles it for
-``spectral.gamma_dense``, and ``spectral.power_spectral_radius`` probes
-it with the identity when its order is small enough.
+is exposed here as an operator.  Its ``dense``, the one builder of
+Gamma as an array, serves ``spectral.gamma_dense`` and the power
+iteration's probe of small operators.
 """
 
 import numpy as np
@@ -42,8 +42,8 @@ class IterationMatrixOperator(LinearOperator):
     def dense(self):
         """Gamma as an array: one solve with the columns of Sigma, then I subtracted in place.
 
-        The same bits as applying the operator to the identity, with one
-        order x order array fewer alive during the solve.
+        The same bits as ``LinearOperator.dense``, the operator applied to
+        the identity, with one order x order array fewer alive.
         """
         gamma = self._prec.apply(np.diag(self._shift))
         gamma[np.diag_indices_from(gamma)] -= 1.0

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from sadprec import spectral
 from sadprec.cli import _csv_text, _rule, build_parser, main
 from sadprec.krylov import StoppingRule
 from sadprec.precond import SHIFTS, PrecondSpec, make_preconditioner
@@ -136,7 +137,8 @@ class TestSolve:
     def test_stationary_requires_mgss(self, tmp_path, capsys):
         bundle = toy_bundle(tmp_path)
         rc = main(["solve", "--in", bundle, "--method", "rmgss", "--stationary"])
-        assert rc != 0
+        assert rc == 2
+        assert "--stationary runs the mgss splitting scheme" in capsys.readouterr().err
 
     def test_stationary_runs(self, tmp_path, capsys):
         bundle = toy_bundle(tmp_path)
@@ -252,6 +254,19 @@ class TestSweep:
         assert len(out) == 1 + 4  # header + 2x2 grid
         assert sum(1 for line in out[1:] if line.endswith(",true")) == 1
 
+    def test_tie_marks_the_earliest_point(self, tmp_path, capsys):
+        bundle = toy_bundle(tmp_path)
+        assert main(["sweep", "--in", bundle, "--method", "rmgss", "--beta-grid", "1:1:3"]) == 0
+        flags = [line.rsplit(",", 1)[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert flags == ["true", "false", "false"]
+
+    def test_nothing_converged_marks_no_point(self, tmp_path, capsys):
+        bundle = toy_bundle(tmp_path)
+        assert main(["sweep", "--in", bundle, "--method", "rmgss", "--beta-grid", "1:2:2",
+                     "--max-outer", "0"]) == 1
+        flags = [line.rsplit(",", 1)[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert flags == ["false", "false"]
+
     def test_empty_grid_rejected(self, tmp_path, capsys):
         bundle = toy_bundle(tmp_path)
         for grid in ("1:2:0", "1:2", "1:x:2"):
@@ -317,6 +332,26 @@ class TestSweep:
 
 
 class TestSpectrum:
+    @pytest.mark.parametrize("operator,build", [
+        ("saddle", lambda sys_: spectral.preconditioned_dense(sys_, PrecondSpec("none"))),
+        ("mgss-prec", lambda sys_: spectral.preconditioned_dense(sys_, PrecondSpec("mgss", 0.2, 0.3))),
+        ("rmgss-prec", lambda sys_: spectral.rmgss_preconditioned_dense(sys_, 0.3)),
+        ("gamma", lambda sys_: spectral.gamma_dense(sys_, 0.2, 0.3)),
+        ("rmgss-predicted", lambda sys_: spectral.predicted_rmgss_spectrum(sys_, 0.3)),
+    ])
+    def test_csv_is_the_library_spectrum(self, tmp_path, capsys, operator, build):
+        bundle = tmp_path / "q4"
+        assert main(["generate", "stokes", "--q", "4", "--out", str(bundle)]) == 0
+        shifts = {"saddle": [], "rmgss-prec": ["--beta", "0.3"], "rmgss-predicted": ["--beta", "0.3"]}
+        given = shifts.get(operator, ["--alpha", "0.2", "--beta", "0.3"])
+        cli_csv, lib_csv = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        assert main(["spectrum", "--in", str(bundle), "--operator", operator, *given,
+                     "--csv", str(cli_csv)]) == 0
+        result = build(load_bundle(bundle)[0])
+        spec = result if isinstance(result, spectral.Spectrum) else spectral.dense_eigen_real_schur(result)
+        spec.save_csv(lib_csv)
+        assert cli_csv.read_bytes() == lib_csv.read_bytes()
+
     def test_toy_rmgss_prec_values(self, tmp_path, capsys):
         bundle = toy_bundle(tmp_path)
         csv = tmp_path / "spec.csv"

@@ -264,6 +264,10 @@ class TestLinearOperator:
         with pytest.raises(ValueError, match=r"operand of shape \(5,\)"):
             op(np.ones(5))
 
+    def test_dense_applies_the_operator_to_the_identity(self):
+        sys_ = generate_random_saddle(18, 7, seed=6)
+        assert np.array_equal(saddle_operator(sys_).dense(), to_dense(assemble_block_saddle(sys_)))
+
 
 class TestStoppingRule:
     def test_validation(self):
@@ -273,6 +277,23 @@ class TestStoppingRule:
             StoppingRule(restart=0)
         with pytest.raises(ValueError):
             StoppingRule(max_outer=-1)
+
+    # a float count would reach range() in gmres_restarted as a TypeError, and
+    # the stationary loop would run 4 steps under max_outer=3.5
+    @pytest.mark.parametrize("field,value", [
+        ("max_outer", 7.0), ("max_outer", 3.5), ("max_outer", True), ("max_outer", "7"),
+        ("restart", 2.5), ("restart", True), ("restart", np.float64(5.0)), ("restart", None),
+    ])
+    def test_count_that_is_not_an_integer_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            StoppingRule(**{field: value})
+
+    @pytest.mark.parametrize("count", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_numpy_integer_counts_accepted(self, count):
+        sys_ = generate_random_saddle(10, 4, seed=3)
+        rule = StoppingRule(rel_tol=1e-9, max_outer=count, restart=count)
+        rep = gmres_restarted(saddle_operator(sys_), sys_.rhs(), None, rule)
+        assert rep.outer_iterations == 5
 
 
 class TestOracles:

@@ -14,6 +14,7 @@ from sadprec.problems import (
     save_bundle,
     stokes_velocity_interpolant,
     write_matrix_market,
+    write_vector,
 )
 from sadprec.sparse import CsrMatrix, spmv, to_dense
 from sadprec.spectral import jacobi_symmetric
@@ -267,6 +268,28 @@ class TestMatrixMarket:
         path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n")
         with pytest.raises(MatrixMarketError, match="out of range"):
             read_matrix_market(path)
+
+    def test_golden_bytes(self, tmp_path):
+        # 17 significant digits through %g: inf, nan and subnormals as Python prints them
+        M = CsrMatrix(3, 12, np.array([0, 3, 3, 7]), np.array([0, 5, 11, 1, 2, 3, 10]),
+                      np.array([-1.5, np.inf, 1 / 3, np.nan, 5e-324, -2.2e-308, 1e308]))
+        write_matrix_market(M, tmp_path / "m.mtx")
+        assert (tmp_path / "m.mtx").read_bytes() == (
+            b"%%MatrixMarket matrix coordinate real general\n3 12 7\n"
+            b"1 1 -1.5\n1 6 inf\n1 12 0.33333333333333331\n3 2 nan\n"
+            b"3 3 4.9406564584124654e-324\n3 4 -2.2000000000000002e-308\n3 11 1e+308\n"
+        )
+        write_matrix_market(CsrMatrix.zeros(2, 0), tmp_path / "e.mtx")
+        assert (tmp_path / "e.mtx").read_bytes() == b"%%MatrixMarket matrix coordinate real general\n2 0 0\n"
+
+    def test_vector_golden_bytes(self, tmp_path):
+        write_vector([0.0, -0.0, -np.inf, np.nan, 5e-324, 1 / 3, 123456789, 1e-17], tmp_path / "v.vec")
+        assert (tmp_path / "v.vec").read_bytes() == (
+            b"0\n-0\n-inf\nnan\n4.9406564584124654e-324\n0.33333333333333331\n"
+            b"123456789\n1.0000000000000001e-17\n"
+        )
+        write_vector(np.zeros(0), tmp_path / "e.vec")
+        assert (tmp_path / "e.vec").read_bytes() == b""
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_round_trip_bit_exact(self, tmp_path, seed):

@@ -14,7 +14,6 @@ from sadprec.sparse import (
     assemble_block_saddle,
     dense_cap,
     gram_plus_identity,
-    norm2,
     spmv,
     spmv_transpose,
     to_dense,
@@ -283,9 +282,6 @@ class TestVectorOps:
         monkeypatch.setenv("SADPREC_DENSE_CAP", "1e5")
         assert to_dense(M).shape == (100, 100)
 
-    def test_norm2(self):
-        assert norm2([3.0, 4.0]) == 5.0
-
 
 class TestAdjointConsistency:
     @pytest.mark.parametrize("seed", range(8))
@@ -299,7 +295,7 @@ class TestAdjointConsistency:
         frob = np.linalg.norm(dense)
         lhs = float(np.dot(y, spmv(M, x)))
         rhs = float(np.dot(spmv_transpose(M, y), x))
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, frob * norm2(x) * norm2(y))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, frob * np.linalg.norm(x) * np.linalg.norm(y))
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)

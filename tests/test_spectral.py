@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sadprec.krylov import LinearOperator, as_operator
+from sadprec.precond import MgssApplicator, PrecondSpec, dense_preconditioner_matrix
 from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
-from sadprec.sparse import CsrMatrix, SaddleSystem
+from sadprec.sparse import CsrMatrix, SaddleSystem, assemble_block_saddle, to_dense
 from sadprec.spectral import (
     COMPUTED_DENSE,
     PREDICTED,
@@ -12,6 +15,7 @@ from sadprec.spectral import (
     gamma_dense,
     jacobi_symmetric,
     power_spectral_radius,
+    preconditioned_dense,
     predicted_rmgss_spectrum,
     rmgss_preconditioned_dense,
     iteration_matrix_check,
@@ -106,28 +110,28 @@ class TestRealSchur:
 class TestPowerRadius:
     def test_scaled_identity(self):
         op = as_operator(CsrMatrix.from_dense(0.5 * np.eye(4)))
-        assert power_spectral_radius(op, iters=50, restarts=3) == pytest.approx(0.5, abs=1e-10)
+        assert power_spectral_radius(op) == pytest.approx(0.5, abs=1e-10)
 
     def test_diagonal_gap(self):
         op = as_operator(CsrMatrix.from_dense(np.diag([0.5, 0.25])))
-        assert power_spectral_radius(op, iters=200, restarts=5) == pytest.approx(0.5, abs=1e-6)
+        assert power_spectral_radius(op) == pytest.approx(0.5, abs=1e-6)
 
     def test_stokes_gamma_below_one(self):
         sys_ = generate_stokes_q1p0(StokesConfig(8))
         op = IterationMatrixOperator(sys_, 0.01, 0.01)
-        assert power_spectral_radius(op, iters=60, restarts=3) < 1.0
+        assert power_spectral_radius(op) < 1.0
 
     @pytest.mark.parametrize("diag", [[0.9, 0.5, 0.1], [2.0, 1.5, 0.2], [0.6, 0.5, 0.4]])
     def test_bracket_on_diagonal_gap(self, diag):
         op = as_operator(CsrMatrix.from_dense(np.diag(diag)))
         rho = max(abs(d) for d in diag)
-        est = power_spectral_radius(op, iters=400, restarts=5)
+        est = power_spectral_radius(op)
         assert est <= rho + 1e-4
         assert est >= 0.99 * rho
 
 
-    # order 225 and 84, at most iters * restarts = 500: the plain ids take
-    # the probe path, and a zero dense cap forces the operator path
+    # order 225 and 84, at most the 500 columns of 100 steps x 5 starts: the
+    # plain ids take the probe path, and a zero dense cap forces the operator path
     @pytest.mark.parametrize("make,cap", [
         pytest.param(make, cap, id=name + suffix)
         for suffix, cap in (("", None), ("-operator", "0"))
@@ -154,11 +158,26 @@ class TestPowerRadius:
         assert est == power_spectral_radius(op)
 
     def test_operator_with_more_columns_than_steps_is_iterated(self):
-        # 40 steps of 5 starts apply it to 200 columns, fewer than its 225
-        op = IterationMatrixOperator(generate_stokes_q1p0(StokesConfig(8, pin_pressure=True)), 0.1, 0.1)
+        # 100 steps of 5 starts apply it to 500 columns, fewer than its 833
+        op = IterationMatrixOperator(generate_stokes_q1p0(StokesConfig(16, pin_pressure=True)), 0.1, 0.1)
         counted, operands = counting(op)
-        power_spectral_radius(counted, iters=40, restarts=5)
-        assert [x.shape for x in operands] == [(225, 5)] * 40
+        power_spectral_radius(counted)
+        assert [x.shape for x in operands] == [(833, 5)] * 100
+
+    def test_probe_holds_no_more_than_the_dense_matrix(self):
+        op = IterationMatrixOperator(generate_stokes_q1p0(StokesConfig(8, pin_pressure=True)), 0.1, 0.1)
+        op.dense()  # builds the lazy factors and layouts outside the traces
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the slack covers the (225, 5) iterates, far below one 225 x 225 array
+        assert peak(lambda: power_spectral_radius(op)) <= peak(op.dense) + 64 * 1024
 
     def test_dense_cap_zero_forces_the_operator_path(self, monkeypatch):
         op = IterationMatrixOperator(generate_stokes_q1p0(StokesConfig(8, pin_pressure=True)), 0.1, 0.1)
@@ -183,12 +202,6 @@ class TestPowerRadius:
         with pytest.raises(ValueError, match="NaN or inf"):
             power_spectral_radius(op)
 
-    @pytest.mark.parametrize("kwargs", [{"iters": 0}, {"restarts": 0}])
-    def test_no_iterations_or_restarts_raises(self, kwargs):
-        op = as_operator(CsrMatrix.identity(3))
-        with pytest.raises(ValueError, match="at least 1"):
-            power_spectral_radius(op, **kwargs)
-
 
 def counting(op):
     """``op`` wrapped so that every operand it is applied to is recorded."""
@@ -201,18 +214,18 @@ def counting(op):
     return LinearOperator(op.dim, apply), operands
 
 
-def power_radius_loop(op, iters=100, restarts=5, seed=20240613):
+def power_radius_loop(op):
     """The per-restart, one-vector-at-a-time power iteration the block form replaced."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240613)
     best = 0.0
-    for _ in range(restarts):
+    for _ in range(5):
         v = rng.standard_normal(op.dim)
         nv = np.linalg.norm(v)
         if nv == 0.0:
             continue
         v /= nv
         ratio = 0.0
-        for _ in range(iters):
+        for _ in range(100):
             w = op(v)
             nw = np.linalg.norm(w)
             if nw == 0.0:
@@ -222,6 +235,45 @@ def power_radius_loop(op, iters=100, restarts=5, seed=20240613):
             v = w / nw
         best = max(best, ratio)
     return best
+
+
+SYSTEMS = {
+    "random60x24": lambda: generate_random_saddle(60, 24, seed=12),
+    "stokes4-pinned": lambda: generate_stokes_q1p0(StokesConfig(4, pin_pressure=True)),
+}
+
+
+class TestPreconditionedDense:
+    @pytest.mark.parametrize("kind", ["none", "mgss", "rmgss", "hss"])
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_is_the_solve_with_the_preconditioner_matrix(self, name, kind):
+        # a CG-mode spec (the default) is applied in direct mode
+        sys_ = SYSTEMS[name]()
+        spec = PrecondSpec(kind)
+        K = to_dense(assemble_block_saddle(sys_))
+        ref = np.linalg.solve(dense_preconditioner_matrix(sys_, spec), K)
+        assert np.linalg.norm(preconditioned_dense(sys_, spec) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_rmgss_is_the_direct_elimination_bitwise(self, name):
+        sys_ = SYSTEMS[name]()
+        got = preconditioned_dense(sys_, PrecondSpec("rmgss", beta=1e-3))
+        assert got.tobytes() == rmgss_preconditioned_dense(sys_, 1e-3).tobytes()
+        direct = MgssApplicator(sys_, PrecondSpec("rmgss", beta=1e-3, inner="direct"))
+        assert got.tobytes() == direct.apply(to_dense(assemble_block_saddle(sys_))).tobytes()
+
+
+class TestSpectrumCsv:
+    def test_golden_bytes(self, tmp_path):
+        # sorted by real part; 17 significant digits through %g
+        lam = [complex(np.inf, np.nan), complex(1 / 3, -1e-17), complex(-0.0, 5e-324)]
+        Spectrum(np.array(lam), PREDICTED).save_csv(tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == (
+            b"re,im,source\n-0,4.9406564584124654e-324,PREDICTED\n"
+            b"0.33333333333333331,-1.0000000000000001e-17,PREDICTED\ninf,nan,PREDICTED\n"
+        )
+        Spectrum(np.zeros(0), COMPUTED_DENSE).save_csv(tmp_path / "e.csv")
+        assert (tmp_path / "e.csv").read_bytes() == b"re,im,source\n"
 
 
 class TestPredictedSpectrum:
