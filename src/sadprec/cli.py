@@ -1,11 +1,15 @@
 """Benchmark command line: generate, solve, sweep, spectrum, bench.
 
-All commands are deterministic given identical inputs and seeds (wall
-times excepted).  Timings (``timing_scope``) cover the solver call
-only: the clock starts after the preconditioner's constructor, so what
-is built on first use is timed: the hss CG-mode blocks, sparse product
-layouts and Cholesky inverse factors (see the ``precond`` docstring).
-The process exits 0 only if every requested solve converged.
+Each record is written one way.  ``solve`` prints its record as JSON;
+``sweep`` and ``bench`` print CSV records, the same bytes their
+``--csv`` file gets; ``spectrum`` writes an eigenvalue CSV and, beside
+it, a gnuplot script that plots it.  All commands are deterministic
+given identical inputs and seeds (wall times excepted).  Timings
+(``timing_scope``) cover the solver call only: the clock starts after
+the preconditioner's constructor, so what is built on first use is
+timed: the hss CG-mode blocks, sparse product layouts and Cholesky
+inverse factors (see the ``precond`` docstring).  The process exits 0
+only if every requested solve converged.
 """
 
 import argparse
@@ -69,6 +73,15 @@ def _csv_text(records, optimal=None):
     return out.getvalue()
 
 
+def _report(records, csv_path, optimal=None):
+    """Write the records' CSV text to ``csv_path`` if given, print it; the exit status."""
+    text = _csv_text(records, optimal)
+    if csv_path:
+        pathlib.Path(csv_path).write_text(text)
+    print(text, end="")
+    return 0 if all(r.converged for r in records) else 1
+
+
 def _load(indir):
     """A bundle's system and its problem id, ``<generator>:<bundle directory>``."""
     sys_, meta = problems.load_bundle(indir)
@@ -111,12 +124,7 @@ def cmd_generate(args):
     if args.generator == "stokes":
         cfg = problems.StokesConfig(args.q, stab_param=args.stab, pin_pressure=args.pin)
         sys_ = problems.generate_stokes_q1p0(cfg)
-        meta = {
-            "generator": "stokes-q1p0",
-            "q": cfg.q,
-            "stab_param": cfg.stab_param,
-            "pin_pressure": cfg.pin_pressure,
-        }
+        meta = {"generator": "stokes-q1p0", **vars(cfg)}
     else:
         sys_ = problems.generate_random_saddle(args.n, args.m, density=args.density, seed=args.seed)
         meta = {"generator": "random", "seed": args.seed, "density": args.density}
@@ -166,11 +174,7 @@ def cmd_sweep(args):
     # min keeps the earliest of tied grid points, so reruns agree
     best = min((idx for idx, rec in enumerate(records) if rec.converged),
                key=lambda idx: records[idx].it, default=None)
-    text = _csv_text(records, [idx == best for idx in range(len(records))])
-    if args.csv:
-        pathlib.Path(args.csv).write_text(text)
-    print(text, end="")
-    return 0 if all(r.converged for r in records) else 1
+    return _report(records, args.csv, [idx == best for idx in range(len(records))])
 
 
 # -- spectrum -------------------------------------------------------------
@@ -186,6 +190,16 @@ _OPERATORS = {
     "rmgss-predicted": ("rmgss", None),
 }
 
+_GNUPLOT = """\
+set title 'eigenvalue distribution: {title}'
+set xlabel 'Re'
+set ylabel 'Im'
+set grid
+set datafile separator ','
+plot '{csv}' every ::1 using 1:2 with points pt 7 ps 1 notitle
+pause -1 'press enter to close'
+"""
+
 
 def cmd_spectrum(args):
     sys_, _ = problems.load_bundle(args.indir)
@@ -196,29 +210,11 @@ def cmd_spectrum(args):
     else:
         spec = spectral.dense_eigen_real_schur(dense(sys_, prec))
     spec.save_csv(args.csv)
-    gp_path = args.gnuplot or (os.path.splitext(args.csv)[0] + ".gp")
-    _write_gnuplot(gp_path, args.csv, args.operator)
+    # the script sits beside the CSV, so it names the CSV by its basename
+    gp_path = os.path.splitext(args.csv)[0] + ".gp"
+    pathlib.Path(gp_path).write_text(_GNUPLOT.format(title=args.operator, csv=os.path.basename(args.csv)))
     print(f"wrote {len(spec)} eigenvalues to {args.csv} and plot script to {gp_path}")
     return 0
-
-
-def _write_gnuplot(path, csv_path, title):
-    rel = os.path.relpath(csv_path, os.path.dirname(path) or ".")
-    with open(path, "w") as fh:
-        fh.write(
-            "\n".join(
-                [
-                    f"set title 'eigenvalue distribution: {title}'",
-                    "set xlabel 'Re'",
-                    "set ylabel 'Im'",
-                    "set grid",
-                    "set datafile separator ','",
-                    f"plot '{rel}' every ::1 using 1:2 with points pt 7 ps 1 notitle",
-                    "pause -1 'press enter to close'",
-                    "",
-                ]
-            )
-        )
 
 
 # -- bench ----------------------------------------------------------------
@@ -234,29 +230,7 @@ def cmd_bench(args):
         sys_ = problems.generate_stokes_q1p0(cfg)
         pid = f"stokes-{cfg.q}x{cfg.q}" + ("-pinned" if args.pin else "")
         records.extend(_solve_once(sys_, pid, spec, rule) for spec in specs)
-    widths = (20, 18, 10, 10, 6, 10, 10)
-    headers = ("problem", "method", "alpha", "beta", "IT", "CPU", "converged")
-    def fmt(cells):
-        return "  ".join(str(c).ljust(w) for c, w in zip(cells, widths))
-    print(fmt(headers))
-    print(fmt(tuple("-" * w for w in widths)))
-    for rec in records:
-        print(
-            fmt(
-                (
-                    rec.problem,
-                    rec.method,
-                    f"{rec.alpha:g}",
-                    f"{rec.beta:g}",
-                    rec.it,
-                    f"{rec.cpu:.3f}",
-                    rec.converged,
-                )
-            )
-        )
-    if args.csv:
-        pathlib.Path(args.csv).write_text(_csv_text(records))
-    return 0 if all(r.converged for r in records) else 1
+    return _report(records, args.csv)
 
 
 # -- parser ---------------------------------------------------------------
@@ -309,14 +283,13 @@ def build_parser():
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("spectrum", parents=[shifts],
-                       help="export an eigenvalue scatter as CSV plus gnuplot script")
+                       help="export an eigenvalue scatter as CSV plus a gnuplot script beside it")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--operator", choices=_OPERATORS, required=True)
     p.add_argument("--csv", default="spectrum.csv")
-    p.add_argument("--gnuplot", help="plot script path (default: csv path with .gp)")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("bench", parents=[solver, shifts], help="grid x method comparison table")
+    p = sub.add_parser("bench", parents=[solver, shifts], help="grid x method Stokes solves, CSV records on stdout")
     p.add_argument("--grids", nargs="+", type=int, required=True, metavar="Q", help="e.g. 4 8 16")
     p.add_argument("--methods", nargs="+", choices=SHIFTS, required=True)
     p.add_argument(
@@ -327,7 +300,7 @@ def build_parser():
         "the pin leaves one isolated small eigenvalue on which GMRES(5) stalls or "
         "converges at rounding-dependent counts)",
     )
-    p.add_argument("--csv")
+    p.add_argument("--csv", help="also write the records to this file")
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sparse import _check_symmetric, _padded_product, dense_cap
+from .sparse import _check_symmetric, _check_symmetric_dense, _padded_product, dense_cap
 
 __all__ = [
     "CholeskyFactor",
@@ -136,10 +136,18 @@ def cholesky(M):
 
 
 def cholesky_dense(a):
-    """Dense-array entry point used for explicitly formed matrices."""
+    """Dense-array entry point used for explicitly formed matrices.
+
+    The array must be symmetric to 1e-12 times max(1, max |a|), the
+    rule of ``spectral.jacobi_symmetric``; otherwise ``ValueError``.
+    A NaN entry raises ``NotPositiveDefiniteError``, wherever it sits.
+    """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    if np.isnan(_check_symmetric_dense(a, "matrix")):
+        # LAPACK reads the lower triangle only, and would miss a NaN above it
+        raise NotPositiveDefiniteError("matrix is not positive definite (it has a NaN entry)")
     return _factor(a.shape[0], [(np.arange(a.shape[0])[None], a[None])])
 
 

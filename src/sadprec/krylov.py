@@ -176,13 +176,14 @@ def gmres_restarted(op, b, precond=None, rule=None):
     number of restarts).  The residual history holds true residual
     norms, one entry per restart boundary.  A solve cut off by
     ``rule.max_outer`` reports ``"max_outer"`` or ``"stagnated"`` (see
-    ``SolveReport``).  A non-finite ``b``, or a non-finite true
-    residual at a restart, raises ``ValueError``.
+    ``SolveReport``).  A ``b`` of length other than ``op.dim`` or with
+    a non-finite entry, or a non-finite true residual at a restart,
+    raises ``ValueError``.
     """
     op = as_operator(op)
     rule = rule or StoppingRule()
-    b = _finite_rhs(b)
     dim = op.dim
+    b = _finite_rhs(b, dim)
     bn = float(np.linalg.norm(b))
     inner0 = getattr(precond, "inner_iterations", 0)
     x = np.zeros(dim)
@@ -248,8 +249,10 @@ def gmres_restarted(op, b, precond=None, rule=None):
     return SolveReport(converged, steps, inner, history, x, reason)
 
 
-def _finite_rhs(b):
+def _finite_rhs(b, dim):
     b = np.asarray(b, dtype=np.float64)
+    if b.shape != (dim,):
+        raise ValueError(f"dimension mismatch: operator is {dim}x{dim}, right-hand side has shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side has a non-finite entry (NaN or inf)")
     return b
@@ -283,11 +286,12 @@ def stationary_richardson(op, b, precond, rule=None):
     operator this is exactly the stationary scheme M u+ = N u + b.
     Residual growth past 10x the initial norm is flagged as divergence
     (converged False, stop_reason "diverged") rather than raised.  A
-    non-finite ``b`` or true residual raises ``ValueError``.
+    ``b`` of length other than ``op.dim``, or a non-finite ``b`` or true
+    residual, raises ``ValueError``.
     """
     op = as_operator(op)
     rule = rule or StoppingRule()
-    b = _finite_rhs(b)
+    b = _finite_rhs(b, op.dim)
     inner0 = getattr(precond, "inner_iterations", 0)
     x = np.zeros(op.dim)
     r = b.copy()

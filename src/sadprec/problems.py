@@ -26,6 +26,7 @@ to the element-by-element loops the array assembly replaced).
 """
 
 import json
+import numbers
 import os
 
 import numpy as np
@@ -77,10 +78,10 @@ class StokesConfig:
     """Grid and stabilization settings; ``stab_param`` >= 0 and finite keeps C PSD."""
 
     def __init__(self, q, stab_param=0.25, pin_pressure=True):
-        q = int(q)
-        if q < 2 or q % 2:
-            raise ValueError("q must be an even integer >= 2 (macroelements need 2x2 tiles)")
-        self.q = q
+        # bool is an int subclass; numpy integers are Integral
+        if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q < 2 or q % 2:
+            raise ValueError(f"q must be an even integer >= 2 (macroelements need 2x2 tiles), got {q!r}")
+        self.q = int(q)
         self.stab_param = float(stab_param)
         if not 0.0 <= self.stab_param < np.inf:
             raise ValueError(f"stab_param must be finite and >= 0, got {self.stab_param}")
@@ -174,8 +175,10 @@ def generate_random_saddle(n, m, density=0.3, seed=0):
     seeds give bitwise identical systems under every BLAS kernel: the
     Gram products are einsum sums, no BLAS call, and exactly symmetric.
     """
-    if m > n:
-        raise ValueError("m <= n is required")
+    if not 0 <= m <= n:
+        raise ValueError(f"0 <= m <= n is required, got n={n}, m={m}")
+    if not 0.0 <= density <= 1.0:  # NaN fails too
+        raise ValueError(f"density must lie in [0, 1], got {density}")
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
     Ad = np.einsum("ik,jk->ij", W, W) + n * np.eye(n)

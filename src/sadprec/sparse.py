@@ -401,6 +401,18 @@ def _check_symmetric(M, name, rtol=1e-12):
         raise ValueError(f"{name} is numerically non-symmetric beyond {rtol:g} relative")
 
 
+def _check_symmetric_dense(a, name):
+    """max |a - a.T| of a square array; ``ValueError`` above 1e-12 max(1, max |a|).
+
+    A NaN entry makes it NaN, which passes, so that the caller reports it.
+    """
+    skew = a - a.T  # one temporary: a second one of this size costs more than the arithmetic
+    skew = float(np.abs(skew, out=skew).max(initial=0.0))
+    if skew > 1e-12 * max(1.0, float(np.max(np.abs(a), initial=0.0))):
+        raise ValueError(f"{name} is not symmetric (|a - a.T| above 1e-12 max(1, |a|))")
+    return skew
+
+
 class SaddleSystem:
     """Blocks and right-hand side of a saddle point system.
 

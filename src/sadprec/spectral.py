@@ -24,7 +24,7 @@ import numpy as np
 
 from . import factor
 from .precond import PrecondSpec, make_preconditioner
-from .sparse import assemble_block_saddle, dense_cap, to_dense
+from .sparse import _check_symmetric_dense, assemble_block_saddle, dense_cap, to_dense
 from .stationary import IterationMatrixOperator
 
 __all__ = [
@@ -87,8 +87,7 @@ def jacobi_symmetric(M):
     a = np.asarray(M, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if a.size and float(np.max(np.abs(a - a.T))) > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
-        raise ValueError("symmetric eigensolver requires a symmetric matrix")
+    _check_symmetric_dense(a, "symmetric eigensolver input")
     return np.linalg.eigh(a)
 
 

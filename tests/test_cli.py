@@ -4,12 +4,13 @@ import os
 import pathlib
 import shlex
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from sadprec import spectral
-from sadprec.cli import _csv_text, _rule, build_parser, main
+from sadprec.cli import BenchRecord, _csv_text, _rule, build_parser, main
 from sadprec.krylov import StoppingRule
 from sadprec.precond import SHIFTS, PrecondSpec, make_preconditioner
 from sadprec.problems import load_bundle, save_bundle
@@ -63,6 +64,19 @@ class TestGenerate:
         out = tmp_path / "neg"
         assert main(["generate", "stokes", "--q", "8", "--stab", "-40", "--out", str(out)]) == 2
         assert "stab_param must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stokes_meta_is_the_config(self, tmp_path, capsys):
+        out = tmp_path / "q4"
+        assert main(["generate", "stokes", "--q", "4", "--stab", "0.5", "--no-pin", "--out", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta == {"generator": "stokes-q1p0", "n": 50, "m": 16, "q": 4, "stab_param": 0.5,
+                        "pin_pressure": False}
+
+    def test_density_out_of_range_rejected_without_bundle(self, tmp_path, capsys):
+        out = tmp_path / "dense"
+        assert main(["generate", "random", "--n", "6", "--m", "3", "--density", "2", "--out", str(out)]) == 2
+        assert "density must lie in [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_other_generators_options_rejected(self, tmp_path, capsys):
@@ -366,6 +380,20 @@ class TestSpectrum:
         assert all(abs(float(r.split(",")[1])) < 1e-12 for r in rows)
         assert os.path.exists(tmp_path / "spec.gp")
 
+    def test_script_beside_csv_plots_its_basename(self, tmp_path, capsys, monkeypatch):
+        bundle = toy_bundle(tmp_path)
+        (tmp_path / "plots").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["spectrum", "--in", bundle, "--operator", "saddle", "--csv", "plots/s.csv"]) == 0
+        script = (tmp_path / "plots" / "s.gp").read_text()
+        assert "set title 'eigenvalue distribution: saddle'\n" in script
+        assert "plot 's.csv' every ::1 using 1:2" in script and script.endswith("'press enter to close'\n")
+
+    def test_gnuplot_option_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--in", toy_bundle(tmp_path), "--operator", "saddle", "--gnuplot", "x"])
+        assert exc.value.code == 2
+
     def test_predicted_matches_computed_multiset(self, tmp_path, capsys):
         bundle = toy_bundle(tmp_path)
         c1, c2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -454,6 +482,16 @@ class TestBench:
         assert len(rows) == 1 + 6  # header + 2 grids x 3 methods
         assert all(row.split(",")[6] == "true" for row in rows[1:])
         assert "stokes-4x4" in out and "stokes-8x8" in out
+
+    def test_stdout_is_the_csv_file(self, tmp_path, capsys):
+        csv_path = tmp_path / "bench.csv"
+        rc = main(["bench", "--grids", "4", "--methods", "mgss", "hss", "--max-outer", "3",
+                   "--csv", str(csv_path)])
+        out = capsys.readouterr().out
+        assert rc == 1  # neither method converges in 3 steps at q=4
+        assert out == csv_path.read_text()
+        assert out.splitlines()[0] == ",".join(f.name for f in fields(BenchRecord))
+        assert [row["stop_reason"] for row in csv.DictReader(out.splitlines())] == ["max_outer"] * 2
 
     def test_pin_is_opt_in_and_labelled(self, tmp_path, capsys):
         csv = tmp_path / "bench.csv"

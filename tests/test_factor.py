@@ -105,6 +105,27 @@ class TestCholesky:
         with pytest.raises(factor.NotPositiveDefiniteError):
             factor.cholesky(CsrMatrix.from_dense([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_dense_non_symmetric_rejected(self):
+        # only the lower triangle would be factored: solving against e1
+        # would give (0.2667, -0.0667), not the true (0.25, -0.0625)
+        with pytest.raises(ValueError, match="not symmetric") as exc:
+            factor.cholesky_dense([[4.0, 0.0], [1.0, 4.0]])
+        assert not isinstance(exc.value, factor.NotPositiveDefiniteError)
+        # the rule of spectral.jacobi_symmetric: 1e-12 max(1, max |a|)
+        factor.cholesky_dense([[4.0, 4e-12], [0.0, 4.0]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            factor.cholesky_dense([[4.0, 5e-12], [0.0, 4.0]])
+        factor.cholesky_dense([[0.5, 1e-12], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            factor.cholesky_dense([[0.5, 2e-12], [0.0, 0.5]])
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_dense_nan_anywhere_rejected(self, where):
+        a = np.array([[4.0, 1.0], [1.0, 4.0]])
+        a[where] = np.nan
+        with pytest.raises(factor.NotPositiveDefiniteError):
+            factor.cholesky_dense(a)
+
     def test_pivot_rule_spans_components(self):
         # the 1e-14 rule is relative to the largest diagonal entry of the
         # whole matrix, not of each component

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from sadprec.krylov import (
     LinearOperator,
     StoppingRule,
-    as_operator,
     cg,
     gmres_restarted,
     saddle_operator,
@@ -14,17 +14,7 @@ from sadprec.krylov import (
 )
 from sadprec.precond import MgssApplicator, PrecondSpec, make_preconditioner
 from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
-from sadprec.sparse import CsrMatrix, SaddleSystem, assemble_block_saddle, to_dense
-
-
-def toy_t1():
-    return SaddleSystem(
-        CsrMatrix.from_dense([[2.0]]),
-        CsrMatrix.from_dense([[1.0]]),
-        CsrMatrix.zeros(1, 1),
-        np.array([1.0]),
-        np.array([0.0]),
-    )
+from sadprec.sparse import CsrMatrix, assemble_block_saddle, to_dense
 
 
 class TestCg:
@@ -82,14 +72,14 @@ class TestGmres:
         assert rep.converged and rep.outer_iterations == 1
         assert np.allclose(rep.solution, b)
 
-    def test_toy_saddle_full_krylov(self):
-        sys_ = toy_t1()
+    def test_toy_saddle_full_krylov(self, toy_t1):
+        sys_ = toy_t1
         rep = gmres_restarted(saddle_operator(sys_), sys_.rhs(), None, StoppingRule(1e-9, 50, 2))
         assert rep.converged and rep.outer_iterations <= 2
         assert np.allclose(rep.solution, [0.0, 1.0], atol=1e-9)
 
-    def test_rmgss_toy_m_plus_one(self):
-        sys_ = toy_t1()
+    def test_rmgss_toy_m_plus_one(self, toy_t1):
+        sys_ = toy_t1
         prec = MgssApplicator(sys_, PrecondSpec("rmgss", beta=1.0, inner="direct"))
         rep = gmres_restarted(saddle_operator(sys_), sys_.rhs(), prec, StoppingRule(1e-9, 50, 2))
         assert rep.converged and rep.outer_iterations <= sys_.m + 1
@@ -184,8 +174,8 @@ class TestGmres:
 
 
 class TestStationary:
-    def test_toy_nilpotent_two_steps(self):
-        sys_ = toy_t1()
+    def test_toy_nilpotent_two_steps(self, toy_t1):
+        sys_ = toy_t1
         prec = MgssApplicator(sys_, PrecondSpec("mgss", 1.0, 1.0, inner="direct"))
         rep = stationary_richardson(
             saddle_operator(sys_), sys_.rhs(), prec, StoppingRule(1e-12, 10, 5)
@@ -193,14 +183,14 @@ class TestStationary:
         assert rep.converged and rep.outer_iterations <= 2
         assert np.allclose(rep.solution, [0.0, 1.0], atol=1e-12)
 
-    def test_zero_rhs_zero_iterations(self):
-        sys_ = toy_t1()
+    def test_zero_rhs_zero_iterations(self, toy_t1):
+        sys_ = toy_t1
         prec = MgssApplicator(sys_, PrecondSpec("mgss", 1.0, 1.0, inner="direct"))
         rep = stationary_richardson(saddle_operator(sys_), np.zeros(2), prec, StoppingRule())
         assert rep.converged and rep.outer_iterations == 0
 
-    def test_max_outer_zero_returns_initial_guess(self):
-        sys_ = toy_t1()
+    def test_max_outer_zero_returns_initial_guess(self, toy_t1):
+        sys_ = toy_t1
         prec = MgssApplicator(sys_, PrecondSpec("mgss", 1.0, 1.0, inner="direct"))
         rep = stationary_richardson(
             saddle_operator(sys_), sys_.rhs(), prec, StoppingRule(1e-9, 0, 5)
@@ -231,17 +221,30 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="true residual norm is nan"):
             gmres_restarted(nan_operator(3), np.ones(3))
 
-    def test_stationary_nan_rhs_raises(self):
-        sys_ = toy_t1()
+    def test_stationary_nan_rhs_raises(self, toy_t1):
+        sys_ = toy_t1
         prec = MgssApplicator(sys_, PrecondSpec("mgss", 1.0, 1.0, inner="direct"))
         with pytest.raises(ValueError, match="right-hand side has a non-finite entry"):
             stationary_richardson(saddle_operator(sys_), np.array([np.nan, 0.0]), prec)
 
-    def test_stationary_nan_operator_raises(self):
-        sys_ = toy_t1()
+    def test_stationary_nan_operator_raises(self, toy_t1):
+        sys_ = toy_t1
         prec = MgssApplicator(sys_, PrecondSpec("mgss", 1.0, 1.0, inner="direct"))
         with pytest.raises(ValueError, match="true residual norm is nan"):
             stationary_richardson(nan_operator(2), sys_.rhs(), prec)
+
+
+class TestDimensions:
+    def test_gmres_rhs_length_checked(self):
+        with pytest.raises(ValueError, match=re.escape("dimension mismatch: operator is 65x65, "
+                                                       "right-hand side has shape (3,)")):
+            gmres_restarted(CsrMatrix.identity(65), np.ones(3))
+
+    def test_stationary_rhs_length_checked(self, toy_t1):
+        prec = MgssApplicator(toy_t1, PrecondSpec("mgss", 1.0, 1.0, inner="direct"))
+        for b in (np.ones(3), np.ones((2, 1))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                stationary_richardson(saddle_operator(toy_t1), b, prec)
 
 
 class TestLinearOperator:

@@ -22,16 +22,6 @@ from sadprec.sparse import (
 )
 
 
-def toy_t1():
-    return SaddleSystem(
-        CsrMatrix.from_dense([[2.0]]),
-        CsrMatrix.from_dense([[1.0]]),
-        CsrMatrix.zeros(1, 1),
-        np.array([1.0]),
-        np.array([0.0]),
-    )
-
-
 class TestPrecondSpec:
     def test_mgss_requires_positive_shifts(self):
         with pytest.raises(ValueError):
@@ -86,9 +76,9 @@ class TestPrecondSpec:
 
 
 class TestMgssApply:
-    def test_toy_steps(self):
+    def test_toy_steps(self, toy_t1):
         # hand elimination: w=0, w1=2, S=[4], z1=0.5, v=0.5, z2=0.5
-        sys_ = toy_t1()
+        sys_ = toy_t1
         app = MgssApplicator(sys_, PrecondSpec("mgss", 1.0, 1.0, inner="direct"))
         z = app.apply(np.array([1.0, 0.0]))
         assert np.allclose(z, [0.5, 0.5], atol=1e-14)
@@ -96,8 +86,8 @@ class TestMgssApply:
         M = 0.5 * np.array([[3.0, 1.0], [-1.0, 1.0]])
         assert np.allclose(M @ z, [1.0, 0.0], atol=1e-14)
 
-    def test_zero_residual(self):
-        app = MgssApplicator(toy_t1(), PrecondSpec("mgss", 1.0, 1.0, inner="direct"))
+    def test_zero_residual(self, toy_t1):
+        app = MgssApplicator(toy_t1, PrecondSpec("mgss", 1.0, 1.0, inner="direct"))
         assert np.array_equal(app.apply(np.zeros(2)), np.zeros(2))
 
     def test_remark1_shift_splitting_reduction(self):
@@ -144,37 +134,37 @@ class TestMgssApply:
 
 
 class TestRmgssApply:
-    def test_toy_steps(self):
+    def test_toy_steps(self, toy_t1):
         # w=0, w1=1, S0=[3], z1=1/3, v=1/3, z2=1/3
-        sys_ = toy_t1()
+        sys_ = toy_t1
         app = MgssApplicator(sys_, PrecondSpec("rmgss", beta=1.0, inner="direct"))
         z = app.apply(np.array([1.0, 0.0]))
         assert np.allclose(z, [1.0 / 3.0, 1.0 / 3.0], atol=1e-14)
         P = np.array([[2.0, 1.0], [-1.0, 1.0]])
         assert np.allclose(P @ z, [1.0, 0.0], atol=1e-14)
 
-    def test_zero_residual(self):
-        app = MgssApplicator(toy_t1(), PrecondSpec("rmgss", beta=1.0, inner="direct"))
+    def test_zero_residual(self, toy_t1):
+        app = MgssApplicator(toy_t1, PrecondSpec("rmgss", beta=1.0, inner="direct"))
         assert np.array_equal(app.apply(np.zeros(2)), np.zeros(2))
 
-    def test_toy_preconditioned_eigenvalues(self):
+    def test_toy_preconditioned_eigenvalues(self, toy_t1):
         # dense eigendecomposition of P^{-1} Acal = [[1, 1/3], [0, 1/3]]
-        sys_ = toy_t1()
+        sys_ = toy_t1
         app = MgssApplicator(sys_, PrecondSpec("rmgss", beta=1.0, inner="direct"))
         psi = app.apply(to_dense(assemble_block_saddle(sys_)))
         lam = np.sort(np.linalg.eigvals(psi).real)
         assert np.allclose(lam, [1.0 / 3.0, 1.0], atol=1e-12)
 
-    def test_kind_mismatch_raises(self):
+    def test_kind_mismatch_raises(self, toy_t1):
         with pytest.raises(ValueError, match="expected an hss spec"):
-            HssApplicator(toy_t1(), PrecondSpec("rmgss", beta=1.0))
+            HssApplicator(toy_t1, PrecondSpec("rmgss", beta=1.0))
         with pytest.raises(ValueError, match="expected an mgss or rmgss spec"):
-            MgssApplicator(toy_t1(), PrecondSpec("hss", alpha=1.0))
+            MgssApplicator(toy_t1, PrecondSpec("hss", alpha=1.0))
 
 
 class TestHssApply:
-    def test_toy_chain(self):
-        sys_ = toy_t1()
+    def test_toy_chain(self, toy_t1):
+        sys_ = toy_t1
         spec = PrecondSpec("hss", alpha=1.0, inner="direct")
         z = HssApplicator(sys_, spec).apply(np.array([1.0, 0.0]))
         assert np.allclose(z, [1.0 / 3.0, 1.0 / 3.0], atol=1e-12)
@@ -184,8 +174,8 @@ class TestHssApply:
         P = 0.5 * (np.eye(2) + H) @ (np.eye(2) + S)
         assert np.allclose(P @ z, [1.0, 0.0], atol=1e-12)
 
-    def test_zero_residual(self):
-        z = HssApplicator(toy_t1(), PrecondSpec("hss", alpha=1.0, inner="direct")).apply(np.zeros(2))
+    def test_zero_residual(self, toy_t1):
+        z = HssApplicator(toy_t1, PrecondSpec("hss", alpha=1.0, inner="direct")).apply(np.zeros(2))
         assert np.array_equal(z, np.zeros(2))
 
     def test_decoupled_blocks_when_B_and_C_zero(self):
@@ -356,8 +346,8 @@ class TestStokesShiftedBlock:
 
 
 class TestSchur:
-    def test_toy_values(self):
-        sys_ = toy_t1()
+    def test_toy_values(self, toy_t1):
+        sys_ = toy_t1
         assert np.allclose(form_schur_dense(sys_, 1.0, 1.0), [[4.0]])
         assert np.allclose(form_schur_dense(sys_, 0.0, 1.0), [[3.0]])
 
@@ -425,8 +415,8 @@ def no_constraints(n=6):
     )
 
 
-def _instances():
-    yield toy_t1()
+def _instances(toy):
+    yield toy
     yield no_constraints()
     yield generate_random_saddle(12, 5, seed=0)
     yield generate_random_saddle(40, 16, seed=1)
@@ -435,9 +425,9 @@ def _instances():
 
 class TestReconstruction:
     @pytest.mark.parametrize("kind", ["mgss", "rmgss", "hss", "none"])
-    def test_dense_P_times_apply_is_identity(self, kind):
+    def test_dense_P_times_apply_is_identity(self, kind, toy_t1):
         rng = np.random.default_rng(77)
-        for sys_ in _instances():
+        for sys_ in _instances(toy_t1):
             if kind == "mgss":
                 spec = PrecondSpec("mgss", 0.3, 0.8, inner="direct")
             elif kind == "rmgss":

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,17 @@ class TestStokesDimensions:
     def test_macroelement_nnz_pattern(self, q):
         sys_ = generate_stokes_q1p0(StokesConfig(q, pin_pressure=False))
         assert sys_.C.nnz == 12 * (q // 2) ** 2
+
+
+class TestStokesConfig:
+    @pytest.mark.parametrize("q", [4.9, 4.0, "4", True, None, 3, 0, -2])
+    def test_bad_q_rejected(self, q):
+        with pytest.raises(ValueError, match="q must be an even integer"):
+            StokesConfig(q)
+
+    def test_numpy_integer_q_accepted(self):
+        cfg = StokesConfig(np.int64(4))
+        assert cfg.q == 4 and type(cfg.q) is int
 
 
 class TestStokesProperties:
@@ -219,6 +231,17 @@ class TestRandomSaddle:
     def test_m_greater_n_rejected(self):
         with pytest.raises(ValueError):
             generate_random_saddle(3, 4)
+
+    @pytest.mark.parametrize("n,m,density,message", [
+        (6, 3, 2.0, "density must lie in [0, 1]"),
+        (6, 3, -1.0, "density must lie in [0, 1]"),
+        (6, 3, np.nan, "density must lie in [0, 1]"),
+        (6, -1, 0.3, "0 <= m <= n"),
+        (-2, 0, 0.3, "0 <= m <= n"),
+    ])
+    def test_bad_arguments_named(self, n, m, density, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_random_saddle(n, m, density=density)
 
     def test_A_spd(self):
         sys_ = generate_random_saddle(30, 10, seed=1)

@@ -21,13 +21,6 @@ from sadprec.sparse import (
 from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
 
 
-def toy_t1():
-    A = CsrMatrix.from_dense([[2.0]])
-    B = CsrMatrix.from_dense([[1.0]])
-    C = CsrMatrix.zeros(1, 1)
-    return SaddleSystem(A, B, C, np.array([1.0]), np.array([0.0]))
-
-
 class TestSpmv:
     def test_identity(self):
         x = np.array([1.0, 2.0, 3.0])
@@ -527,13 +520,13 @@ class TestDiagonalLayout:
 
 
 class TestSaddleSystem:
-    def test_rhs_sign(self):
-        sys_ = toy_t1()
+    def test_rhs_sign(self, toy_t1):
+        sys_ = toy_t1
         assert np.array_equal(sys_.rhs(), np.array([1.0, -0.0]))
 
-    def test_assemble_toy(self):
+    def test_assemble_toy(self, toy_t1):
         # A=[2], B=[1], C=[0] gives [[2,1],[-1,0]]
-        acal = to_dense(assemble_block_saddle(toy_t1()))
+        acal = to_dense(assemble_block_saddle(toy_t1))
         assert np.array_equal(acal, np.array([[2.0, 1.0], [-1.0, 0.0]]))
 
     def test_assemble_m0_degenerate(self):

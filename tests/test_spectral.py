@@ -23,16 +23,6 @@ from sadprec.spectral import (
 from sadprec.stationary import IterationMatrixOperator
 
 
-def toy_t1():
-    return SaddleSystem(
-        CsrMatrix.from_dense([[2.0]]),
-        CsrMatrix.from_dense([[1.0]]),
-        CsrMatrix.zeros(1, 1),
-        np.array([1.0]),
-        np.array([0.0]),
-    )
-
-
 class TestJacobi:
     def test_diagonal(self):
         w, V = jacobi_symmetric(np.diag([5.0, 1.0, 3.0]))
@@ -81,8 +71,8 @@ class TestRealSchur:
         spec = dense_eigen_real_schur(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert np.allclose(spec.eigenvalues, [-1.0j, 1.0j])
 
-    def test_toy_gamma_nilpotent(self):
-        spec = dense_eigen_real_schur(gamma_dense(toy_t1(), 1.0, 1.0))
+    def test_toy_gamma_nilpotent(self, toy_t1):
+        spec = dense_eigen_real_schur(gamma_dense(toy_t1, 1.0, 1.0))
         assert np.max(np.abs(spec.eigenvalues)) <= 1e-8
 
     @pytest.mark.parametrize("n,seed", [(3, 0), (17, 1), (80, 2), (200, 3)])
@@ -277,13 +267,13 @@ class TestSpectrumCsv:
 
 
 class TestPredictedSpectrum:
-    def test_toy(self):
-        spec = predicted_rmgss_spectrum(toy_t1(), 1.0)
+    def test_toy(self, toy_t1):
+        spec = predicted_rmgss_spectrum(toy_t1, 1.0)
         assert spec.source == PREDICTED
         assert np.allclose(spec.eigenvalues, [1.0 / 3.0, 1.0], atol=1e-14)
 
-    def test_large_beta_limit(self):
-        spec = predicted_rmgss_spectrum(toy_t1(), 1e6)
+    def test_large_beta_limit(self, toy_t1):
+        spec = predicted_rmgss_spectrum(toy_t1, 1e6)
         lam_small = spec.eigenvalues[0].real
         assert lam_small == pytest.approx(5e-7, rel=1e-3)
 
@@ -294,9 +284,9 @@ class TestPredictedSpectrum:
         assert np.allclose(spec.eigenvalues, [1.0, 1.0])
 
     @pytest.mark.parametrize("beta", [0.0, -1.0, np.nan])
-    def test_beta_checked_as_for_rmgss(self, beta):
+    def test_beta_checked_as_for_rmgss(self, beta, toy_t1):
         with pytest.raises(ValueError, match="rmgss requires beta > 0|shift beta must be finite"):
-            predicted_rmgss_spectrum(toy_t1(), beta)
+            predicted_rmgss_spectrum(toy_t1, beta)
 
     @pytest.mark.parametrize("beta", [0.001, 0.1, 1.0])
     def test_matches_dense_spectrum(self, beta):
@@ -307,8 +297,8 @@ class TestPredictedSpectrum:
 
 
 class TestIterationMatrixCheck:
-    def test_toy(self):
-        res = iteration_matrix_check(toy_t1(), 1.0, 1.0)
+    def test_toy(self, toy_t1):
+        res = iteration_matrix_check(toy_t1, 1.0, 1.0)
         assert res["rho"] <= 1e-8
         assert res["min_dist_to_plus1"] == pytest.approx(1.0, abs=1e-8)
         assert res["min_dist_to_minus1"] == pytest.approx(1.0, abs=1e-8)

@@ -6,19 +6,9 @@ import pytest
 from sadprec.krylov import StoppingRule, saddle_operator, stationary_richardson
 from sadprec.precond import MgssApplicator, PrecondSpec, dense_preconditioner_matrix, shift_diagonal
 from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
-from sadprec.sparse import CsrMatrix, SaddleSystem, assemble_block_saddle, to_dense
+from sadprec.sparse import SaddleSystem, assemble_block_saddle, to_dense
 from sadprec.spectral import gamma_dense, power_spectral_radius
 from sadprec.stationary import IterationMatrixOperator
-
-
-def toy_t1():
-    return SaddleSystem(
-        CsrMatrix.from_dense([[2.0]]),
-        CsrMatrix.from_dense([[1.0]]),
-        CsrMatrix.zeros(1, 1),
-        np.array([1.0]),
-        np.array([0.0]),
-    )
 
 
 TOY_GAMMA = np.array([[-0.5, -0.5], [0.5, 0.5]])  # dense M^{-1} N for alpha=beta=1
@@ -42,16 +32,16 @@ def rel_err(got, want):
 
 
 class TestGammaOperator:
-    def test_toy_dense_oracle(self):
-        op = IterationMatrixOperator(toy_t1(), 1.0, 1.0)
+    def test_toy_dense_oracle(self, toy_t1):
+        op = IterationMatrixOperator(toy_t1, 1.0, 1.0)
         assert np.allclose(op(np.array([1.0, 0.0])), TOY_GAMMA @ [1.0, 0.0], atol=1e-14)
 
-    def test_zero_vector(self):
-        op = IterationMatrixOperator(toy_t1(), 1.0, 1.0)
+    def test_zero_vector(self, toy_t1):
+        op = IterationMatrixOperator(toy_t1, 1.0, 1.0)
         assert np.allclose(op(np.zeros(2)), np.zeros(2), atol=1e-15)
 
-    def test_toy_null_direction(self):
-        op = IterationMatrixOperator(toy_t1(), 1.0, 1.0)
+    def test_toy_null_direction(self, toy_t1):
+        op = IterationMatrixOperator(toy_t1, 1.0, 1.0)
         assert np.allclose(op(np.array([1.0, -1.0])), np.zeros(2), atol=1e-14)
 
     @pytest.mark.parametrize("make,alpha,beta", GAMMA_CASES)
@@ -133,10 +123,10 @@ def run_mgss(sys_, spec, rule):
 
 
 class TestRunMgss:
-    def test_toy_exact_in_two_steps(self):
+    def test_toy_exact_in_two_steps(self, toy_t1):
         # Gamma^2 = 0 for the toy system at alpha=beta=1
         assert np.allclose(TOY_GAMMA @ TOY_GAMMA, np.zeros((2, 2)))
-        rep = run_mgss(toy_t1(), PrecondSpec("mgss", 1.0, 1.0, inner="direct"), StoppingRule(1e-12, 10, 5))
+        rep = run_mgss(toy_t1, PrecondSpec("mgss", 1.0, 1.0, inner="direct"), StoppingRule(1e-12, 10, 5))
         assert rep.converged and rep.outer_iterations <= 2
         assert np.allclose(rep.solution, [0.0, 1.0], atol=1e-12)
 
@@ -155,9 +145,9 @@ class TestRunMgss:
         # block is small so kappa is around 1e4 here
         assert np.linalg.norm(rep.solution - u_star) <= 1e-4 * np.linalg.norm(u_star)
 
-    def test_rho_estimate_recorded(self):
+    def test_rho_estimate_recorded(self, toy_t1):
         # Gamma is nilpotent for the toy system at alpha=beta=1
-        assert power_spectral_radius(IterationMatrixOperator(toy_t1(), 1.0, 1.0)) < 1e-8
+        assert power_spectral_radius(IterationMatrixOperator(toy_t1, 1.0, 1.0)) < 1e-8
 
     def test_fixed_point_property(self):
         sys_ = generate_random_saddle(24, 10, seed=3)
@@ -171,9 +161,9 @@ class TestRunMgss:
 class TestSpectralRadiusGrid:
     @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.1, 1.0, 10.0])
     @pytest.mark.parametrize("beta", [0.001, 0.01, 0.1, 1.0, 10.0])
-    def test_rho_below_one(self, alpha, beta):
+    def test_rho_below_one(self, alpha, beta, toy_t1):
         from sadprec.spectral import dense_eigen_real_schur, gamma_dense
 
-        for sys_ in (toy_t1(), generate_random_saddle(14, 6, seed=1)):
+        for sys_ in (toy_t1, generate_random_saddle(14, 6, seed=1)):
             lam = dense_eigen_real_schur(gamma_dense(sys_, alpha, beta)).eigenvalues
             assert np.max(np.abs(lam)) < 1.0
