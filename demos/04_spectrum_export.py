@@ -9,7 +9,7 @@ whole story of why the shift-splitting preconditioners work.
 import numpy as np
 
 from sadprec import PrecondSpec, StokesConfig, dense_eigen_real_schur, generate_stokes_q1p0
-from sadprec.spectral import preconditioned_dense
+from sadprec.spectral import preconditioned_dense, save_gnuplot
 
 BETA = 0.001
 sys_ = generate_stokes_q1p0(StokesConfig(8))
@@ -25,11 +25,7 @@ for name, matrix in jobs.items():
     lam = spec.eigenvalues
     csv = f"spectrum_{name}.csv"
     spec.save_csv(csv)
-    with open(f"spectrum_{name}.gp", "w") as fh:
-        fh.write("set datafile separator ','\n")
-        fh.write(f"set title '{name} spectrum'\n")
-        fh.write(f"plot '{csv}' every ::1 using 1:2 with points pt 7 notitle\n")
-        fh.write("pause -1\n")
+    save_gnuplot(csv, name)
     spread = np.max(np.abs(lam - 1.0))
     print(
         f"  {name:<8} re range [{lam.real.min():9.3g}, {lam.real.max():9.3g}]"

@@ -180,8 +180,8 @@ def cmd_sweep(args):
 # -- spectrum -------------------------------------------------------------
 
 # each operator: the preconditioner kind whose shifts it takes, and the function
-# of the system and its direct-mode spec that forms the dense matrix (none for
-# the predicted spectrum, which is not computed from a matrix)
+# of the system and that kind's spec that forms the dense matrix (none for the
+# predicted spectrum, which is not computed from a matrix)
 _OPERATORS = {
     "saddle": ("none", spectral.preconditioned_dense),
     "mgss-prec": ("mgss", spectral.preconditioned_dense),
@@ -190,29 +190,17 @@ _OPERATORS = {
     "rmgss-predicted": ("rmgss", None),
 }
 
-_GNUPLOT = """\
-set title 'eigenvalue distribution: {title}'
-set xlabel 'Re'
-set ylabel 'Im'
-set grid
-set datafile separator ','
-plot '{csv}' every ::1 using 1:2 with points pt 7 ps 1 notitle
-pause -1 'press enter to close'
-"""
-
 
 def cmd_spectrum(args):
     sys_, _ = problems.load_bundle(args.indir)
     kind, dense = _OPERATORS[args.operator]
-    prec = PrecondSpec(kind, args.alpha, args.beta, "direct")
+    prec = PrecondSpec(kind, args.alpha, args.beta)
     if dense is None:
         spec = spectral.predicted_rmgss_spectrum(sys_, prec.beta)
     else:
         spec = spectral.dense_eigen_real_schur(dense(sys_, prec))
     spec.save_csv(args.csv)
-    # the script sits beside the CSV, so it names the CSV by its basename
-    gp_path = os.path.splitext(args.csv)[0] + ".gp"
-    pathlib.Path(gp_path).write_text(_GNUPLOT.format(title=args.operator, csv=os.path.basename(args.csv)))
+    gp_path = spectral.save_gnuplot(args.csv, args.operator)
     print(f"wrote {len(spec)} eigenvalues to {args.csv} and plot script to {gp_path}")
     return 0
 

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _PIVOT_RTOL = 1e-14
+_NAN_MESSAGE = "matrix is not positive definite (it has a NaN entry)"
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -101,7 +102,7 @@ def cholesky(M):
     ------
     NotPositiveDefiniteError
         On a pivot at or below 1e-14 times the largest diagonal entry,
-        or a NaN pivot.
+        or a NaN entry anywhere in M.
     ValueError
         If M is not square or not symmetric, or if a component of order
         k has k * k entries above the dense cap.
@@ -109,6 +110,9 @@ def cholesky(M):
     if M.nrows != M.ncols:
         raise ValueError("matrix must be square")
     _check_symmetric(M, "matrix")
+    if np.isnan(M.values).any():
+        # it passes the symmetry check, and LAPACK would miss one above the diagonal
+        raise NotPositiveDefiniteError(_NAN_MESSAGE)
     n = M.nrows
     rows, cols = M._rows, M.col_idx
     _, comp, sizes = np.unique(_component_labels(n, rows, cols),
@@ -147,7 +151,7 @@ def cholesky_dense(a):
         raise ValueError("matrix must be square")
     if np.isnan(_check_symmetric_dense(a, "matrix")):
         # LAPACK reads the lower triangle only, and would miss a NaN above it
-        raise NotPositiveDefiniteError("matrix is not positive definite (it has a NaN entry)")
+        raise NotPositiveDefiniteError(_NAN_MESSAGE)
     return _factor(a.shape[0], [(np.arange(a.shape[0])[None], a[None])])
 
 

@@ -46,8 +46,8 @@ from . import factor
 from .krylov import LinearOperator, cg
 from .sparse import (
     add_scaled_identity,
-    assemble_block_saddle,
     gram_plus_identity,
+    saddle_dense,
     spmv,
     spmv_transpose,
     to_dense,
@@ -253,17 +253,31 @@ def shift_diagonal(sys, spec):
 
 
 def dense_preconditioner_matrix(sys, spec):
-    """The preconditioner assembled densely, for reconstruction tests."""
-    n = sys.n
-    K = to_dense(assemble_block_saddle(sys))
+    """The preconditioner matrix P of ``spec`` as a dense array, from ``sparse.saddle_dense``.
+
+    The identity for ``none``; for mgss (Sigma + K) / 2 and for rmgss
+    Sigma + K, with Sigma = blkdiag(alpha I, beta I); for hss
+    (alpha I + H)(alpha I + S) / (2 alpha), with H = blkdiag(A, C) and S
+    the skew part [[0, B^T], [-B, 0]] of K.  P is nonsingular for every
+    valid spec, so ``spectral.preconditioned_dense`` and
+    ``stationary.IterationMatrixOperator.dense`` solve with it by LU.
+    Every kind but ``none`` is refused above ``sparse.dense_cap()``, as K is.
+    """
     if spec.kind == "none":
         return np.eye(sys.order)
+    n = sys.n
+    P = saddle_dense(sys)
     if spec.kind == "hss":
-        # skew part S = [[0, B^T], [-B, 0]]; the rest of K is H = blkdiag(A, C)
-        S = np.zeros_like(K)
-        S[:n, n:], S[n:, :n] = K[:n, n:], K[n:, :n]
-        aI = spec.alpha * np.eye(sys.order)
-        return (aI + K - S) @ (aI + S) / (2.0 * spec.alpha)
+        # alpha I + S takes K's off-diagonal blocks, alpha I + H the rest
+        a, diag = spec.alpha, np.diag_indices_from(P)
+        skew = np.zeros_like(P)
+        skew[:n, n:], skew[n:, :n] = P[:n, n:], P[n:, :n]
+        P[:n, n:], P[n:, :n] = 0.0, 0.0
+        P[diag] += a
+        skew[diag] = a
+        return P @ skew / (2.0 * a)
     # mgss and rmgss (whose alpha is 0): K plus Sigma
-    P = K + np.diag(shift_diagonal(sys, spec))
-    return 0.5 * P if spec.kind == "mgss" else P
+    P[np.diag_indices_from(P)] += shift_diagonal(sys, spec)
+    if spec.kind == "mgss":
+        P *= 0.5
+    return P

@@ -25,6 +25,7 @@ __all__ = [
     "add_scaled_identity",
     "gram_plus_identity",
     "to_dense",
+    "saddle_dense",
     "dense_cap",
 ]
 
@@ -376,16 +377,18 @@ def gram_plus_identity(M, s):
     return _merge_sorted(m, m, rows, cand.ravel(), prod.ravel())
 
 
+def _dense_zeros(nrows, ncols):
+    # a zero array of that shape; refused above dense_cap()
+    limit = dense_cap()
+    if nrows * ncols > limit:
+        raise ValueError(f"dense conversion of {nrows}x{ncols} exceeds cap of {limit} entries")
+    return np.zeros((nrows, ncols))
+
+
 def to_dense(M):
     """Dense ndarray copy of M; refuses matrices above ``dense_cap()``."""
-    limit = dense_cap()
-    if M.nrows * M.ncols > limit:
-        raise ValueError(
-            f"dense conversion of {M.nrows}x{M.ncols} exceeds cap of {limit} entries"
-        )
-    out = np.zeros((M.nrows, M.ncols))
-    if M.nnz:
-        out[M._rows, M.col_idx] = M.values
+    out = _dense_zeros(M.nrows, M.ncols)
+    out[M._rows, M.col_idx] = M.values
     return out
 
 
@@ -468,6 +471,24 @@ class SaddleSystem:
         top = spmv(self.A, x) + spmv_transpose(self.B, y)
         bot = -spmv(self.B, x) + spmv(self.C, y)
         return np.concatenate([top, bot])
+
+
+def saddle_dense(sys):
+    """The dense saddle matrix K = [[A, B^T], [-B, C]], refused above ``dense_cap()``.
+
+    The stored entries of A, B^T, -B and C are scattered into one zero
+    array, with no CSR assembly: the bits of
+    ``to_dense(assemble_block_saddle(sys))``, since the four blocks do
+    not overlap and hold no zero.
+    """
+    n = sys.n
+    K = _dense_zeros(sys.order, sys.order)
+    B = sys.B
+    K[sys.A._rows, sys.A.col_idx] = sys.A.values
+    K[B.col_idx, B._rows + n] = B.values
+    K[B._rows + n, B.col_idx] = -B.values
+    K[sys.C._rows + n, sys.C.col_idx + n] = sys.C.values
+    return K
 
 
 def assemble_block_saddle(sys):

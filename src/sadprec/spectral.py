@@ -12,23 +12,31 @@ C + B A^{-1} B^T.
 
 ``preconditioned_dense`` is the one builder of P^{-1} K for every
 kind, and ``gamma_dense`` (``IterationMatrixOperator.dense``) of Gamma.
-Every dense matrix here is built from ``sparse.to_dense`` conversions,
-so ``sparse.dense_cap()`` (``SADPREC_DENSE_CAP``) is the only limit on
-the order of a spectrum; the eigensolvers add none of their own.
+Each is one LU solve (``np.linalg.solve``) with a dense matrix built
+from ``sparse.saddle_dense``, the dense K: P from
+``precond.dense_preconditioner_matrix``, Sigma + K for Gamma.  No
+preconditioner is built or factored, so these matrices need only be
+nonsingular, as they are for every valid shift; a singular one raises
+numpy's ``LinAlgError``.  ``sparse.dense_cap()`` (``SADPREC_DENSE_CAP``)
+is the only limit on the order of a spectrum: a few order x order
+arrays are alive at once, and the eigensolvers add no limit of their
+own.  ``save_gnuplot`` writes the plot script of a spectrum CSV.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import factor
-from .precond import PrecondSpec, make_preconditioner
-from .sparse import _check_symmetric_dense, assemble_block_saddle, dense_cap, to_dense
+from .precond import PrecondSpec, dense_preconditioner_matrix
+from .sparse import _check_symmetric_dense, dense_cap, saddle_dense, to_dense
 from .stationary import IterationMatrixOperator
 
 __all__ = [
     "Spectrum",
+    "save_gnuplot",
     "COMPUTED_DENSE",
     "PREDICTED",
     "jacobi_symmetric",
@@ -71,6 +79,29 @@ class Spectrum:
 
     def __len__(self):
         return self.eigenvalues.size
+
+
+_GNUPLOT = """\
+set title 'eigenvalue distribution: {title}'
+set xlabel 'Re'
+set ylabel 'Im'
+set grid
+set datafile separator ','
+plot '{csv}' every ::1 using 1:2 with points pt 7 ps 1 notitle
+pause -1 'press enter to close'
+"""
+
+
+def save_gnuplot(csv_path, title):
+    """Write a gnuplot script that plots a ``Spectrum.save_csv`` file; return its path.
+
+    The script is ``<csv stem>.gp`` beside the CSV, so it names the CSV
+    by its basename.
+    """
+    gp_path = os.path.splitext(csv_path)[0] + ".gp"
+    with open(gp_path, "w") as fh:
+        fh.write(_GNUPLOT.format(title=title, csv=os.path.basename(csv_path)))
+    return gp_path
 
 
 # -- eigensolvers (LAPACK through numpy) -----------------------------------
@@ -145,19 +176,25 @@ def power_spectral_radius(op):
 
 
 def gamma_dense(sys, alpha, beta):
-    """Dense iteration matrix Gamma = M^{-1} Sigma - I = (Sigma + K)^{-1} (Sigma - K).
+    """Dense iteration matrix Gamma = (Sigma + K)^{-1} (Sigma - K).
 
-    ``stationary.IterationMatrixOperator.dense``: one direct mgss solve
-    with the columns of Sigma.
+    ``stationary.IterationMatrixOperator.dense``: one LU solve, with no
+    preconditioner built.
     """
     return IterationMatrixOperator(sys, alpha, beta).dense()
 
 
 def preconditioned_dense(sys, spec):
-    """Dense P^{-1} K, P the direct-mode preconditioner of ``spec``; K itself for ``none``."""
-    K = to_dense(assemble_block_saddle(sys))
-    prec = make_preconditioner(sys, PrecondSpec(spec.kind, spec.alpha, spec.beta, "direct"))
-    return K if prec is None else prec.apply(K)
+    """Dense P^{-1} K, one LU solve with ``dense_preconditioner_matrix``; K itself for ``none``.
+
+    Only ``spec``'s kind and shifts matter, not its inner mode.  P is
+    nonsingular for every valid spec; a singular one raises numpy's
+    ``LinAlgError``.
+    """
+    if spec.kind == "none":
+        return saddle_dense(sys)
+    P = dense_preconditioner_matrix(sys, spec)
+    return np.linalg.solve(P, saddle_dense(sys))
 
 
 def rmgss_preconditioned_dense(sys, beta):
@@ -185,7 +222,7 @@ def iteration_matrix_check(sys, alpha, beta):
     """Spectral radius of the iteration matrix and distances to +-1.
 
     Computes the full dense spectrum of Gamma = (Sigma + K)^{-1}
-    (Sigma - K) (``gamma_dense``: one direct preconditioner solve) and
+    (Sigma - K) (``gamma_dense``: one LU solve) and
     reports max |lambda| together with the minimum distance of any
     eigenvalue to +1 and to -1.
     """

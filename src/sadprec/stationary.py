@@ -8,15 +8,21 @@ runs with an ``MgssApplicator``.  Its iteration matrix
 
     Gamma = M^{-1} N = (Sigma + K)^{-1} (Sigma - K) = M^{-1} Sigma - I
 
-is exposed here as an operator.  Its ``dense``, the one builder of
-Gamma as an array, serves ``spectral.gamma_dense`` and the power
+is exposed here as an operator, applied through the last form: one
+direct mgss solve per application, built and factored on the first.
+Its ``dense``, the one builder of Gamma as an array, is the LU solve of
+the middle form with the dense K of ``sparse.saddle_dense`` and builds
+no preconditioner; it serves ``spectral.gamma_dense`` and the power
 iteration's probe of small operators.
 """
+
+from functools import cached_property
 
 import numpy as np
 
 from .krylov import LinearOperator
 from .precond import MgssApplicator, PrecondSpec, shift_diagonal
+from .sparse import saddle_dense
 
 __all__ = ["IterationMatrixOperator"]
 
@@ -26,13 +32,20 @@ class IterationMatrixOperator(LinearOperator):
 
     One application costs one preconditioner solve and no product with
     K; Sigma, held as its diagonal, scales vectors and column blocks.
+    The shifts are checked at construction, but the direct mgss
+    elimination (``_prec``, a ``functools.cached_property``) is built
+    and factored on the first application: ``dense`` needs none.
     """
 
     def __init__(self, sys, alpha, beta):
-        spec = PrecondSpec("mgss", alpha=alpha, beta=beta, inner="direct")
-        self._prec = MgssApplicator(sys, spec)
-        self._shift = shift_diagonal(sys, spec)
+        self._sys = sys
+        self._spec = PrecondSpec("mgss", alpha=alpha, beta=beta, inner="direct")
+        self._shift = shift_diagonal(sys, self._spec)
         super().__init__(sys.order, self._matvec)
+
+    @cached_property
+    def _prec(self):
+        return MgssApplicator(self._sys, self._spec)
 
     def _matvec(self, v):
         v = np.asarray(v, dtype=np.float64)
@@ -40,11 +53,15 @@ class IterationMatrixOperator(LinearOperator):
         return self._prec.apply(shift * v) - v
 
     def dense(self):
-        """Gamma as an array: one solve with the columns of Sigma, then I subtracted in place.
+        """Gamma as an array: ``np.linalg.solve(Sigma + K, Sigma - K)``, one LU solve.
 
-        The same bits as ``LinearOperator.dense``, the operator applied to
-        the identity, with one order x order array fewer alive.
+        K comes from ``sparse.saddle_dense``; Sigma + K overwrites it, so
+        three order x order arrays are alive through the solve.  Sigma + K
+        = 2 M is nonsingular for every pair of positive shifts; a singular
+        one raises numpy's ``LinAlgError``.
         """
-        gamma = self._prec.apply(np.diag(self._shift))
-        gamma[np.diag_indices_from(gamma)] -= 1.0
-        return gamma
+        plus = saddle_dense(self._sys)
+        minus = np.diag(self._shift)
+        minus -= plus
+        plus[np.diag_indices_from(plus)] += self._shift
+        return np.linalg.solve(plus, minus)

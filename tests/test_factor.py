@@ -126,6 +126,16 @@ class TestCholesky:
         with pytest.raises(factor.NotPositiveDefiniteError):
             factor.cholesky_dense(a)
 
+    @pytest.mark.parametrize("where", [(0, 1), (1, 0), (1, 1)], ids=["above", "below", "diagonal"])
+    def test_csr_nan_anywhere_rejected(self, where):
+        # a NaN passes the symmetry check, and LAPACK reads only the lower
+        # triangle: above the diagonal it used to be dropped, and the solve
+        # against e1 gave (0.2667, -0.0667)
+        a = np.array([[4.0, 1.0], [1.0, 4.0]])
+        a[where] = np.nan
+        with pytest.raises(factor.NotPositiveDefiniteError, match="NaN entry"):
+            factor.cholesky(CsrMatrix.from_dense(a))
+
     def test_pivot_rule_spans_components(self):
         # the 1e-14 rule is relative to the largest diagonal entry of the
         # whole matrix, not of each component

@@ -14,6 +14,7 @@ from sadprec.sparse import (
     assemble_block_saddle,
     dense_cap,
     gram_plus_identity,
+    saddle_dense,
     spmv,
     spmv_transpose,
     to_dense,
@@ -569,6 +570,26 @@ class TestSaddleSystem:
         assert np.allclose(to_dense(assemble_block_saddle(sys_)), expected, atol=0.0)
         u = rng.standard_normal(6)
         assert np.allclose(sys_.matvec(u), expected @ u, atol=1e-14)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: generate_random_saddle(60, 24, seed=12), id="random60x24"),
+        pytest.param(lambda: generate_stokes_q1p0(StokesConfig(8)), id="stokes8-pinned"),
+        pytest.param(lambda: generate_stokes_q1p0(StokesConfig(8, pin_pressure=False)), id="stokes8-unpinned"),
+        pytest.param(lambda: SaddleSystem(CsrMatrix.from_dense([[2.0, 1.0], [1.0, 3.0]]), CsrMatrix.zeros(0, 2),
+                                          CsrMatrix.zeros(0, 0), np.ones(2), np.zeros(0)), id="m0"),
+    ])
+    def test_saddle_dense_is_the_assembled_matrix_bitwise(self, make):
+        sys_ = make()
+        assert saddle_dense(sys_).tobytes() == to_dense(assemble_block_saddle(sys_)).tobytes()
+
+    def test_saddle_dense_refused_as_to_dense(self, monkeypatch):
+        sys_ = generate_random_saddle(12, 5, seed=1)
+        monkeypatch.setenv("SADPREC_DENSE_CAP", "288")  # 17 x 17 = 289 entries
+        with pytest.raises(ValueError) as want:
+            to_dense(assemble_block_saddle(sys_))
+        with pytest.raises(ValueError) as got:
+            saddle_dense(sys_)
+        assert str(got.value) == str(want.value) == "dense conversion of 17x17 exceeds cap of 288 entries"
 
     def test_asymmetric_A_rejected(self):
         A = CsrMatrix.from_dense([[1.0, 2.0], [0.5, 1.0]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sadprec.krylov import LinearOperator, as_operator
-from sadprec.precond import MgssApplicator, PrecondSpec, dense_preconditioner_matrix
+from sadprec.precond import MgssApplicator, PrecondSpec, dense_preconditioner_matrix, make_preconditioner
 from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
 from sadprec.sparse import CsrMatrix, SaddleSystem, assemble_block_saddle, to_dense
 from sadprec.spectral import (
@@ -145,7 +145,8 @@ class TestPowerRadius:
         counted, operands = counting(op)
         est = power_spectral_radius(counted)
         assert len(operands) == 1 and np.array_equal(operands[0], np.eye(op.dim))
-        assert est == power_spectral_radius(op)
+        # a plain wrapper probes op(eye) too; op.dense() is an LU solve instead
+        assert est == power_spectral_radius(LinearOperator(op.dim, op))
 
     def test_operator_with_more_columns_than_steps_is_iterated(self):
         # 100 steps of 5 starts apply it to 500 columns, fewer than its 833
@@ -172,6 +173,7 @@ class TestPowerRadius:
     def test_dense_cap_zero_forces_the_operator_path(self, monkeypatch):
         op = IterationMatrixOperator(generate_stokes_q1p0(StokesConfig(8, pin_pressure=True)), 0.1, 0.1)
         probed = power_spectral_radius(op)
+        op(np.zeros(op.dim))  # builds the elimination, whose dense Schur matrix needs the cap
         monkeypatch.setenv("SADPREC_DENSE_CAP", "0")
         counted, operands = counting(op)
         iterated = power_spectral_radius(counted)
@@ -230,6 +232,9 @@ def power_radius_loop(op):
 SYSTEMS = {
     "random60x24": lambda: generate_random_saddle(60, 24, seed=12),
     "stokes4-pinned": lambda: generate_stokes_q1p0(StokesConfig(4, pin_pressure=True)),
+    # no constraints: K is A, and the eliminations reduce to solves with A's blocks
+    "m0": lambda: SaddleSystem(CsrMatrix.from_dense([[2.0, 1.0], [1.0, 3.0]]), CsrMatrix.zeros(0, 2),
+                               CsrMatrix.zeros(0, 0), np.ones(2), np.zeros(0)),
 }
 
 
@@ -246,11 +251,40 @@ class TestPreconditionedDense:
 
     @pytest.mark.parametrize("name", SYSTEMS)
     def test_rmgss_is_the_direct_elimination_bitwise(self, name):
+        # the bits of one LU solve with the dense rmgss matrix; the direct
+        # block elimination agrees to rounding
         sys_ = SYSTEMS[name]()
-        got = preconditioned_dense(sys_, PrecondSpec("rmgss", beta=1e-3))
+        spec = PrecondSpec("rmgss", beta=1e-3)
+        got = preconditioned_dense(sys_, spec)
         assert got.tobytes() == rmgss_preconditioned_dense(sys_, 1e-3).tobytes()
-        direct = MgssApplicator(sys_, PrecondSpec("rmgss", beta=1e-3, inner="direct"))
-        assert got.tobytes() == direct.apply(to_dense(assemble_block_saddle(sys_))).tobytes()
+        K = to_dense(assemble_block_saddle(sys_))
+        assert got.tobytes() == np.linalg.solve(dense_preconditioner_matrix(sys_, spec), K).tobytes()
+        direct = MgssApplicator(sys_, PrecondSpec("rmgss", beta=1e-3, inner="direct")).apply(K)
+        assert np.linalg.norm(got - direct) <= 1e-10 * np.linalg.norm(direct)
+
+    @pytest.mark.parametrize("kind", ["none", "mgss", "rmgss", "hss"])
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_agrees_with_the_direct_applicator(self, name, kind):
+        sys_ = SYSTEMS[name]()
+        spec = PrecondSpec(kind)
+        K = to_dense(assemble_block_saddle(sys_))
+        prec = make_preconditioner(sys_, PrecondSpec(kind, spec.alpha, spec.beta, "direct"))
+        want = K if prec is None else prec.apply(K)
+        got = preconditioned_dense(sys_, spec)
+        assert got.shape == K.shape
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_hss_holds_a_few_dense_matrices(self):
+        # order 833: one array is 5.3 MiB; hss direct mode's padded inverse
+        # factors used to take 847 MiB here
+        sys_ = generate_stokes_q1p0(StokesConfig(16, pin_pressure=True))
+        tracemalloc.start()
+        try:
+            preconditioned_dense(sys_, PrecondSpec("hss"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestSpectrumCsv:

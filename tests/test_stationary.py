@@ -6,7 +6,7 @@ import pytest
 from sadprec.krylov import StoppingRule, saddle_operator, stationary_richardson
 from sadprec.precond import MgssApplicator, PrecondSpec, dense_preconditioner_matrix, shift_diagonal
 from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
-from sadprec.sparse import SaddleSystem, assemble_block_saddle, to_dense
+from sadprec.sparse import CsrMatrix, SaddleSystem, assemble_block_saddle, to_dense
 from sadprec.spectral import gamma_dense, power_spectral_radius
 from sadprec.stationary import IterationMatrixOperator
 
@@ -62,12 +62,35 @@ class TestGammaOperator:
 
     @pytest.mark.parametrize("make,alpha,beta", GAMMA_CASES)
     def test_gamma_dense_is_the_solve_with_sigma(self, make, alpha, beta):
-        # the operator on the identity has the bits of one direct mgss
-        # solve with the columns of Sigma, minus I
+        # the bits of one LU solve (Sigma + K)^{-1} (Sigma - K); one direct
+        # mgss solve with the columns of Sigma, minus I, agrees to rounding
         sys_ = make()
         spec = PrecondSpec("mgss", alpha=alpha, beta=beta, inner="direct")
-        want = MgssApplicator(sys_, spec).apply(np.diag(shift_diagonal(sys_, spec))) - np.eye(sys_.order)
-        assert gamma_dense(sys_, alpha, beta).tobytes() == want.tobytes()
+        K = to_dense(assemble_block_saddle(sys_))
+        sigma = np.diag(shift_diagonal(sys_, spec))
+        got = gamma_dense(sys_, alpha, beta)
+        assert got.tobytes() == np.linalg.solve(sigma + K, sigma - K).tobytes()
+        direct = MgssApplicator(sys_, spec).apply(sigma) - np.eye(sys_.order)
+        assert rel_err(got, direct) <= 1e-12
+
+    def test_m_zero(self):
+        # no constraints: Gamma = (alpha I + A)^{-1} (alpha I - A)
+        Ad = np.array([[2.0, 1.0], [1.0, 3.0]])
+        sys_ = SaddleSystem(CsrMatrix.from_dense(Ad), CsrMatrix.zeros(0, 2), CsrMatrix.zeros(0, 0),
+                            np.ones(2), np.zeros(0))
+        want = np.linalg.solve(0.5 * np.eye(2) + Ad, 0.5 * np.eye(2) - Ad)
+        assert rel_err(gamma_dense(sys_, 0.5, 0.3), want) <= 1e-14
+        assert rel_err(IterationMatrixOperator(sys_, 0.5, 0.3)(np.eye(2)), want) <= 1e-14
+
+    def test_elimination_built_on_first_application(self):
+        sys_ = generate_random_saddle(18, 7, seed=6)
+        with pytest.raises(ValueError, match="mgss requires alpha > 0"):
+            IterationMatrixOperator(sys_, 0.0, 0.6)
+        op = IterationMatrixOperator(sys_, 0.3, 0.6)
+        op.dense()
+        assert "_prec" not in vars(op)
+        op(np.ones(sys_.order))
+        assert isinstance(vars(op)["_prec"], MgssApplicator)
 
     def test_gamma_dense_never_holds_the_identity(self):
         # the old formula applied the operator to the identity and so kept
