@@ -43,11 +43,18 @@ __all__ = [
 ]
 
 _PIVOT_RTOL = 1e-14
-_NAN_MESSAGE = "matrix is not positive definite (it has a NaN entry)"
 
 
 class NotPositiveDefiniteError(ValueError):
     pass
+
+
+def _non_finite(a):
+    # the error for an array that holds a NaN or an inf: either passes the
+    # symmetry checks, and LAPACK, which reads only the lower triangle,
+    # would miss one above the diagonal
+    kind = "a NaN" if np.isnan(a).any() else "an inf"
+    return NotPositiveDefiniteError(f"matrix is not positive definite (it has {kind} entry)")
 
 
 class CholeskyFactor:
@@ -102,7 +109,7 @@ def cholesky(M):
     ------
     NotPositiveDefiniteError
         On a pivot at or below 1e-14 times the largest diagonal entry,
-        or a NaN entry anywhere in M.
+        or a NaN or inf entry anywhere in M.
     ValueError
         If M is not square or not symmetric, or if a component of order
         k has k * k entries above the dense cap.
@@ -110,9 +117,8 @@ def cholesky(M):
     if M.nrows != M.ncols:
         raise ValueError("matrix must be square")
     _check_symmetric(M, "matrix")
-    if np.isnan(M.values).any():
-        # it passes the symmetry check, and LAPACK would miss one above the diagonal
-        raise NotPositiveDefiniteError(_NAN_MESSAGE)
+    if not np.isfinite(M.values).all():
+        raise _non_finite(M.values)
     n = M.nrows
     rows, cols = M._rows, M.col_idx
     _, comp, sizes = np.unique(_component_labels(n, rows, cols),
@@ -144,14 +150,14 @@ def cholesky_dense(a):
 
     The array must be symmetric to 1e-12 times max(1, max |a|), the
     rule of ``spectral.jacobi_symmetric``; otherwise ``ValueError``.
-    A NaN entry raises ``NotPositiveDefiniteError``, wherever it sits.
+    A NaN or inf entry raises ``NotPositiveDefiniteError``, wherever it
+    sits.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if np.isnan(_check_symmetric_dense(a, "matrix")):
-        # LAPACK reads the lower triangle only, and would miss a NaN above it
-        raise NotPositiveDefiniteError(_NAN_MESSAGE)
+    if not np.isfinite(_check_symmetric_dense(a, "matrix")):
+        raise _non_finite(a)
     return _factor(a.shape[0], [(np.arange(a.shape[0])[None], a[None])])
 
 

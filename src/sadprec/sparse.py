@@ -97,7 +97,10 @@ class CsrMatrix:
         The triplets are ordered by one stable sort of their position key
         ``row * ncols + col`` (``np.ravel_multi_index``), so the entries at
         one position are added in input order.  A shape whose key would
-        overflow int64 (nrows * ncols >= 2**63) raises ValueError.
+        overflow int64 (nrows * ncols >= 2**63) raises ValueError.  The
+        constructor for entries that may be unordered or repeated;
+        ``from_dense`` and ``transpose`` have theirs in order already
+        and skip the sort.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -116,11 +119,18 @@ class CsrMatrix:
 
     @classmethod
     def from_dense(cls, arr):
+        """Build from a 2-D array, storing every entry that is not 0.0 or -0.0.
+
+        Those entries, read row by row, are already in CSR order, each
+        position once: nothing is sorted or merged.
+        """
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
-        rows, cols = np.nonzero(arr)
-        return cls.from_triplets(arr.shape[0], arr.shape[1], rows, cols, arr[rows, cols])
+        stored = arr != 0.0
+        row_ptr = np.zeros(arr.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(stored, axis=1), out=row_ptr[1:])
+        return cls(arr.shape[0], arr.shape[1], row_ptr, np.nonzero(stored)[1], arr[stored])
 
     @classmethod
     def identity(cls, n):
@@ -145,7 +155,14 @@ class CsrMatrix:
         return self._rows.copy(), self.col_idx.copy(), self.values.copy()
 
     def transpose(self):
-        return CsrMatrix.from_triplets(self.ncols, self.nrows, self.col_idx, self._rows, self.values)
+        """The transpose, by one stable sort of the column indices.
+
+        The entries are stored in row order, so a stable sort by column
+        leaves each column's entries in row order, the CSR order of the
+        transpose: nothing is merged.
+        """
+        row_ptr, order = self._column_order()
+        return CsrMatrix(self.ncols, self.nrows, row_ptr, self._rows[order], self.values[order])
 
     def __repr__(self):
         return f"CsrMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
@@ -156,6 +173,13 @@ class CsrMatrix:
     def _rows(self):
         # expanded row index of every stored entry
         return np.repeat(np.arange(self.nrows, dtype=np.int64), np.diff(self.row_ptr))
+
+    def _column_order(self):
+        # the transpose's row_ptr, and the stable column sort of the
+        # stored entries that puts them in the transpose's CSR order
+        row_ptr = np.zeros(self.ncols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.col_idx, minlength=self.ncols), out=row_ptr[1:])
+        return row_ptr, np.argsort(self.col_idx, kind="stable")
 
     def _width(self):
         return int(np.diff(self.row_ptr).max(initial=0))
@@ -393,23 +417,32 @@ def to_dense(M):
 
 
 def _check_symmetric(M, name, rtol=1e-12):
-    Mt = M.transpose()
-    scale = float(np.max(np.abs(M.values))) if M.nnz else 0.0
-    same_structure = (
-        np.array_equal(M.row_ptr, Mt.row_ptr) and np.array_equal(M.col_idx, Mt.col_idx)
-    )
-    if not same_structure:
+    """``ValueError`` unless M = M^T in structure and to rtol max |M| in value.
+
+    No transpose is built: ``M._column_order()`` gives M^T's row_ptr
+    and the order in which M's entries make M^T's CSR arrays, which are
+    compared with M's own.  A NaN or inf entry passes, so that the
+    caller reports it.
+    """
+    if M.nrows != M.ncols:
         raise ValueError(f"{name} is structurally non-symmetric")
-    if M.nnz and float(np.max(np.abs(M.values - Mt.values))) > rtol * scale:
+    row_ptr, order = M._column_order()
+    if not (np.array_equal(row_ptr, M.row_ptr) and np.array_equal(M._rows[order], M.col_idx)):
+        raise ValueError(f"{name} is structurally non-symmetric")
+    with np.errstate(invalid="ignore"):  # inf - inf
+        skew = np.abs(M.values - M.values[order]).max(initial=0.0)  # each entry less its mirror
+    if skew > rtol * np.abs(M.values).max(initial=0.0):
         raise ValueError(f"{name} is numerically non-symmetric beyond {rtol:g} relative")
 
 
 def _check_symmetric_dense(a, name):
     """max |a - a.T| of a square array; ``ValueError`` above 1e-12 max(1, max |a|).
 
-    A NaN entry makes it NaN, which passes, so that the caller reports it.
+    A NaN or inf entry makes it NaN or inf, which passes, so that the
+    caller reports it: the result is finite exactly when every entry is.
     """
-    skew = a - a.T  # one temporary: a second one of this size costs more than the arithmetic
+    with np.errstate(invalid="ignore"):  # inf - inf
+        skew = a - a.T  # one temporary: a second one of this size costs more than the arithmetic
     skew = float(np.abs(skew, out=skew).max(initial=0.0))
     if skew > 1e-12 * max(1.0, float(np.max(np.abs(a), initial=0.0))):
         raise ValueError(f"{name} is not symmetric (|a - a.T| above 1e-12 max(1, |a|))")

@@ -113,12 +113,14 @@ def jacobi_symmetric(M):
     Returns the eigenvalue vector w (ascending) and an orthonormal
     matrix V with M @ V equal to V @ diag(w) up to rounding, computed by
     LAPACK through ``np.linalg.eigh``.  The name is kept for the
-    acceptance tests and demos, which call it by that name.
+    acceptance tests and demos, which call it by that name.  A NaN or
+    inf entry raises ``ValueError``: ``eigh`` reads one triangle only.
     """
     a = np.asarray(M, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    _check_symmetric_dense(a, "symmetric eigensolver input")
+    if not np.isfinite(_check_symmetric_dense(a, "symmetric eigensolver input")):
+        raise ValueError("symmetric eigensolver input has a NaN or inf entry")
     return np.linalg.eigh(a)
 
 

@@ -136,6 +136,18 @@ class TestCholesky:
         with pytest.raises(factor.NotPositiveDefiniteError, match="NaN entry"):
             factor.cholesky(CsrMatrix.from_dense(a))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf], ids=["inf", "-inf"])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 0), (1, 1)], ids=["above", "below", "diagonal"])
+    def test_inf_anywhere_rejected(self, where, bad):
+        # an inf made the symmetry checks' tolerance inf, so any asymmetry
+        # passed: [[4, inf], [1, 4]] was factored as [[4, 1], [1, 4]]
+        a = np.array([[4.0, 1.0], [1.0, 4.0]])
+        a[where] = bad
+        with pytest.raises(factor.NotPositiveDefiniteError, match="an inf entry"):
+            factor.cholesky_dense(a)
+        with pytest.raises(factor.NotPositiveDefiniteError, match="an inf entry"):
+            factor.cholesky(CsrMatrix.from_dense(a))
+
     def test_pivot_rule_spans_components(self):
         # the 1e-14 rule is relative to the largest diagonal entry of the
         # whole matrix, not of each component

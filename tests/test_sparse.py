@@ -141,6 +141,29 @@ def shuffled_triplet_cases():
     yield "random-wide-range", (31, 20, rows[order], cols[order], vals[order])
 
 
+def dense_cases():
+    rng = np.random.default_rng(5)
+    for shape in [(9, 6), (6, 9), (1, 7), (7, 1)]:
+        arr = rng.standard_normal(shape) * (rng.random(shape) < 0.4)
+        # -0.0 is not stored; NaN is, with its payload bits
+        arr.flat[rng.choice(arr.size, 3, replace=False)] = [-0.0, np.nan, -np.nan]
+        if min(shape) > 1:
+            arr[shape[0] // 2] = 0.0
+            arr[:, 1] = -0.0
+        yield f"random-{shape[0]}x{shape[1]}", arr
+    yield "stokes4-B", to_dense(generate_stokes_q1p0(StokesConfig(4)).B)
+    yield "all-zero", np.array([[0.0, -0.0], [-0.0, 0.0]])
+    yield "shape-0x5", np.zeros((0, 5))
+    yield "shape-5x0", np.zeros((5, 0))
+
+
+def assert_same_arrays(M, want):
+    # row_ptr, col_idx and values: same dtypes and the same bytes
+    for name, arr in zip(("row_ptr", "col_idx", "values"), want):
+        got = getattr(M, name)
+        assert got.dtype == arr.dtype and got.tobytes() == arr.tobytes(), name
+
+
 class TestTripletOrder:
     @pytest.mark.parametrize("case", list(shuffled_triplet_cases()), ids=lambda c: c[0])
     def test_bitwise_equal_to_lexsort(self, case):
@@ -149,6 +172,33 @@ class TestTripletOrder:
         for name, want in zip(("row_ptr", "col_idx", "values"), lexsort_triplets(*args)):
             got = getattr(M, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("case", list(dense_cases()), ids=lambda c: c[0])
+    def test_from_dense_bitwise_equal_to_lexsort(self, case):
+        # the reference gets every entry, zeros too, in a shuffled order
+        _, arr = case
+        rows, cols = np.indices(arr.shape).reshape(2, -1)
+        order = np.random.default_rng(0).permutation(arr.size)
+        args = (*arr.shape, rows[order], cols[order], arr.ravel()[order])
+        M = CsrMatrix.from_dense(arr)
+        assert_same_arrays(M, lexsort_triplets(*args))
+        T = CsrMatrix.from_triplets(*args)
+        assert_same_arrays(M, (T.row_ptr, T.col_idx, T.values))
+
+    @pytest.mark.parametrize("case", list(dense_cases()) + [
+        ("stokes8-B", to_dense(generate_stokes_q1p0(StokesConfig(8)).B)),
+        ("random-saddle-B", to_dense(generate_random_saddle(60, 24, seed=3).B)),
+    ], ids=lambda c: c[0])
+    def test_transpose_bitwise_equal_to_lexsort(self, case):
+        _, arr = case
+        M = CsrMatrix.from_dense(arr)
+        rows, cols, vals = M.to_triplets()
+        Mt = M.transpose()
+        assert Mt.shape == (M.ncols, M.nrows)
+        assert_same_arrays(Mt, lexsort_triplets(M.ncols, M.nrows, cols, rows, vals))
+        T = CsrMatrix.from_triplets(M.ncols, M.nrows, cols, rows, vals)
+        assert_same_arrays(Mt, (T.row_ptr, T.col_idx, T.values))
+        assert_same_arrays(Mt.transpose(), (M.row_ptr, M.col_idx, M.values))
 
 
 def shifted_by_triplets(M, s):
@@ -520,6 +570,15 @@ class TestDiagonalLayout:
             spectral.power_spectral_radius(stationary.IterationMatrixOperator(sys_, 0.1, 0.1))
 
 
+def assert_symmetry_fault(M, fault):
+    # _check_symmetric passes when fault is None, else names the fault
+    if fault is None:
+        _check_symmetric(M, "M")
+    else:
+        with pytest.raises(ValueError, match=f"M is {fault} non-symmetric"):
+            _check_symmetric(M, "M")
+
+
 class TestSaddleSystem:
     def test_rhs_sign(self, toy_t1):
         sys_ = toy_t1
@@ -595,6 +654,51 @@ class TestSaddleSystem:
         A = CsrMatrix.from_dense([[1.0, 2.0], [0.5, 1.0]])
         with pytest.raises(ValueError):
             SaddleSystem(A, CsrMatrix.zeros(1, 2), CsrMatrix.zeros(1, 1), np.zeros(2), np.zeros(1))
+
+    # the mirror of (0, 1) differs from it by a hair more or less than
+    # 1e-12 max |a| = 4e-12
+    BELOW, ABOVE = 1.0 + 0.999 * 4e-12, 1.0 + 1.001 * 4e-12
+    SYMMETRY_CASES = [
+        ("symmetric", [[4.0, 1.0, 0.0], [1.0, 2.0, -3.0], [0.0, -3.0, 1.0]], None),
+        ("missing-mirror", [[4.0, 1.0, 0.0], [1.0, 2.0, -3.0], [0.0, 0.0, 1.0]], "structurally"),
+        # every row and column holds two entries, but (0, 1) has no mirror
+        ("same-counts", [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]], "structurally"),
+        ("mirror-just-below", [[4.0, 1.0], [BELOW, 2.0]], None),
+        ("mirror-just-above", [[4.0, 1.0], [ABOVE, 2.0]], "numerically"),
+        ("non-square", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "structurally"),
+        ("non-square-nnz0", np.zeros((2, 3)), "structurally"),
+        ("nnz0", np.zeros((3, 3)), None),
+        ("empty", np.zeros((0, 0)), None),
+        # non-finite entries pass, for the caller to report
+        ("nan-mirror", [[4.0, np.nan], [1.0, 2.0]], None),
+        ("inf-mirror", [[4.0, np.inf], [1.0, 2.0]], None),
+        ("inf-diagonal", [[np.inf, 1.0], [1.0, 2.0]], None),
+    ]
+
+    @pytest.mark.parametrize("case", SYMMETRY_CASES, ids=lambda c: c[0])
+    def test_symmetry_check(self, case):
+        _, arr, fault = case
+        assert_symmetry_fault(CsrMatrix.from_dense(arr), fault)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_symmetry_check_agrees_with_triplet_transpose(self, seed):
+        # a symmetric matrix, kept, or with one entry above the diagonal
+        # dropped or perturbed, judged against the transpose built by
+        # from_triplets
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((12, 12)) * (rng.random((12, 12)) < 0.3)
+        a = a + a.T
+        i, j = rng.choice(np.argwhere(np.triu(a, 1)))
+        a[i, j] *= [1.0, 0.0, 1.0 + 1e-11][seed % 3]
+        M = CsrMatrix.from_dense(a)
+        Mt = CsrMatrix.from_triplets(12, 12, M.col_idx, M.to_triplets()[0], M.values)
+        if not (np.array_equal(M.row_ptr, Mt.row_ptr) and np.array_equal(M.col_idx, Mt.col_idx)):
+            fault = "structurally"
+        elif np.abs(M.values - Mt.values).max(initial=0.0) > 1e-12 * np.abs(M.values).max(initial=0.0):
+            fault = "numerically"
+        else:
+            fault = None
+        assert_symmetry_fault(M, fault)
 
     def test_nan_in_f_rejected(self):
         with pytest.raises(ValueError, match="f has a non-finite entry"):

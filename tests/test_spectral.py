@@ -43,6 +43,15 @@ class TestJacobi:
         with pytest.raises(ValueError):
             jacobi_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 0), (1, 1)], ids=["above", "below", "diagonal"])
+    def test_non_finite_rejected(self, where, bad):
+        # eigh reads one triangle: [[4, inf], [1, 4]] gave the eigenvalues 3 and 5
+        a = np.array([[4.0, 1.0], [1.0, 4.0]])
+        a[where] = bad
+        with pytest.raises(ValueError, match="NaN or inf entry"):
+            jacobi_symmetric(a)
+
     @pytest.mark.parametrize("n,seed", [(6, 0), (40, 1), (150, 2)])
     def test_against_numpy_oracle(self, n, seed):
         rng = np.random.default_rng(seed)
