@@ -106,11 +106,14 @@ class StoppingRule:
     def __post_init__(self):
         if not 0 < self.rel_tol < np.inf:  # NaN fails too
             raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        for name, low in (("restart", 1), ("max_outer", 0)):
-            value = getattr(self, name)
-            # bool is an int subclass; numpy integers are Integral
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+        _check_count("restart", self.restart, 1)
+        _check_count("max_outer", self.max_outer, 0)
+
+
+def _check_count(name, value, low):
+    # bool is an int subclass; numpy integers are Integral
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 def cg(op, b, reduction_factor, max_iters):
@@ -121,8 +124,12 @@ def cg(op, b, reduction_factor, max_iters):
     cap is a normal outcome, not an error.  The operator must be
     symmetric positive definite; a non-positive or NaN curvature p.Ap
     breaks the recurrences and raises, and so does a right-hand side
-    whose norm is not finite.
+    whose norm is not finite.  ``reduction_factor`` must be finite and
+    at least 1, and ``max_iters`` an integer of at least 0.
     """
+    if not 1.0 <= reduction_factor < np.inf:  # NaN fails too
+        raise ValueError(f"reduction_factor must be finite and at least 1, got {reduction_factor}")
+    _check_count("max_iters", max_iters, 0)
     op = as_operator(op)
     b = np.asarray(b, dtype=np.float64)
     r = b.copy()

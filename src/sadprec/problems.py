@@ -18,11 +18,19 @@ stays n = 2 (q+1)^2 and the pressure dimension m = q^2 (one pressure
 unknown is pinned by default because the enclosed-flow operator has
 the constant pressure in its null space).
 
-Each assembly step runs over all elements at once as array operations.
-The eliminated couplings are subtracted from f and g with ``ufunc.at``,
-which adds in sequence, in element order: floating-point sums depend
-on their order, and this one keeps f and g bitwise reproducible (equal
-to the element-by-element loops the array assembly replaced).
+The blocks are written in CSR order directly, as array operations
+with no triplets to sort or merge.  A boundary row of the vector
+Laplacian is the identity, and an interior row is the 3x3 stencil of
+its node (the four element matrices around it) restricted to interior
+columns; each stencil position adds equal values, so its bits are
+those of summing the element matrices.  Row e of B holds the interior
+corners of element e in node order, and row e of C the row of element
+e in its macroelement's block, in column order.  The eliminated
+couplings are subtracted from f and g with ``ufunc.at``, which adds in
+sequence, running in element order over the elements that touch the
+boundary (no other element has any): floating-point sums depend on
+their order, and this one keeps f and g bitwise reproducible, equal
+to an element-by-element loop.
 """
 
 import json
@@ -88,11 +96,22 @@ class StokesConfig:
         self.pin_pressure = bool(pin_pressure)
 
 
+def _velocity(x, y):
+    return 20.0 * x * y**3, 5.0 * x**4 - 5.0 * y**4
+
+
 def stokes_velocity_interpolant(q):
     """Nodal interpolant of the exact velocity, length 2 (q+1)^2."""
     coords = np.linspace(-1.0, 1.0, q + 1)
     X, Y = (a.ravel() for a in np.meshgrid(coords, coords, indexing="xy"))
-    return np.concatenate([20.0 * X * Y**3, 5.0 * X**4 - 5.0 * Y**4])
+    return np.concatenate(_velocity(X, Y))
+
+
+def _masked_rows(ncols, cols, vals, keep):
+    """CsrMatrix whose row r stores ``cols[r][keep[r]]``, increasing, and their values."""
+    row_ptr = np.zeros(keep.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=row_ptr[1:])
+    return CsrMatrix(keep.shape[0], ncols, row_ptr, cols[keep], vals[keep])
 
 
 def generate_stokes_q1p0(cfg):
@@ -101,69 +120,76 @@ def generate_stokes_q1p0(cfg):
     h = 2.0 / q
     nv = (q + 1) ** 2
     n = 2 * nv
-    m = q * q
+    # pinning drops the last pressure unknown with its row of B, row
+    # and column of C
+    m = q * q - 1 if cfg.pin_pressure else q * q
 
     # node j * (q+1) + i sits at (x_i, y_j); element ey * q + ex has its
     # SW corner at node ey * (q+1) + ex and corners SW, SE, NE, NW
-    sw = (np.arange(q)[:, None] * (q + 1) + np.arange(q)).ravel()
-    nodes = sw[:, None] + np.array([0, 1, q + 2, q + 1])
+    ey, ex = np.divmod(np.arange(q * q), q)
+    nodes = (ey * (q + 1) + ex)[:, None] + np.array([0, 1, q + 2, q + 1])
     j, i = np.divmod(np.arange(nv), q + 1)
     on_boundary = (i == 0) | (i == q) | (j == 0) | (j == q)
-    bnd = np.flatnonzero(np.tile(on_boundary, 2))  # boundary rows of both components
-    u = stokes_velocity_interpolant(q)  # only its boundary entries are read
+    fixed = on_boundary[nodes]
+    bnd = np.flatnonzero(on_boundary)
+    both = np.concatenate([bnd, nv + bnd])  # boundary rows of both components
+    coords = np.linspace(-1.0, 1.0, q + 1)
+    u = np.zeros(n)  # the velocity data, only read at boundary nodes
+    u[both] = np.concatenate(_velocity(coords[i[bnd]], coords[j[bnd]]))
 
-    # vector Laplacian, corner pairs (a, b) of every element: interior
-    # rows keep interior columns and move boundary columns to f
-    pairs = np.broadcast_arrays(nodes[:, :, None], nodes[:, None, :], _K_LOC)
-    ia, ib, k = (a.ravel() for a in pairs)
-    keep = ~on_boundary[ia] & ~on_boundary[ib]
-    elim = ~on_boundary[ia] & on_boundary[ib]
-    a_rows = np.concatenate([ia[keep], nv + ia[keep], bnd])
-    a_cols = np.concatenate([ib[keep], nv + ib[keep], bnd])
-    a_vals = np.concatenate([k[keep], k[keep], np.ones(bnd.size)])
-    f = np.zeros(n)
-    ia, ib, k = ia[elim], ib[elim], k[elim]
-    np.subtract.at(f, np.concatenate([ia, nv + ia]), np.concatenate([k * u[ib], k * u[nv + ib]]))
-    f[bnd] = u[bnd]
+    # vector Laplacian: boundary rows are the identity, an interior row
+    # the 3x3 stencil of its node restricted to interior columns, and
+    # the y block the x block shifted by nv.  A stencil position adds
+    # the equal contributions of the elements around the node left to
+    # right, as summing the element matrices in element order does
+    d, e, c = _K_LOC[0, 0], _K_LOC[0, 1], _K_LOC[0, 2]
+    stencil = np.array([c, e + e, c, e + e, d + d + d + d, e + e, c, e + e, c])
+    interior = np.tile(~on_boundary, 2)
+    cols = np.arange(n)[:, None] + (np.arange(-1, 2)[:, None] * (q + 1) + np.arange(-1, 2)).ravel()
+    # an interior row's neighbours lie in its own block; a boundary row
+    # keeps only its diagonal, whatever its other (clipped) columns read
+    keep = interior[:, None] & np.take(interior, cols, mode="clip")
+    keep[~interior, 4] = True
+    A = _masked_rows(n, cols, np.where(interior[:, None], stencil, 1.0), keep)
 
-    # divergence, corners of every element: interior corners give B
-    # entries; the eliminated coupling of a boundary corner stays in g,
+    # SW, SE, NW, NE: corners in increasing node order, and the elements
+    # of a macroelement in increasing element order
+    increasing = [0, 1, 3, 2]
+
+    # divergence: row e holds the interior corners of element e, x
+    # columns then y columns
+    corners = nodes[:m, increasing]
+    free = ~fixed[:m, increasing]
+    signs = np.concatenate([_SX[increasing], _SY[increasing]]) * h / 2.0
+    B = _masked_rows(n, np.hstack([corners, nv + corners]), np.broadcast_to(signs, (m, 8)),
+                     np.hstack([free, free]))
+
+    # stabilization, one 4-cycle per 2x2 macroelement of elements: row
+    # e is the row of element e in its macroelement's block, without
+    # exact zeros
+    ey, ex = ey[:m], ex[:m]
+    cols = ((ey - ey % 2) * q + ex - ex % 2)[:, None] + np.array([0, 1, q, q + 1])
+    vals = (cfg.stab_param * h * h / 4.0 * _C_LOC[np.ix_(increasing, increasing)])[2 * (ey % 2) + ex % 2]
+    C = _masked_rows(m, cols, vals, (vals != 0.0) & (cols < m))
+
+    # eliminated couplings, subtracted in element order over the
+    # elements that touch the boundary (no other has any): an interior
+    # corner a and a boundary corner b of one element move k_ab u_b
+    # from A to f.  The boundary corners of the divergence stay in g,
     # which preserves the consistency of the constraint (and hence
     # convergence under refinement) after the columns are cleared
-    corner = nodes.ravel()
-    elem = np.repeat(np.arange(m), 4)
-    dx, dy = np.tile(_SX * h / 2.0, m), np.tile(_SY * h / 2.0, m)
-    free = ~on_boundary[corner]
-    b_rows = np.concatenate([elem[free], elem[free]])
-    b_cols = np.concatenate([corner[free], nv + corner[free]])
-    b_vals = np.concatenate([dx[free], dy[free]])
-    g = np.zeros(m)
-    fixed = ~free
-    corner, dx, dy = corner[fixed], dx[fixed], dy[fixed]
-    np.subtract.at(g, elem[fixed], dx * u[corner] + dy * u[nv + corner])
-
-    # stabilization, one 4-cycle per 2x2 macroelement of elements
-    # SW, SE, NE, NW
-    tile_sw = (np.arange(0, q, 2)[:, None] * q + np.arange(0, q, 2)).ravel()
-    tiles = tile_sw[:, None] + np.array([0, 1, q + 1, q])
-    nz = _C_LOC != 0.0
-    pairs = np.broadcast_arrays(tiles[:, :, None], tiles[:, None, :])
-    c_rows, c_cols = (a[:, nz].ravel() for a in pairs)
-    c_vals = np.tile(cfg.stab_param * h * h / 4.0 * _C_LOC[nz], tiles.shape[0])
-
-    if cfg.pin_pressure:
-        # drop the last pressure unknown with its row of B, row and column of C
-        m -= 1
-        kb = b_rows < m
-        b_rows, b_cols, b_vals = b_rows[kb], b_cols[kb], b_vals[kb]
-        kc = (c_rows < m) & (c_cols < m)
-        c_rows, c_cols, c_vals = c_rows[kc], c_cols[kc], c_vals[kc]
-        g = g[:m]
-
-    A = CsrMatrix.from_triplets(n, n, a_rows, a_cols, a_vals)
-    B = CsrMatrix.from_triplets(m, n, b_rows, b_cols, b_vals)
-    C = CsrMatrix.from_triplets(m, m, c_rows, c_cols, c_vals)
-    return SaddleSystem(A, B, C, f, g)
+    ring = np.flatnonzero(fixed.any(axis=1))
+    ring_nodes, ring_fixed = nodes[ring], fixed[ring]
+    r, a, b = np.nonzero(~ring_fixed[:, :, None] & ring_fixed[:, None, :])
+    ia, ib, k = ring_nodes[r, a], ring_nodes[r, b], _K_LOC[a, b]
+    f = np.zeros(n)
+    np.subtract.at(f, np.concatenate([ia, nv + ia]), np.concatenate([k * u[ib], k * u[nv + ib]]))
+    f[both] = u[both]
+    r, s = np.nonzero(ring_fixed)
+    corner = ring_nodes[r, s]
+    g = np.zeros(q * q)
+    np.subtract.at(g, ring[r], _SX[s] * h / 2.0 * u[corner] + _SY[s] * h / 2.0 * u[nv + corner])
+    return SaddleSystem(A, B, C, f, g[:m])
 
 
 def generate_random_saddle(n, m, density=0.3, seed=0):

@@ -50,6 +50,25 @@ class TestCg:
         with pytest.raises(ValueError, match="positive definite"):
             cg(M, np.array([0.0, 1.0]), 1e12, 50)
 
+    @pytest.mark.parametrize("reduction", [np.nan, np.inf, 0.5, 0.0, -100.0])
+    def test_bad_reduction_factor_rejected(self, reduction):
+        # a NaN reduction made the target NaN, so CG ran to its cap
+        with pytest.raises(ValueError, match="reduction_factor must be finite and at least 1"):
+            cg(CsrMatrix.identity(3), np.ones(3), reduction, 40)
+
+    @pytest.mark.parametrize("max_iters", [-1, True, 2.5, 40.0, "40"])
+    def test_bad_max_iters_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be an integer of at least 0"):
+            cg(CsrMatrix.identity(3), np.ones(3), 100.0, max_iters)
+
+    def test_boundary_arguments_accepted(self):
+        # reduction 1 stops after the first step; no steps at all is a
+        # cap hit; numpy integers count as integers
+        rep = cg(CsrMatrix.from_dense([[4.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0]), 1, np.int64(5))
+        assert rep.outer_iterations == 1 and rep.stop_reason == "tolerance"
+        rep = cg(CsrMatrix.identity(3), np.ones(3), 100.0, 0)
+        assert rep.outer_iterations == 0 and rep.stop_reason == "max_iters" and not rep.converged
+
     def test_a_norm_error_monotone(self):
         rng = np.random.default_rng(5)
         W = rng.standard_normal((25, 25))

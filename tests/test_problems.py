@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from sadprec import factor
+from sadprec import factor, problems
 from sadprec.problems import (
     MatrixMarketError,
     StokesConfig,
@@ -17,7 +17,7 @@ from sadprec.problems import (
     write_matrix_market,
     write_vector,
 )
-from sadprec.sparse import CsrMatrix, spmv, to_dense
+from sadprec.sparse import CsrMatrix, SaddleSystem, spmv, to_dense
 from sadprec.spectral import jacobi_symmetric
 
 
@@ -186,6 +186,86 @@ class TestStokesGolden:
     @pytest.mark.parametrize("q,pin", sorted(DIGESTS))
     def test_generator_digest(self, q, pin):
         assert system_digest(generate_stokes_q1p0(StokesConfig(q, pin_pressure=pin))) == self.DIGESTS[(q, pin)]
+
+
+def element_pair_stokes(cfg):
+    """The generator's system, assembled from element-pair triplets.
+
+    The former assembly: every element adds each corner pair of the
+    element matrices as one triplet, and ``from_triplets`` sorts them
+    and sums each position in element order.
+    """
+    q = cfg.q
+    h = 2.0 / q
+    nv = (q + 1) ** 2
+    n = 2 * nv
+    m = q * q
+    sw = (np.arange(q)[:, None] * (q + 1) + np.arange(q)).ravel()
+    nodes = sw[:, None] + np.array([0, 1, q + 2, q + 1])
+    j, i = np.divmod(np.arange(nv), q + 1)
+    on_boundary = (i == 0) | (i == q) | (j == 0) | (j == q)
+    bnd = np.flatnonzero(np.tile(on_boundary, 2))
+    u = stokes_velocity_interpolant(q)
+
+    pairs = np.broadcast_arrays(nodes[:, :, None], nodes[:, None, :], problems._K_LOC)
+    ia, ib, k = (a.ravel() for a in pairs)
+    keep = ~on_boundary[ia] & ~on_boundary[ib]
+    elim = ~on_boundary[ia] & on_boundary[ib]
+    a_rows = np.concatenate([ia[keep], nv + ia[keep], bnd])
+    a_cols = np.concatenate([ib[keep], nv + ib[keep], bnd])
+    a_vals = np.concatenate([k[keep], k[keep], np.ones(bnd.size)])
+    f = np.zeros(n)
+    ia, ib, k = ia[elim], ib[elim], k[elim]
+    np.subtract.at(f, np.concatenate([ia, nv + ia]), np.concatenate([k * u[ib], k * u[nv + ib]]))
+    f[bnd] = u[bnd]
+
+    corner = nodes.ravel()
+    elem = np.repeat(np.arange(m), 4)
+    dx, dy = np.tile(problems._SX * h / 2.0, m), np.tile(problems._SY * h / 2.0, m)
+    free = ~on_boundary[corner]
+    b_rows = np.concatenate([elem[free], elem[free]])
+    b_cols = np.concatenate([corner[free], nv + corner[free]])
+    b_vals = np.concatenate([dx[free], dy[free]])
+    g = np.zeros(m)
+    fixed = ~free
+    corner, dx, dy = corner[fixed], dx[fixed], dy[fixed]
+    np.subtract.at(g, elem[fixed], dx * u[corner] + dy * u[nv + corner])
+
+    tile_sw = (np.arange(0, q, 2)[:, None] * q + np.arange(0, q, 2)).ravel()
+    tiles = tile_sw[:, None] + np.array([0, 1, q + 1, q])
+    nz = problems._C_LOC != 0.0
+    pairs = np.broadcast_arrays(tiles[:, :, None], tiles[:, None, :])
+    c_rows, c_cols = (a[:, nz].ravel() for a in pairs)
+    c_vals = np.tile(cfg.stab_param * h * h / 4.0 * problems._C_LOC[nz], tiles.shape[0])
+
+    if cfg.pin_pressure:
+        m -= 1
+        kb = b_rows < m
+        b_rows, b_cols, b_vals = b_rows[kb], b_cols[kb], b_vals[kb]
+        kc = (c_rows < m) & (c_cols < m)
+        c_rows, c_cols, c_vals = c_rows[kc], c_cols[kc], c_vals[kc]
+        g = g[:m]
+
+    A = CsrMatrix.from_triplets(n, n, a_rows, a_cols, a_vals)
+    B = CsrMatrix.from_triplets(m, n, b_rows, b_cols, b_vals)
+    C = CsrMatrix.from_triplets(m, m, c_rows, c_cols, c_vals)
+    return SaddleSystem(A, B, C, f, g)
+
+
+class TestStokesReferenceAssembly:
+    # the golden digests cover the default stab_param only; here every
+    # array is compared bit for bit, other stabilizations included
+    @pytest.mark.parametrize("stab", [0.0, 0.25, 1.7])
+    @pytest.mark.parametrize("pin", [True, False])
+    @pytest.mark.parametrize("q", [2, 4, 6, 8, 16, 32])
+    def test_bitwise_equal_to_element_pairs(self, q, pin, stab):
+        cfg = StokesConfig(q, stab_param=stab, pin_pressure=pin)
+        got, want = generate_stokes_q1p0(cfg), element_pair_stokes(cfg)
+        for block in ("A", "B", "C"):
+            for part in ("row_ptr", "col_idx", "values"):
+                a, b = getattr(getattr(got, block), part), getattr(getattr(want, block), part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f"{block}.{part}"
+        assert got.f.tobytes() == want.f.tobytes() and got.g.tobytes() == want.g.tobytes()
 
 
 class TestRandomSaddle:
