@@ -1,13 +1,25 @@
 """Cholesky factorization of SPD matrices and solves with the factor.
 
-``cholesky`` splits a sparse matrix into the connected components of its
-graph and factors them with LAPACK (``np.linalg.cholesky``), one call
-per component size.  Rows keep their natural order within a component,
-and no fill crosses components, so the factor is the natural-ordering
-Cholesky factor of the whole matrix.  ``sparse.dense_cap()`` bounds each
-component at k * k entries.  The shifted stabilization block
-beta I + C of the Q1-P0 generator falls apart into 2x2-macroelement
-tiles of four pressures; a general matrix is usually one component.
+``cholesky(M, shift)`` factors M + shift I.  It splits M into the
+connected components of its graph and factors them with LAPACK
+(``np.linalg.cholesky``), one call per component size.  Rows keep their
+natural order within a component, and no fill crosses components, so
+the factor is the natural-ordering Cholesky factor of the whole matrix.
+``sparse.dense_cap()`` bounds each component at k * k entries.  The
+shifted stabilization block beta I + C of the Q1-P0 generator falls
+apart into 2x2-macroelement tiles of four pressures; a general matrix
+is usually one component.
+
+The work splits into a symbolic and a numeric part (George and Liu,
+Computer Solution of Large Sparse Positive Definite Systems, 1981).
+The symbolic part depends on M's pattern only: the symmetry check, the
+components, and the place of every stored entry in the per-size stacks.
+It is M's ``_cholesky_pattern``, a ``functools.cached_property`` built
+by the first ``cholesky`` of M (never by a constructor): 8 B per stored
+entry plus 16 B per row.  The numeric part, run by every call, scatters
+M's values into the stacks, adds the shift to their diagonals and calls
+LAPACK.  So the mgss and rmgss preconditioners of one system factor
+beta I + C from one analysis of C, and no beta I + C is assembled.
 
 ``solve`` multiplies by the inverse factor Linv = L^{-1} and then by
 its transpose, x = Linv^T (Linv b): two products, vector or column
@@ -32,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sparse import _check_symmetric, _check_symmetric_dense, _padded_product, dense_cap
+from .sparse import _check_symmetric_dense, _padded_product, dense_cap
 
 __all__ = [
     "CholeskyFactor",
@@ -95,54 +107,57 @@ class CholeskyFactor:
         return (idx, lo), (idx, up)
 
 
-def cholesky(M):
-    """Factor a symmetric positive definite CsrMatrix.
+def cholesky(M, shift=0.0):
+    """Factor M + shift I for a symmetric CsrMatrix M.
 
     Parameters
     ----------
     M : CsrMatrix
-        Symmetric; symmetry is verified, definiteness is discovered
-        through the pivots.  Each connected component of its graph is
-        factored densely and must fit under ``sparse.dense_cap()``.
+        Symmetric; symmetry is verified, definiteness of M + shift I is
+        discovered through the pivots.  Each connected component of its
+        graph is factored densely and must fit under ``sparse.dense_cap()``.
+    shift : float
+        Added to every diagonal entry, stored or not (default 0).
+
+    The pattern work (the symmetry check, the components and the place
+    of each stored entry in the per-size stacks) is M's cached
+    ``_cholesky_pattern``, 8 B per stored entry plus 16 B per row, built
+    by the first call for M and read by every later one, whatever the
+    shift.  Each call only scatters M's values into the stacks, adds
+    ``shift`` to their diagonals and factors them: the blocks equal
+    those of ``cholesky(sparse.add_scaled_identity(M, shift))`` bit for
+    bit, since M_ii + shift is the one sum either way and a diagonal
+    joins no components.  The symmetry rule is that of ``SaddleSystem``,
+    applied to M itself: 1e-12 times max |M|.
 
     Raises
     ------
     NotPositiveDefiniteError
-        On a pivot at or below 1e-14 times the largest diagonal entry,
-        or a NaN or inf entry anywhere in M.
+        On a pivot at or below 1e-14 times the largest diagonal entry of
+        M + shift I, a NaN or inf entry anywhere in M, or a shift that is
+        NaN or inf.
     ValueError
         If M is not square or not symmetric, or if a component of order
         k has k * k entries above the dense cap.
     """
     if M.nrows != M.ncols:
         raise ValueError("matrix must be square")
-    _check_symmetric(M, "matrix")
+    groups, total, entries, diagonal, largest = M._cholesky_pattern
     if not np.isfinite(M.values).all():
         raise _non_finite(M.values)
-    n = M.nrows
-    rows, cols = M._rows, M.col_idx
-    _, comp, sizes = np.unique(_component_labels(n, rows, cols),
-                               return_inverse=True, return_counts=True)
-    largest, limit = int(sizes.max(initial=0)), dense_cap()
+    if not np.isfinite(shift):
+        raise NotPositiveDefiniteError(f"matrix is not positive definite (shift {shift})")
+    limit = dense_cap()
     if largest ** 2 > limit:
         raise ValueError(
             f"a connected component of order {largest} needs {largest ** 2} dense entries, above the "
             f"cap of {limit} (raise SADPREC_DENSE_CAP to factor it)"
         )
-    # each component's rows, contiguous and in natural order
-    order = np.argsort(comp, kind="stable")
-    start = np.cumsum(sizes) - sizes
-    row_size = sizes[comp[rows]]
-    pos = np.empty(n, dtype=np.int64)  # a row's place in its stack, flattened over (c, k)
-    stacks = []
-    for k in np.unique(sizes):
-        index = order[start[sizes == k][:, None] + np.arange(k)]
-        pos[index] = np.arange(index.size).reshape(index.shape)
-        mine = row_size == k
-        a = np.zeros((index.size, k))
-        a[pos[rows[mine]], pos[cols[mine]] % k] = M.values[mine]
-        stacks.append((index, a.reshape(-1, k, k)))
-    return _factor(n, stacks)
+    buf = np.zeros(total)
+    buf[entries] = M.values
+    buf[diagonal] += shift
+    return _factor(M.nrows, [(index, buf[place].reshape(*index.shape, index.shape[1]))
+                             for index, place in groups])
 
 
 def cholesky_dense(a):
@@ -159,18 +174,6 @@ def cholesky_dense(a):
     if not np.isfinite(_check_symmetric_dense(a, "matrix")):
         raise _non_finite(a)
     return _factor(a.shape[0], [(np.arange(a.shape[0])[None], a[None])])
-
-
-def _component_labels(n, rows, cols):
-    # label propagation: each row takes the smallest label among its
-    # neighbours until nothing changes; labels end as each component's
-    # smallest row index
-    label = np.arange(n)
-    while True:
-        before = label.copy()
-        np.minimum.at(label, rows, label[cols])
-        if np.array_equal(label, before):
-            return label
 
 
 def _factor(n, stacks):

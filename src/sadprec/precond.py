@@ -28,6 +28,9 @@ operator for spectral work.  The Schur matrix is applied unassembled in
 CG mode and formed densely in direct mode.  The three hss blocks are
 assembled as sparse matrices, B B^T by a Gram product: CG mode applies
 each with one ``spmv`` per step, direct mode factors the same matrices.
+mgss and rmgss never assemble beta I + C: ``factor.cholesky(sys.C,
+beta)`` factors it from C's pattern analysis, which C caches, so the
+two preconditioners of one system share that analysis.
 
 Applicators allocate fresh work vectors per call, so concurrent
 ``apply`` calls are safe.  Only the ``inner_iterations`` statistics
@@ -108,7 +111,7 @@ class PrecondSpec:
 
 def form_schur_dense(sys, alpha, beta):
     """Explicit dense Schur matrix alpha I + A + B^T (beta I + C)^{-1} B."""
-    return _schur_dense(sys, alpha, factor.cholesky(add_scaled_identity(sys.C, beta)))
+    return _schur_dense(sys, alpha, factor.cholesky(sys.C, beta))
 
 
 def _schur_dense(sys, alpha, shifted):
@@ -170,7 +173,7 @@ class MgssApplicator(_Applicator):
             raise ValueError(f"expected an mgss or rmgss spec, got {spec.kind!r}")
         super().__init__(sys, spec)
         A, B, alpha = sys.A, sys.B, spec.alpha
-        shifted = self.shifted_factor = factor.cholesky(add_scaled_identity(sys.C, spec.beta))
+        shifted = self.shifted_factor = factor.cholesky(sys.C, spec.beta)
         if spec.inner == "direct":
             self.schur = factor.cholesky_dense(_schur_dense(sys, alpha, shifted))
             return

@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from sadprec import factor
-from sadprec.problems import StokesConfig, generate_stokes_q1p0
+from sadprec import factor, sparse
+from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
 from sadprec.sparse import CsrMatrix, add_scaled_identity, spmv, to_dense
 
 
@@ -185,6 +185,69 @@ class TestCholesky:
         monkeypatch.setenv("SADPREC_DENSE_CAP", "15")
         with pytest.raises(ValueError, match="SADPREC_DENSE_CAP"):
             factor.cholesky(M)
+
+
+def stokes_c(q, **kw):
+    return generate_stokes_q1p0(StokesConfig(q, **kw)).C
+
+
+SHIFTED_CASES = {
+    **{f"stokes{q}-{'pinned' if pin else 'unpinned'}": (lambda q=q, pin=pin: stokes_c(q, pin_pressure=pin))
+       for q in (2, 8, 16, 64) for pin in (True, False)},
+    "stokes8-no-stabilization": lambda: stokes_c(8, stab_param=0.0),
+    "random60x24": lambda: generate_random_saddle(60, 24, seed=3).C,
+    "m0": lambda: CsrMatrix.zeros(0, 0),
+}
+
+
+class TestShiftedCholesky:
+    @pytest.mark.parametrize("shift", [1e-3, 0.1])
+    @pytest.mark.parametrize("case", list(SHIFTED_CASES))
+    def test_bitwise_equal_to_assembled_shift(self, case, shift):
+        M = SHIFTED_CASES[case]()
+        got = factor.cholesky(M, shift).blocks
+        want = factor.cholesky(add_scaled_identity(M, shift)).blocks
+        assert len(got) == len(want)
+        for (index, L), (index_want, L_want) in zip(got, want):
+            assert np.array_equal(index, index_want)
+            assert L.tobytes() == L_want.tobytes()
+
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_rejected(self, shift):
+        with pytest.raises(factor.NotPositiveDefiniteError, match="shift"):
+            factor.cholesky(CsrMatrix.identity(3), shift)
+
+    def test_exact_cancellation_fails_pivot_rule(self):
+        # -1/2 + 1/2 is exactly 0, which add_scaled_identity drops
+        M = CsrMatrix.from_dense([[-0.5, 0.0], [0.0, 1.0]])
+        errors = []
+        for A, shift in ((M, 0.5), (add_scaled_identity(M, 0.5), 0.0)):
+            with pytest.raises(factor.NotPositiveDefiniteError) as exc:
+                factor.cholesky(A, shift)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+    def test_analysis_cached_once_per_matrix(self, monkeypatch):
+        calls = []
+        real = sparse._component_labels
+
+        def counting(n, rows, cols):
+            calls.append(n)
+            return real(n, rows, cols)
+
+        monkeypatch.setattr(sparse, "_component_labels", counting)
+        M = tiled_spd(30, seed=6)
+        facs = [factor.cholesky(M, s) for s in (0.0, 1e-3, 0.1)]
+        assert calls == [30]
+        # the shift reaches the values only
+        assert np.allclose(lower(facs[2]) @ lower(facs[2]).T, to_dense(M) + 0.1 * np.eye(30))
+
+    def test_symmetry_checked_on_the_matrix_itself(self):
+        # the rule of SaddleSystem, 1e-12 times max |M|: measured against
+        # max |M + shift I| = 1e6 + 1, this skew of 2e-12 would pass
+        M = CsrMatrix.from_dense([[1.0, 1.0 + 2e-12], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="numerically non-symmetric"):
+            factor.cholesky(M, 1e6)
 
 
 class TestSolve:

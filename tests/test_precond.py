@@ -345,6 +345,23 @@ class TestStokesShiftedBlock:
         assert (report.outer_iterations, report.total_inner_cg_iterations) == steps
 
 
+    def test_mgss_and_rmgss_share_one_pattern_analysis(self, monkeypatch):
+        # both rows of a Table-2 system factor beta I + C from C's one
+        # cached analysis: the components are labelled once
+        calls = []
+        real = sparse._component_labels
+
+        def counting(n, rows, cols):
+            calls.append(n)
+            return real(n, rows, cols)
+
+        monkeypatch.setattr(sparse, "_component_labels", counting)
+        sys_ = generate_stokes_q1p0(StokesConfig(16))
+        for spec in (PrecondSpec("mgss"), PrecondSpec("rmgss"), PrecondSpec("rmgss", inner="direct")):
+            make_preconditioner(sys_, spec)
+        assert calls == [sys_.m]
+
+
 class TestSchur:
     def test_toy_values(self, toy_t1):
         sys_ = toy_t1
@@ -390,13 +407,13 @@ class TestSchur:
         calls = []
         real = factor.cholesky
 
-        def counting(M):
-            calls.append(M.shape)
-            return real(M)
+        def counting(M, shift=0.0):
+            calls.append((M.shape, shift))
+            return real(M, shift)
 
         monkeypatch.setattr(factor, "cholesky", counting)
         app = MgssApplicator(sys_, spec)
-        assert calls == [(14, 14)]
+        assert calls == [((14, 14), 0.7)]
         # the Schur matrix is the one form_schur_dense builds
         S = form_schur_dense(sys_, spec.alpha, spec.beta)
         [(_, L)] = app.schur.blocks

@@ -188,6 +188,21 @@ class TestStokesGolden:
         assert system_digest(generate_stokes_q1p0(StokesConfig(q, pin_pressure=pin))) == self.DIGESTS[(q, pin)]
 
 
+class TestVelocityInterpolant:
+    # sha256 of the interpolant's bytes on two grids whose values numpy's
+    # power loop rounded differently with and without AVX-512; written
+    # as products, they are the same under every SIMD target (CI runs
+    # this file with AVX-512 disabled)
+    DIGESTS = {
+        6: "2bad829a1a2e3a14e640743781710a55fedec242c8950253a2e3fe8c256964b6",
+        26: "685960b03adf28b8a59d22c407d8fa440be36bcffabe7b447f9b1168e2c4fed9",
+    }
+
+    @pytest.mark.parametrize("q", sorted(DIGESTS))
+    def test_digest(self, q):
+        assert hashlib.sha256(stokes_velocity_interpolant(q).tobytes()).hexdigest() == self.DIGESTS[q]
+
+
 def element_pair_stokes(cfg):
     """The generator's system, assembled from element-pair triplets.
 
