@@ -18,8 +18,8 @@ It is M's ``_cholesky_pattern``, a ``functools.cached_property`` built
 by the first ``cholesky`` of M (never by a constructor): 8 B per stored
 entry plus 16 B per row.  The numeric part, run by every call, scatters
 M's values into the stacks, adds the shift to their diagonals and calls
-LAPACK.  So the mgss and rmgss preconditioners of one system factor
-beta I + C from one analysis of C, and no beta I + C is assembled.
+LAPACK.  So the mgss, rmgss and hss preconditioners of one system share
+one analysis of C, and factor no assembled shifted copy.
 
 ``solve`` multiplies by the inverse factor Linv = L^{-1} and then by
 its transpose, x = Linv^T (Linv b): two products, vector or column

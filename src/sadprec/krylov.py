@@ -81,7 +81,8 @@ class SolveReport:
     cap); ``"max_outer"`` (GMRES or the stationary iteration at its step
     cap); ``"stagnated"`` (GMRES at its step cap after 10 restarts that
     cut the true residual by less than a factor of 2 together); or
-    ``"diverged"`` (the stationary iteration).
+    ``"diverged"`` (the stationary iteration).  The solvers set
+    ``converged`` exactly when ``stop_reason`` is ``"tolerance"``.
     """
 
     converged: bool
@@ -164,7 +165,7 @@ def cg(op, b, reduction_factor, max_iters):
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return SolveReport(history[-1] <= target, k, 0, history, x, reason)
+    return SolveReport(reason == "tolerance", k, 0, history, x, reason)
 
 
 def _givens(a, b):
@@ -194,8 +195,6 @@ def gmres_restarted(op, b, precond=None, rule=None):
     bn = float(np.linalg.norm(b))
     inner0 = getattr(precond, "inner_iterations", 0)
     x = np.zeros(dim)
-    if bn == 0.0:
-        return SolveReport(True, 0, 0, [0.0], x, "tolerance")
     tol_abs = rule.rel_tol * bn
     r = b.copy()
     rn = bn
@@ -246,14 +245,13 @@ def gmres_restarted(op, b, precond=None, rule=None):
         r, rn = _true_residual(op, b, x)
         history.append(rn)
     inner = getattr(precond, "inner_iterations", 0) - inner0
-    converged = rn <= tol_abs
-    if converged:
+    if rn <= tol_abs:
         reason = "tolerance"
     elif len(history) > _STALL_RESTARTS and history[-1 - _STALL_RESTARTS] < _STALL_FACTOR * rn:
         reason = "stagnated"
     else:
         reason = "max_outer"
-    return SolveReport(converged, steps, inner, history, x, reason)
+    return SolveReport(reason == "tolerance", steps, inner, history, x, reason)
 
 
 def _finite_rhs(b, dim):
@@ -320,4 +318,4 @@ def stationary_richardson(op, b, precond, rule=None):
             reason = "diverged"
             break
     inner = getattr(precond, "inner_iterations", 0) - inner0
-    return SolveReport(history[-1] <= rule.rel_tol * rn0, its, inner, history, x, reason)
+    return SolveReport(reason == "tolerance", its, inner, history, x, reason)

@@ -25,12 +25,12 @@ either as an inner CG (``inner="cg"``, residual reduction 100, at most
 40 steps; the rule is fixed) or through a Cholesky factor
 (``inner="direct"``), which makes the preconditioner an exactly linear
 operator for spectral work.  The Schur matrix is applied unassembled in
-CG mode and formed densely in direct mode.  The three hss blocks are
-assembled as sparse matrices, B B^T by a Gram product: CG mode applies
-each with one ``spmv`` per step, direct mode factors the same matrices.
-mgss and rmgss never assemble beta I + C: ``factor.cholesky(sys.C,
-beta)`` factors it from C's pattern analysis, which C caches, so the
-two preconditioners of one system share that analysis.
+CG mode and formed densely in direct mode by ``_schur_complement``, as
+is ``spectral``'s predicted rmgss matrix.  hss builds alpha^2 I + B B^T
+by a Gram product; CG mode also assembles alpha I + A and alpha I + C.
+Direct mode assembles no shifted copy: ``factor.cholesky(M, shift)``
+reuses M's cached pattern analysis, so the mgss, rmgss and hss
+preconditioners of one system share the analysis of C.
 
 Applicators allocate fresh work vectors per call, so concurrent
 ``apply`` calls are safe.  Only the ``inner_iterations`` statistics
@@ -116,8 +116,12 @@ def form_schur_dense(sys, alpha, beta):
 
 def _schur_dense(sys, alpha, shifted):
     # the dense Schur matrix, given the factor of beta I + C
-    Bd = to_dense(sys.B)
-    S = to_dense(sys.A) + alpha * np.eye(sys.n) + Bd.T @ factor.solve(shifted, Bd)
+    return _schur_complement(to_dense(sys.A) + alpha * np.eye(sys.n), to_dense(sys.B), shifted)
+
+
+def _schur_complement(D, Y, fac):
+    # D + Y^T F^{-1} Y, given the factor of F, made exactly symmetric
+    S = D + Y.T @ factor.solve(fac, Y)
     return 0.5 * (S + S.T)
 
 
@@ -204,13 +208,13 @@ class HssApplicator(_Applicator):
     skew part is inverted by eliminating the first block:
     (alpha^2 I + B B^T) z2 = alpha t2 + B t1, then
     z1 = (t1 - B^T z2) / alpha.  ``blocks``, a
-    ``functools.cached_property``, assembles the three SPD blocks
-    alpha I + A, alpha I + C and alpha^2 I + B B^T once as CsrMatrix
-    (B B^T by ``sparse.gram_plus_identity``) and, in direct mode,
-    factors them (``factor.cholesky``).  Direct mode reads it in the
-    constructor, so a block that is not SPD fails there; CG mode reads
-    it on the first ``apply`` and applies each block with one ``spmv``
-    per inner CG step.
+    ``functools.cached_property``, holds the SPD blocks alpha I + A,
+    alpha I + C and alpha^2 I + B B^T (``sparse.gram_plus_identity``).
+    Direct mode holds their factors, the first two ``factor.cholesky(M,
+    alpha)`` of the system's own A and C, and reads them in the
+    constructor, so a block that is not SPD fails there.  CG mode
+    assembles them on the first ``apply`` (``sparse.add_scaled_identity``)
+    and applies each with one ``spmv`` per inner CG step.
     """
 
     def __init__(self, sys, spec):
@@ -223,11 +227,11 @@ class HssApplicator(_Applicator):
     @cached_property
     def blocks(self):
         a, sys = self.spec.alpha, self.sys
-        blocks = [add_scaled_identity(sys.A, a), add_scaled_identity(sys.C, a),
-                  gram_plus_identity(sys.B, a * a)]
         if self.spec.inner == "direct":
-            blocks = [factor.cholesky(M) for M in blocks]
-        return blocks
+            return [factor.cholesky(sys.A, a), factor.cholesky(sys.C, a),
+                    factor.cholesky(gram_plus_identity(sys.B, a * a))]
+        return [add_scaled_identity(sys.A, a), add_scaled_identity(sys.C, a),
+                gram_plus_identity(sys.B, a * a)]
 
     def apply(self, r):
         r1, r2 = self._split(r)

@@ -109,13 +109,6 @@ def stokes_velocity_interpolant(q):
     return np.concatenate(_velocity(X, Y))
 
 
-def _masked_rows(ncols, cols, vals, keep):
-    """CsrMatrix whose row r stores ``cols[r][keep[r]]``, increasing, and their values."""
-    row_ptr = np.zeros(keep.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=row_ptr[1:])
-    return CsrMatrix(keep.shape[0], ncols, row_ptr, cols[keep], vals[keep])
-
-
 def generate_stokes_q1p0(cfg):
     """Assemble the stabilized Q1-P0 Stokes saddle point system."""
     q = cfg.q
@@ -152,7 +145,7 @@ def generate_stokes_q1p0(cfg):
     # keeps only its diagonal, whatever its other (clipped) columns read
     keep = interior[:, None] & np.take(interior, cols, mode="clip")
     keep[~interior, 4] = True
-    A = _masked_rows(n, cols, np.where(interior[:, None], stencil, 1.0), keep)
+    A = CsrMatrix._from_rows(n, cols, np.where(interior[:, None], stencil, 1.0), keep)
 
     # SW, SE, NW, NE: corners in increasing node order, and the elements
     # of a macroelement in increasing element order
@@ -163,8 +156,8 @@ def generate_stokes_q1p0(cfg):
     corners = nodes[:m, increasing]
     free = ~fixed[:m, increasing]
     signs = np.concatenate([_SX[increasing], _SY[increasing]]) * h / 2.0
-    B = _masked_rows(n, np.hstack([corners, nv + corners]), np.broadcast_to(signs, (m, 8)),
-                     np.hstack([free, free]))
+    B = CsrMatrix._from_rows(n, np.hstack([corners, nv + corners]), np.broadcast_to(signs, (m, 8)),
+                             np.hstack([free, free]))
 
     # stabilization, one 4-cycle per 2x2 macroelement of elements: row
     # e is the row of element e in its macroelement's block, without
@@ -172,7 +165,7 @@ def generate_stokes_q1p0(cfg):
     ey, ex = ey[:m], ex[:m]
     cols = ((ey - ey % 2) * q + ex - ex % 2)[:, None] + np.array([0, 1, q, q + 1])
     vals = (cfg.stab_param * h * h / 4.0 * _C_LOC[np.ix_(increasing, increasing)])[2 * (ey % 2) + ex % 2]
-    C = _masked_rows(m, cols, vals, (vals != 0.0) & (cols < m))
+    C = CsrMatrix._from_rows(m, cols, vals, (vals != 0.0) & (cols < m))
 
     # eliminated couplings, subtracted in element order over the
     # elements that touch the boundary (no other has any): an interior

@@ -135,10 +135,15 @@ class CsrMatrix:
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
-        stored = arr != 0.0
-        row_ptr = np.zeros(arr.shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(stored, axis=1), out=row_ptr[1:])
-        return cls(arr.shape[0], arr.shape[1], row_ptr, np.nonzero(stored)[1], arr[stored])
+        cols = np.broadcast_to(np.arange(arr.shape[1], dtype=np.int64), arr.shape)
+        return cls._from_rows(arr.shape[1], cols, arr, arr != 0.0)
+
+    @classmethod
+    def _from_rows(cls, ncols, cols, vals, keep):
+        # row r stores cols[r][keep[r]], increasing, and vals[r][keep[r]]
+        row_ptr = np.zeros(keep.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(keep, axis=1), out=row_ptr[1:])
+        return cls(keep.shape[0], ncols, row_ptr, cols[keep], vals[keep])
 
     @classmethod
     def identity(cls, n):
@@ -291,13 +296,18 @@ class CsrMatrix:
 
 
 def _component_labels(n, rows, cols):
-    # label propagation: each row takes the smallest label among its
-    # neighbours until nothing changes; labels end as each component's
+    # label propagation for a symmetric pattern: each row takes the
+    # smallest label among its neighbours, then every label jumps to its
+    # own label until none changes (a chain collapses in log(length)
+    # jumps, not one sweep per step); labels end as each component's
     # smallest row index
     label = np.arange(n)
     while True:
         before = label.copy()
         np.minimum.at(label, rows, label[cols])
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
         if np.array_equal(label, before):
             return label
 

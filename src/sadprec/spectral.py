@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factor
-from .precond import PrecondSpec, dense_preconditioner_matrix
+from .precond import PrecondSpec, _schur_complement, dense_preconditioner_matrix
 from .sparse import _check_symmetric_dense, dense_cap, saddle_dense, to_dense
 from .stationary import IterationMatrixOperator
 
@@ -212,10 +212,7 @@ def predicted_rmgss_spectrum(sys, beta):
     be > 0 and finite, as for an rmgss ``PrecondSpec``.
     """
     beta = PrecondSpec("rmgss", beta=beta).beta
-    Bd = to_dense(sys.B)
-    fac = factor.cholesky_dense(to_dense(sys.A))
-    G = to_dense(sys.C) + Bd @ factor.solve(fac, Bd.T)
-    G = 0.5 * (G + G.T)
+    G = _schur_complement(to_dense(sys.C), to_dense(sys.B).T, factor.cholesky_dense(to_dense(sys.A)))
     mu, _ = jacobi_symmetric(G)
     return Spectrum(np.concatenate([np.ones(sys.n), mu / (beta + mu)]), PREDICTED)
 

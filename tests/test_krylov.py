@@ -69,6 +69,12 @@ class TestCg:
         rep = cg(CsrMatrix.identity(3), np.ones(3), 100.0, 0)
         assert rep.outer_iterations == 0 and rep.stop_reason == "max_iters" and not rep.converged
 
+    def test_no_step_allowed_is_not_convergence(self):
+        # a reduction of 1 is met by the initial residual, but the cap of
+        # 0 steps stops the solve first
+        rep = cg(CsrMatrix.identity(3), np.ones(3), 1.0, 0)
+        assert rep.stop_reason == "max_iters" and not rep.converged
+
     def test_a_norm_error_monotone(self):
         rng = np.random.default_rng(5)
         W = rng.standard_normal((25, 25))
@@ -106,6 +112,7 @@ class TestGmres:
     def test_zero_rhs(self):
         rep = gmres_restarted(CsrMatrix.identity(3), np.zeros(3), None, StoppingRule())
         assert rep.converged and rep.outer_iterations == 0
+        assert rep.stop_reason == "tolerance" and rep.residual_history == [0.0]
 
     def test_max_outer_flagged(self):
         rng = np.random.default_rng(1)
@@ -216,6 +223,14 @@ class TestStationary:
         )
         assert not rep.converged
         assert np.array_equal(rep.solution, np.zeros(2))
+
+    def test_max_outer_zero_is_not_convergence(self, toy_t1):
+        # a relative tolerance of 2 is met by the initial residual, but
+        # the cap of 0 steps stops the iteration first
+        sys_ = toy_t1
+        prec = MgssApplicator(sys_, PrecondSpec("mgss", 1.0, 1.0, inner="direct"))
+        rep = stationary_richardson(saddle_operator(sys_), sys_.rhs(), prec, StoppingRule(2.0, 0, 5))
+        assert rep.stop_reason == "max_outer" and not rep.converged
 
 
 def nan_operator(dim):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sadprec import factor, precond, sparse
+from sadprec import factor, precond, sparse, spectral
 from sadprec.precond import (
     HssApplicator,
     MgssApplicator,
@@ -279,6 +279,28 @@ class TestHssAssembledBlocks:
         assert diagonal.residual_history == padded.residual_history
 
 
+# the systems of the direct-mode bitwise checks: random, pinned and unpinned Stokes
+SYSTEMS = {
+    "random-30x12": lambda: generate_random_saddle(30, 12, seed=2),
+    "stokes-q16": lambda: generate_stokes_q1p0(StokesConfig(16)),
+    "stokes-q8-unpinned": lambda: generate_stokes_q1p0(StokesConfig(8, pin_pressure=False)),
+}
+
+
+class TestHssDirectBlocks:
+    @pytest.mark.parametrize("case", list(SYSTEMS))
+    @pytest.mark.parametrize("alpha", [0.1, 0.37])
+    def test_factors_equal_those_of_assembled_copies(self, case, alpha):
+        sys_ = SYSTEMS[case]()
+        app = HssApplicator(sys_, PrecondSpec("hss", alpha=alpha, inner="direct"))
+        for fac, M in zip(app.blocks, (sys_.A, sys_.C)):
+            want = factor.cholesky(sparse.add_scaled_identity(M, alpha)).blocks
+            assert len(fac.blocks) == len(want)
+            for (index, L), (index_want, L_want) in zip(fac.blocks, want):
+                assert np.array_equal(index, index_want)
+                assert L.tobytes() == L_want.tobytes()
+
+
 class TestBatchedResidual:
     @pytest.mark.parametrize("spec", [
         PrecondSpec("mgss", alpha=0.5, beta=0.5),
@@ -344,6 +366,23 @@ class TestStokesShiftedBlock:
         assert report.converged
         assert (report.outer_iterations, report.total_inner_cg_iterations) == steps
 
+
+    def test_mgss_rmgss_and_hss_direct_share_one_analysis_of_C(self, monkeypatch):
+        # hss direct factors alpha I + C from the analysis mgss made of
+        # C, and alpha I + A from one of A; only its Gram block is new
+        calls = []
+        real = sparse._component_labels
+        sys_ = generate_stokes_q1p0(StokesConfig(16))
+        names = {id(sys_.A._rows): "A", id(sys_.C._rows): "C"}
+
+        def counting(n, rows, cols):
+            calls.append(names.get(id(rows), "gram"))
+            return real(n, rows, cols)
+
+        monkeypatch.setattr(sparse, "_component_labels", counting)
+        for kind in ("mgss", "rmgss", "hss"):
+            make_preconditioner(sys_, PrecondSpec(kind, inner="direct"))
+        assert calls == ["C", "A", "gram"]
 
     def test_mgss_and_rmgss_share_one_pattern_analysis(self, monkeypatch):
         # both rows of a Table-2 system factor beta I + C from C's one
@@ -418,6 +457,35 @@ class TestSchur:
         S = form_schur_dense(sys_, spec.alpha, spec.beta)
         [(_, L)] = app.schur.blocks
         assert np.array_equal(L[0], np.linalg.cholesky(S))
+
+
+class TestSchurComplement:
+    # the one dense builder against the two formulas it replaced
+    @pytest.mark.parametrize("case", list(SYSTEMS))
+    def test_mgss_schur_bits(self, case):
+        sys_ = SYSTEMS[case]()
+        alpha, beta = 1e-3, 1e-3
+        shifted = factor.cholesky(sys_.C, beta)
+        Bd = to_dense(sys_.B)
+        S = to_dense(sys_.A) + alpha * np.eye(sys_.n) + Bd.T @ factor.solve(shifted, Bd)
+        want = 0.5 * (S + S.T)
+        got = precond._schur_complement(to_dense(sys_.A) + alpha * np.eye(sys_.n), Bd, shifted)
+        assert got.tobytes() == want.tobytes()
+        assert form_schur_dense(sys_, alpha, beta).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", list(SYSTEMS))
+    def test_predicted_rmgss_matrix_bits(self, case):
+        sys_ = SYSTEMS[case]()
+        Bd = to_dense(sys_.B)
+        fac = factor.cholesky_dense(to_dense(sys_.A))
+        G = to_dense(sys_.C) + Bd @ factor.solve(fac, Bd.T)
+        want = 0.5 * (G + G.T)
+        got = precond._schur_complement(to_dense(sys_.C), Bd.T, fac)
+        assert got.tobytes() == want.tobytes()
+        mu = np.linalg.eigh(want)[0]
+        predicted = spectral.predicted_rmgss_spectrum(sys_, 1e-3).eigenvalues
+        spectrum = np.sort(np.concatenate([np.ones(sys_.n), mu / (1e-3 + mu)])).astype(np.complex128)
+        assert predicted.tobytes() == spectrum.tobytes()
 
 
 def no_constraints(n=6):

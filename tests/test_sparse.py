@@ -185,6 +185,17 @@ class TestTripletOrder:
         T = CsrMatrix.from_triplets(*args)
         assert_same_arrays(M, (T.row_ptr, T.col_idx, T.values))
 
+    @pytest.mark.parametrize("case", list(dense_cases()) + [("shape-0x0", np.zeros((0, 0)))],
+                             ids=lambda c: c[0])
+    def test_from_dense_bitwise_equal_to_nonzero_rows(self, case):
+        # the masked-row constructor against the np.nonzero construction
+        # it replaced: -0.0 unstored, NaN stored, empty and one-wide shapes
+        _, arr = case
+        stored = arr != 0.0
+        row_ptr = np.zeros(arr.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(stored, axis=1), out=row_ptr[1:])
+        assert_same_arrays(CsrMatrix.from_dense(arr), (row_ptr, np.nonzero(stored)[1], arr[stored]))
+
     @pytest.mark.parametrize("case", list(dense_cases()) + [
         ("stokes8-B", to_dense(generate_stokes_q1p0(StokesConfig(8)).B)),
         ("random-saddle-B", to_dense(generate_random_saddle(60, 24, seed=3).B)),
@@ -199,6 +210,68 @@ class TestTripletOrder:
         T = CsrMatrix.from_triplets(M.ncols, M.nrows, cols, rows, vals)
         assert_same_arrays(Mt, (T.row_ptr, T.col_idx, T.values))
         assert_same_arrays(Mt.transpose(), (M.row_ptr, M.col_idx, M.values))
+
+
+def propagated_labels(n, rows, cols):
+    # plain label propagation, one sweep per step of the graph's diameter
+    label = np.arange(n)
+    while True:
+        before = label.copy()
+        np.minimum.at(label, rows, label[cols])
+        if np.array_equal(label, before):
+            return label
+
+
+def tridiagonal(n):
+    return CsrMatrix.from_dense(2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+
+
+def label_cases():
+    rng = np.random.default_rng(12)
+    yield "tridiagonal-2000", tridiagonal(2000)
+    for pin in (True, False):
+        sys_ = generate_stokes_q1p0(StokesConfig(16, pin_pressure=pin))
+        yield f"stokes16-{'pinned' if pin else 'unpinned'}-A", sys_.A
+        yield f"stokes16-{'pinned' if pin else 'unpinned'}-C", sys_.C
+    pattern = rng.random((80, 80)) < 0.02
+    yield "random-80", CsrMatrix.from_dense((pattern | pattern.T) + np.eye(80))
+    # two interleaved chains (even and odd rows) and four isolated rows
+    chains = np.eye(40, k=2) + np.eye(40, k=-2)
+    chains[:4] = chains[:, :4] = 0.0
+    yield "disconnected", CsrMatrix.from_dense(chains[::-1, ::-1] + np.eye(40))
+    yield "no-edges", CsrMatrix.zeros(4, 4)
+    yield "empty", CsrMatrix.zeros(0, 0)
+
+
+class CountingNumpy:
+    # numpy as sparse sees it, with each np.minimum.at call counted
+    def __init__(self):
+        self.minimum = self
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def at(self, *args):
+        self.calls += 1
+        np.minimum.at(*args)
+
+
+class TestComponentLabels:
+    @pytest.mark.parametrize("case", list(label_cases()), ids=lambda c: c[0])
+    def test_equal_to_plain_propagation(self, case):
+        _, M = case
+        got = sparse._component_labels(M.nrows, M._rows, M.col_idx)
+        want = propagated_labels(M.nrows, M._rows, M.col_idx)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_chain_takes_few_sweeps(self, monkeypatch):
+        # plain propagation sweeps about 2000 times along the chain
+        M = tridiagonal(2000)
+        counting = CountingNumpy()
+        monkeypatch.setattr(sparse, "np", counting)
+        labels = sparse._component_labels(M.nrows, M._rows, M.col_idx)
+        assert counting.calls <= 3 and not labels.any()
 
 
 def shifted_by_triplets(M, s):
