@@ -127,8 +127,8 @@ def cholesky(M, shift=0.0):
     ``shift`` to their diagonals and factors them: the blocks equal
     those of ``cholesky(sparse.add_scaled_identity(M, shift))`` bit for
     bit, since M_ii + shift is the one sum either way and a diagonal
-    joins no components.  The symmetry rule is that of ``SaddleSystem``,
-    applied to M itself: 1e-12 times max |M|.
+    joins no components.  M's symmetry is checked by
+    ``sparse._check_symmetric``, as in ``SaddleSystem``.
 
     Raises
     ------
@@ -163,10 +163,10 @@ def cholesky(M, shift=0.0):
 def cholesky_dense(a):
     """Dense-array entry point used for explicitly formed matrices.
 
-    The array must be symmetric to 1e-12 times max(1, max |a|), the
-    rule of ``spectral.jacobi_symmetric``; otherwise ``ValueError``.
-    A NaN or inf entry raises ``NotPositiveDefiniteError``, wherever it
-    sits.
+    The array must pass ``sparse._check_symmetric_dense``, the check of
+    ``spectral.jacobi_symmetric``; otherwise ``ValueError``.  A NaN or
+    inf entry, wherever it sits, and a pivot that fails the rule of
+    ``cholesky`` raise ``NotPositiveDefiniteError``.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -178,7 +178,7 @@ def cholesky_dense(a):
 
 def _factor(n, stacks):
     # one LAPACK call per stack, with the pivot rule of the whole matrix
-    max_diag = 1.0
+    max_diag = 0.0
     for _, a in stacks:
         max_diag = max(max_diag, np.abs(np.diagonal(a, axis1=1, axis2=2)).max(initial=0.0))
     tol = _PIVOT_RTOL * max_diag

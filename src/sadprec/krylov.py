@@ -182,11 +182,13 @@ def gmres_restarted(op, b, precond=None, rule=None):
     running least-squares problem.  ``outer_iterations`` counts the
     total number of Arnoldi steps across all restart cycles (not the
     number of restarts).  The residual history holds true residual
-    norms, one entry per restart boundary.  A solve cut off by
-    ``rule.max_outer`` reports ``"max_outer"`` or ``"stagnated"`` (see
-    ``SolveReport``).  A ``b`` of length other than ``op.dim`` or with
-    a non-finite entry, or a non-finite true residual at a restart,
-    raises ``ValueError``.
+    norms, one entry per restart boundary.  A cycle ends early at a
+    breakdown: an Arnoldi step whose new direction has norm at most
+    1e-14 times the largest |H[i, j]| above it in its column.  A solve
+    cut off by ``rule.max_outer`` reports ``"max_outer"`` or
+    ``"stagnated"`` (see ``SolveReport``).  A ``b`` of length other
+    than ``op.dim`` or with a non-finite entry, or a non-finite true
+    residual at a restart, raises ``ValueError``.
     """
     op = as_operator(op)
     rule = rule or StoppingRule()
@@ -224,7 +226,7 @@ def gmres_restarted(op, b, precond=None, rule=None):
                 w -= H[i, j] * V[:, i]
             hj = float(np.linalg.norm(w))
             H[j + 1, j] = hj
-            happy = hj <= 1e-14 * max(1.0, float(np.max(np.abs(H[: j + 1, j]))))
+            happy = hj <= 1e-14 * float(np.max(np.abs(H[: j + 1, j])))
             if not happy:
                 V[:, j + 1] = w / hj
             for i in range(j):

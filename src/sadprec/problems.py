@@ -39,6 +39,7 @@ import os
 
 import numpy as np
 
+from .krylov import _check_count
 from .sparse import CsrMatrix, SaddleSystem
 
 __all__ = [
@@ -195,9 +196,12 @@ def generate_random_saddle(n, m, density=0.3, seed=0):
     C = V V^T with rank floor(m/2) (genuinely semidefinite).  Fixed
     seeds give bitwise identical systems under every BLAS kernel: the
     Gram products are einsum sums, no BLAS call, and exactly symmetric.
+    n and m must be integers (not bools) with 0 <= m <= n.
     """
     if not 0 <= m <= n:
         raise ValueError(f"0 <= m <= n is required, got n={n}, m={m}")
+    _check_count("n", n, 0)
+    _check_count("m", m, 0)
     if not 0.0 <= density <= 1.0:  # NaN fails too
         raise ValueError(f"density must lie in [0, 1], got {density}")
     rng = np.random.default_rng(seed)
@@ -242,7 +246,9 @@ def read_matrix_market(path):
     """Read a general or symmetric coordinate Matrix Market file into a CsrMatrix.
 
     A symmetric file stores the lower triangle; each off-diagonal entry
-    is mirrored, and an entry above the diagonal is refused.
+    is mirrored, and an entry above the diagonal is refused.  A size
+    line with a negative number, or a non-square one in a symmetric
+    file, is refused as it is read.
     """
     with open(path, "r") as fh:
         lines = fh.readlines()
@@ -270,6 +276,10 @@ def read_matrix_market(path):
         nrows, ncols, nnz = int(parts[0]), int(parts[1]), int(parts[2])
     except ValueError as exc:
         raise MatrixMarketError(f"{path}:{idx + 1}: malformed size line") from exc
+    if min(nrows, ncols, nnz) < 0:
+        raise MatrixMarketError(f"{path}:{idx + 1}: negative number in size line")
+    if kind == "symmetric" and nrows != ncols:
+        raise MatrixMarketError(f"{path}:{idx + 1}: symmetric matrix of size {nrows}x{ncols} is not square")
     rows, cols, vals = [], [], []
     seen = 0
     for ln in range(idx + 1, len(lines)):
@@ -306,8 +316,16 @@ def write_vector(x, path):
 
 
 def read_vector(path):
+    """Read one float per non-blank line; ``ValueError`` names the line of a bad one."""
+    values = []
     with open(path, "r") as fh:
-        return np.array([float(line) for line in fh if line.strip()], dtype=np.float64)
+        for ln, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    values.append(float(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{ln}: not a number: {line.strip()!r}") from exc
+    return np.array(values, dtype=np.float64)
 
 
 def save_bundle(sys, dirpath, meta=None):

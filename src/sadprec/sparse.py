@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _DEFAULT_DENSE_CAP = 4_000_000
+_SYMMETRY_RTOL = 1e-12
 
 
 def dense_cap():
@@ -475,27 +476,25 @@ def to_dense(M):
     return out
 
 
-def _check_symmetric(M, name, rtol=1e-12):
-    """``ValueError`` unless M = M^T in structure and to rtol max |M| in value.
+def _check_symmetric(M, name):
+    """``ValueError`` unless M = M^T in structure and to ``_SYMMETRY_RTOL`` max |M| in value.
 
     No transpose is built: ``M._column_order()`` gives M^T's row_ptr
     and the order in which M's entries make M^T's CSR arrays, which are
-    compared with M's own.  A NaN or inf entry passes, so that the
-    caller reports it.
+    compared with M's own (a non-square M fails on row_ptr).  A NaN or
+    inf entry passes, so that the caller reports it.
     """
-    if M.nrows != M.ncols:
-        raise ValueError(f"{name} is structurally non-symmetric")
     row_ptr, order = M._column_order()
     if not (np.array_equal(row_ptr, M.row_ptr) and np.array_equal(M._rows[order], M.col_idx)):
         raise ValueError(f"{name} is structurally non-symmetric")
     with np.errstate(invalid="ignore"):  # inf - inf
         skew = np.abs(M.values - M.values[order]).max(initial=0.0)  # each entry less its mirror
-    if skew > rtol * np.abs(M.values).max(initial=0.0):
-        raise ValueError(f"{name} is numerically non-symmetric beyond {rtol:g} relative")
+    if skew > _SYMMETRY_RTOL * np.abs(M.values).max(initial=0.0):
+        raise ValueError(f"{name} is numerically non-symmetric beyond {_SYMMETRY_RTOL:g} relative")
 
 
 def _check_symmetric_dense(a, name):
-    """max |a - a.T| of a square array; ``ValueError`` above 1e-12 max(1, max |a|).
+    """max |a - a.T| of a square array; ``ValueError`` above ``_SYMMETRY_RTOL`` max |a|.
 
     A NaN or inf entry makes it NaN or inf, which passes, so that the
     caller reports it: the result is finite exactly when every entry is.
@@ -503,8 +502,8 @@ def _check_symmetric_dense(a, name):
     with np.errstate(invalid="ignore"):  # inf - inf
         skew = a - a.T  # one temporary: a second one of this size costs more than the arithmetic
     skew = float(np.abs(skew, out=skew).max(initial=0.0))
-    if skew > 1e-12 * max(1.0, float(np.max(np.abs(a), initial=0.0))):
-        raise ValueError(f"{name} is not symmetric (|a - a.T| above 1e-12 max(1, |a|))")
+    if skew > _SYMMETRY_RTOL * float(np.max(np.abs(a), initial=0.0)):
+        raise ValueError(f"{name} is not symmetric (|a - a.T| above {_SYMMETRY_RTOL:g} max |a|)")
     return skew
 
 

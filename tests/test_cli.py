@@ -108,6 +108,12 @@ class TestSolve:
         rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert rc == 0 and rec["it"] == 0 and rec["converged"]
 
+    def test_bad_vector_entry_exits_2(self, tmp_path, capsys):
+        bundle = toy_bundle(tmp_path)
+        pathlib.Path(bundle, "f.vec").write_text("abc\n")
+        assert main(["solve", "--in", bundle, "--method", "none"]) == 2
+        assert f"{pathlib.Path(bundle, 'f.vec')}:1: not a number: 'abc'" in capsys.readouterr().err
+
     def test_invalid_parameters_per_spec(self, tmp_path, capsys):
         bundle = toy_bundle(tmp_path)
         rc = main(["solve", "--in", bundle, "--method", "mgss", "--alpha", "0", "--beta", "1"])

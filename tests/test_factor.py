@@ -111,13 +111,14 @@ class TestCholesky:
         with pytest.raises(ValueError, match="not symmetric") as exc:
             factor.cholesky_dense([[4.0, 0.0], [1.0, 4.0]])
         assert not isinstance(exc.value, factor.NotPositiveDefiniteError)
-        # the rule of spectral.jacobi_symmetric: 1e-12 max(1, max |a|)
+        # the rule of spectral.jacobi_symmetric: 1e-12 max |a|, below
+        # unit scale too
         factor.cholesky_dense([[4.0, 4e-12], [0.0, 4.0]])
         with pytest.raises(ValueError, match="not symmetric"):
             factor.cholesky_dense([[4.0, 5e-12], [0.0, 4.0]])
-        factor.cholesky_dense([[0.5, 1e-12], [0.0, 0.5]])
+        factor.cholesky_dense([[0.5, 5e-13], [0.0, 0.5]])
         with pytest.raises(ValueError, match="not symmetric"):
-            factor.cholesky_dense([[0.5, 2e-12], [0.0, 0.5]])
+            factor.cholesky_dense([[0.5, 6e-13], [0.0, 0.5]])
 
     @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_dense_nan_anywhere_rejected(self, where):

@@ -338,6 +338,15 @@ class TestRandomSaddle:
         with pytest.raises(ValueError, match=re.escape(message)):
             generate_random_saddle(n, m, density=density)
 
+    @pytest.mark.parametrize("n,m,message", [(5.5, 2, "n must be an integer of at least 0, got 5.5"),
+                                             (True, 0, "n must be an integer of at least 0, got True"),
+                                             (6, 2.0, "m must be an integer of at least 0, got 2.0")],
+                             ids=["float-n", "bool-n", "float-m"])
+    def test_non_integer_size_rejected(self, n, m, message):
+        # the rule of StoppingRule's counts
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_random_saddle(n, m)
+
     def test_A_spd(self):
         sys_ = generate_random_saddle(30, 10, seed=1)
         factor.cholesky(sys_.A)  # raises if not SPD
@@ -385,6 +394,17 @@ class TestMatrixMarket:
         path = tmp_path / "bad3.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n")
         with pytest.raises(MatrixMarketError, match="out of range"):
+            read_matrix_market(path)
+
+    @pytest.mark.parametrize("body,message", [
+        ("2 3 1\n2 1 1.0\n", "symmetric matrix of size 2x3 is not square"),
+        ("3 2 1\n3 1 1.0\n", "symmetric matrix of size 3x2 is not square"),
+        ("-2 2 0\n", "negative number in size line"),
+    ], ids=["wide", "tall", "negative"])
+    def test_bad_size_line_rejected(self, tmp_path, body, message):
+        path = tmp_path / "s.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n" + body)
+        with pytest.raises(MatrixMarketError, match=re.escape(f"{path}:2: {message}")):
             read_matrix_market(path)
 
     def test_golden_bytes(self, tmp_path):
@@ -437,3 +457,9 @@ class TestBundles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_bundle(tmp_path / "nope")
+
+    def test_bad_vector_entry_names_file_and_line(self, tmp_path):
+        save_bundle(generate_random_saddle(10, 4, seed=2), tmp_path / "b")
+        (tmp_path / "b" / "f.vec").write_text("abc\n")
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'b' / 'f.vec'}:1: not a number: 'abc'")):
+            load_bundle(tmp_path / "b")
