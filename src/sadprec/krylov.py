@@ -111,9 +111,13 @@ class StoppingRule:
         _check_count("max_outer", self.max_outer, 0)
 
 
-def _check_count(name, value, low):
+def _is_integer(value):
     # bool is an int subclass; numpy integers are Integral
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_count(name, value, low):
+    if not _is_integer(value) or value < low:
         raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 

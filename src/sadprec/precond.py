@@ -26,19 +26,20 @@ either as an inner CG (``inner="cg"``, residual reduction 100, at most
 (``inner="direct"``), which makes the preconditioner an exactly linear
 operator for spectral work.  The Schur matrix is applied unassembled in
 CG mode and formed densely in direct mode by ``_schur_complement``, as
-is ``spectral``'s predicted rmgss matrix.  hss builds alpha^2 I + B B^T
-by a Gram product; CG mode also assembles alpha I + A and alpha I + C.
-Direct mode assembles no shifted copy: ``factor.cholesky(M, shift)``
-reuses M's cached pattern analysis, so the mgss, rmgss and hss
-preconditioners of one system share the analysis of C.
+is ``spectral``'s predicted rmgss matrix.  hss shifts A and C by alpha
+and B's cached Gram matrix ``B._gram`` by alpha^2; CG mode assembles
+the shifted copies.  Direct mode assembles none: ``factor.cholesky(M,
+shift)`` reuses M's cached pattern analysis, so one system's
+preconditioners share the analysis of C, and its hss ones at every
+alpha share those of A and B B^T.
 
 Applicators allocate fresh work vectors per call, so concurrent
 ``apply`` calls are safe.  Only the ``inner_iterations`` statistics
 counter changes in place.  Everything built lazily is a
 ``functools.cached_property``: the CG-mode hss blocks, assembled on the
 first ``apply``; each Cholesky factor's inverse factor, built on its
-first solve; and each sparse matrix's product layouts, built on its
-first product.  Racing first reads can only store identical values.
+first solve; and each sparse matrix's product layouts and Gram matrix,
+built on first use.  Racing first reads can only store identical values.
 """
 
 from functools import cached_property
@@ -47,14 +48,7 @@ import numpy as np
 
 from . import factor
 from .krylov import LinearOperator, cg
-from .sparse import (
-    add_scaled_identity,
-    gram_plus_identity,
-    saddle_dense,
-    spmv,
-    spmv_transpose,
-    to_dense,
-)
+from .sparse import add_scaled_identity, saddle_dense, spmv, spmv_transpose, to_dense
 
 __all__ = [
     "PrecondSpec",
@@ -209,12 +203,12 @@ class HssApplicator(_Applicator):
     (alpha^2 I + B B^T) z2 = alpha t2 + B t1, then
     z1 = (t1 - B^T z2) / alpha.  ``blocks``, a
     ``functools.cached_property``, holds the SPD blocks alpha I + A,
-    alpha I + C and alpha^2 I + B B^T (``sparse.gram_plus_identity``).
-    Direct mode holds their factors, the first two ``factor.cholesky(M,
-    alpha)`` of the system's own A and C, and reads them in the
+    alpha I + C and alpha^2 I + B B^T: A, C and ``B._gram`` shifted, in
+    that order, by one rule per mode.  Direct mode holds
+    ``factor.cholesky(M, shift)`` of each and reads them in the
     constructor, so a block that is not SPD fails there.  CG mode
-    assembles them on the first ``apply`` (``sparse.add_scaled_identity``)
-    and applies each with one ``spmv`` per inner CG step.
+    assembles ``sparse.add_scaled_identity(M, shift)`` on the first
+    ``apply`` and applies each with one ``spmv`` per inner CG step.
     """
 
     def __init__(self, sys, spec):
@@ -227,11 +221,8 @@ class HssApplicator(_Applicator):
     @cached_property
     def blocks(self):
         a, sys = self.spec.alpha, self.sys
-        if self.spec.inner == "direct":
-            return [factor.cholesky(sys.A, a), factor.cholesky(sys.C, a),
-                    factor.cholesky(gram_plus_identity(sys.B, a * a))]
-        return [add_scaled_identity(sys.A, a), add_scaled_identity(sys.C, a),
-                gram_plus_identity(sys.B, a * a)]
+        shifted = factor.cholesky if self.spec.inner == "direct" else add_scaled_identity
+        return [shifted(M, s) for M, s in ((sys.A, a), (sys.C, a), (sys.B._gram, a * a))]
 
     def apply(self, r):
         r1, r2 = self._split(r)

@@ -34,12 +34,11 @@ to an element-by-element loop.
 """
 
 import json
-import numbers
 import os
 
 import numpy as np
 
-from .krylov import _check_count
+from .krylov import _check_count, _is_integer
 from .sparse import CsrMatrix, SaddleSystem
 
 __all__ = [
@@ -87,8 +86,7 @@ class StokesConfig:
     """Grid and stabilization settings; ``stab_param`` >= 0 and finite keeps C PSD."""
 
     def __init__(self, q, stab_param=0.25, pin_pressure=True):
-        # bool is an int subclass; numpy integers are Integral
-        if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q < 2 or q % 2:
+        if not _is_integer(q) or q < 2 or q % 2:
             raise ValueError(f"q must be an even integer >= 2 (macroelements need 2x2 tiles), got {q!r}")
         self.q = int(q)
         self.stab_param = float(stab_param)
@@ -198,7 +196,8 @@ def generate_random_saddle(n, m, density=0.3, seed=0):
     Gram products are einsum sums, no BLAS call, and exactly symmetric.
     n and m must be integers (not bools) with 0 <= m <= n.
     """
-    if not 0 <= m <= n:
+    # only integers are compared; _check_count names any other n or m
+    if _is_integer(n) and _is_integer(m) and not 0 <= m <= n:
         raise ValueError(f"0 <= m <= n is required, got n={n}, m={m}")
     _check_count("n", n, 0)
     _check_count("m", m, 0)
@@ -246,9 +245,10 @@ def read_matrix_market(path):
     """Read a general or symmetric coordinate Matrix Market file into a CsrMatrix.
 
     A symmetric file stores the lower triangle; each off-diagonal entry
-    is mirrored, and an entry above the diagonal is refused.  A size
-    line with a negative number, or a non-square one in a symmetric
-    file, is refused as it is read.
+    is mirrored, and an entry above the diagonal is refused.  A position
+    given twice is refused, not summed.  A size line with a negative
+    number, or a non-square one in a symmetric file, is refused as it
+    is read.
     """
     with open(path, "r") as fh:
         lines = fh.readlines()
@@ -281,7 +281,7 @@ def read_matrix_market(path):
     if kind == "symmetric" and nrows != ncols:
         raise MatrixMarketError(f"{path}:{idx + 1}: symmetric matrix of size {nrows}x{ncols} is not square")
     rows, cols, vals = [], [], []
-    seen = 0
+    first_line = {}  # the 1-based line of each position read
     for ln in range(idx + 1, len(lines)):
         text = lines[ln].strip()
         if not text or text.startswith("%"):
@@ -298,6 +298,9 @@ def read_matrix_market(path):
         if kind == "symmetric" and c > r:
             raise MatrixMarketError(f"{path}:{ln + 1}: entry ({r}, {c}) above the diagonal "
                                     "of a symmetric file, which stores the lower triangle")
+        first = first_line.setdefault((r, c), ln + 1)
+        if first != ln + 1:
+            raise MatrixMarketError(f"{path}:{ln + 1}: entry ({r}, {c}) repeats line {first}")
         rows.append(r - 1)
         cols.append(c - 1)
         vals.append(v)
@@ -305,9 +308,8 @@ def read_matrix_market(path):
             rows.append(c - 1)
             cols.append(r - 1)
             vals.append(v)
-        seen += 1
-    if seen != nnz:
-        raise MatrixMarketError(f"{path}: size line promised {nnz} entries, found {seen}")
+    if len(first_line) != nnz:
+        raise MatrixMarketError(f"{path}: size line promised {nnz} entries, found {len(first_line)}")
     return CsrMatrix.from_triplets(nrows, ncols, rows, cols, vals)
 
 

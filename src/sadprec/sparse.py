@@ -23,7 +23,6 @@ __all__ = [
     "spmv_transpose",
     "assemble_block_saddle",
     "add_scaled_identity",
-    "gram_plus_identity",
     "to_dense",
     "saddle_dense",
     "dense_cap",
@@ -86,7 +85,8 @@ class CsrMatrix:
     shift: the symmetry verdict, the connected components grouped by
     order, and where each stored entry and each diagonal sits in the
     stacks that LAPACK factors.  It takes 8 bytes per stored entry plus
-    16 bytes per row.
+    16 bytes per row.  ``_gram``, the last, is M M^T, exactly symmetric,
+    which every hss preconditioner of M shifts by its own alpha^2.
     """
 
     def __init__(self, nrows, ncols, row_ptr, col_idx, values):
@@ -105,11 +105,11 @@ class CsrMatrix:
 
         The triplets are ordered by one stable sort of their position key
         ``row * ncols + col`` (``np.ravel_multi_index``), so the entries at
-        one position are added in input order.  A shape whose key would
-        overflow int64 (nrows * ncols >= 2**63) raises ValueError.  The
-        constructor for entries that may be unordered or repeated;
-        ``from_dense`` and ``transpose`` have theirs in order already
-        and skip the sort.
+        one position are summed in input order by ``_merge_sorted``'s rule.
+        A shape whose key would overflow int64 (nrows * ncols >= 2**63)
+        raises ValueError.  The constructor for entries that may be
+        unordered or repeated; ``from_dense`` and ``transpose`` have theirs
+        in order already and skip the sort.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -270,6 +270,32 @@ class CsrMatrix:
         # order in which the transpose product adds them
         return self.transpose()._padded_rows
 
+    @cached_property
+    def _gram(self):
+        # M M^T: entries (i, j) and (j, i) sum the same products M[i, k] M[j, k]
+        # in increasing k by _merge_sorted's rule, so they are bitwise equal;
+        # exact cancellations drop.  Each row's candidates come from the two
+        # padded layouts and are sorted within the row: a temporary of 16
+        # bytes x rows x widest row x widest column
+        m, n = self.nrows, self.ncols
+        idx, val = self._padded_rows
+        tidx, tval = self._padded_cols
+        # one more column of the transposed layout for the row pads' index n
+        tidx = np.hstack([tidx[:, :n], np.full((tidx.shape[0], 1), m)]).T
+        tval = np.hstack([tval[:, :n], np.zeros((tval.shape[0], 1))]).T
+        k = idx[:, :m].T
+        width = k.shape[1] * tidx.shape[1]
+        # row i's candidates (j, M[i, k] M[j, k]) in the order (k, j)
+        cand = tidx[k].reshape(m, width)
+        prod = (val[:, :m].T[:, :, None] * tval[k]).reshape(m, width)
+        order = np.argsort(cand, axis=1, kind="stable")
+        cand = np.take_along_axis(cand, order, axis=1)
+        prod = np.take_along_axis(prod, order, axis=1)
+        del order  # freed before the row index of the same size is made
+        prod[cand == m] = 0.0  # pads, in column m, sum to 0 and drop, even beside an inf
+        rows = np.repeat(np.arange(m), width)
+        return _merge_sorted(m, m, rows, cand.ravel(), prod.ravel())
+
     def _validate(self):
         if self.nrows < 0 or self.ncols < 0:
             raise ValueError("negative dimension")
@@ -316,8 +342,10 @@ def _component_labels(n, rows, cols):
 def _merge_sorted(nrows, ncols, rows, cols, vals):
     """CsrMatrix of triplets sorted by position (row, then column).
 
-    Each run of equal positions is summed left to right, and sums that
-    are exactly 0 are dropped, together with their positions.
+    A run of equal positions a[0], ..., a[L-1] sums as a[0] + (a[1] + ...
+    + a[L-1]) (``np.add.reduceat``; the bracket goes left to right up to
+    L = 8, pairwise beyond), so 1.0, 1e16, -1e16 give 1.0, not 0.0.
+    Sums that are exactly 0 are dropped, together with their positions.
     """
     if rows.size:
         first = np.empty(rows.size, dtype=bool)
@@ -426,39 +454,6 @@ def add_scaled_identity(M, s):
     return CsrMatrix.from_triplets(M.nrows, M.ncols, np.concatenate([M._rows, diag]),
                                    np.concatenate([M.col_idx, diag]),
                                    np.concatenate([M.values, np.full(M.nrows, float(s))]))
-
-
-def gram_plus_identity(M, s):
-    """Return M M^T + s*I as a new CsrMatrix, exactly symmetric.
-
-    Entry (i, j) adds the products M[i, k] M[j, k] over the columns k
-    the two rows share, in increasing k, and then s on the diagonal;
-    entry (j, i) adds the same products in the same order, so the two
-    are bitwise equal.  Each row's candidate products come from M's
-    padded layouts (the ones ``spmv`` and ``spmv_transpose`` cache) and
-    are sorted within the row, not globally, then summed as in
-    ``from_triplets``, which drops entries that cancel to exactly 0: a
-    temporary of 16 bytes x rows x widest row x widest column.
-    """
-    m, n = M.nrows, M.ncols
-    idx, val = M._padded_rows
-    tidx, tval = M._padded_cols
-    # one more column of the transposed layout for the row pads' index n
-    tidx = np.hstack([tidx[:, :n], np.full((tidx.shape[0], 1), m)]).T
-    tval = np.hstack([tval[:, :n], np.zeros((tval.shape[0], 1))]).T
-    k = idx[:, :m].T
-    width = k.shape[1] * tidx.shape[1]
-    # row i's candidates (j, M[i, k] M[j, k]) in the order (k, j), then (i, s)
-    cand = np.hstack([tidx[k].reshape(m, width), np.arange(m)[:, None]])
-    prod = np.hstack([(val[:, :m].T[:, :, None] * tval[k]).reshape(m, width),
-                      np.full((m, 1), float(s))])
-    order = np.argsort(cand, axis=1, kind="stable")
-    cand = np.take_along_axis(cand, order, axis=1)
-    prod = np.take_along_axis(prod, order, axis=1)
-    del order  # freed before the row index of the same size is made
-    prod[cand == m] = 0.0  # pads, in column m, sum to 0 and drop, even beside an inf
-    rows = np.repeat(np.arange(m), cand.shape[1])
-    return _merge_sorted(m, m, rows, cand.ravel(), prod.ravel())
 
 
 def _dense_zeros(nrows, ncols):

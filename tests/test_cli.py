@@ -114,6 +114,13 @@ class TestSolve:
         assert main(["solve", "--in", bundle, "--method", "none"]) == 2
         assert f"{pathlib.Path(bundle, 'f.vec')}:1: not a number: 'abc'" in capsys.readouterr().err
 
+    def test_repeated_matrix_entry_exits_2(self, tmp_path, capsys):
+        bundle = toy_bundle(tmp_path)
+        path = pathlib.Path(bundle, "A.mtx")
+        path.write_text("%%MatrixMarket matrix coordinate real general\n1 1 2\n1 1 1.0\n1 1 1.0\n")
+        assert main(["solve", "--in", bundle, "--method", "none"]) == 2
+        assert f"{path}:4: entry (1, 1) repeats line 3" in capsys.readouterr().err
+
     def test_invalid_parameters_per_spec(self, tmp_path, capsys):
         bundle = toy_bundle(tmp_path)
         rc = main(["solve", "--in", bundle, "--method", "mgss", "--alpha", "0", "--beta", "1"])

@@ -300,6 +300,33 @@ class TestHssDirectBlocks:
                 assert np.array_equal(index, index_want)
                 assert L.tobytes() == L_want.tobytes()
 
+    @pytest.mark.parametrize("case", list(SYSTEMS))
+    @pytest.mark.parametrize("alpha", [0.1, 0.37])
+    def test_blocks_shift_the_systems_own_matrices(self, case, alpha):
+        # A and C by alpha and B's Gram by alpha^2: direct mode factors
+        # the shifted copies that CG mode assembles, to the bit
+        sys_ = SYSTEMS[case]()
+        direct = HssApplicator(sys_, PrecondSpec("hss", alpha=alpha, inner="direct")).blocks
+        assembled = HssApplicator(sys_, PrecondSpec("hss", alpha=alpha)).blocks
+        table = ((sys_.A, alpha), (sys_.C, alpha), (sys_.B._gram, alpha * alpha))
+        for (M, s), fac, got in zip(table, direct, assembled, strict=True):
+            shifted = sparse.add_scaled_identity(M, s)
+            for name in ("row_ptr", "col_idx", "values"):
+                assert np.array_equal(getattr(got, name), getattr(shifted, name)), name
+            want = factor.cholesky(shifted).blocks
+            assert len(fac.blocks) == len(want)
+            for (index, L), (index_want, L_want) in zip(fac.blocks, want):
+                assert np.array_equal(index, index_want)
+                assert L.tobytes() == L_want.tobytes()
+
+    def test_cg_and_direct_read_one_gram_of_B(self):
+        sys_ = SYSTEMS["stokes-q16"]()
+        assert "_gram" not in vars(sys_.B)
+        HssApplicator(sys_, PrecondSpec("hss")).apply(np.ones(sys_.order))
+        gram = vars(sys_.B)["_gram"]
+        HssApplicator(sys_, PrecondSpec("hss", alpha=0.2, inner="direct"))
+        assert vars(sys_.B)["_gram"] is gram
+
 
 class TestBatchedResidual:
     @pytest.mark.parametrize("spec", [
@@ -383,6 +410,23 @@ class TestStokesShiftedBlock:
         for kind in ("mgss", "rmgss", "hss"):
             make_preconditioner(sys_, PrecondSpec(kind, inner="direct"))
         assert calls == ["C", "A", "gram"]
+
+    def test_hss_direct_shifts_share_three_analyses(self, monkeypatch):
+        # an alpha sweep labels A, C and B's Gram once each, in the
+        # order hss builds its blocks
+        calls = []
+        real = sparse._component_labels
+        sys_ = generate_stokes_q1p0(StokesConfig(16))
+        names = {id(sys_.A._rows): "A", id(sys_.C._rows): "C", id(sys_.B._gram._rows): "gram"}
+
+        def counting(n, rows, cols):
+            calls.append(names.get(id(rows), "other"))
+            return real(n, rows, cols)
+
+        monkeypatch.setattr(sparse, "_component_labels", counting)
+        for alpha in (0.05, 0.1, 0.2, 0.4):
+            make_preconditioner(sys_, PrecondSpec("hss", alpha=alpha, inner="direct"))
+        assert calls == ["A", "C", "gram"]
 
     def test_mgss_and_rmgss_share_one_pattern_analysis(self, monkeypatch):
         # both rows of a Table-2 system factor beta I + C from C's one

@@ -340,10 +340,13 @@ class TestRandomSaddle:
 
     @pytest.mark.parametrize("n,m,message", [(5.5, 2, "n must be an integer of at least 0, got 5.5"),
                                              (True, 0, "n must be an integer of at least 0, got True"),
-                                             (6, 2.0, "m must be an integer of at least 0, got 2.0")],
-                             ids=["float-n", "bool-n", "float-m"])
+                                             (6, 2.0, "m must be an integer of at least 0, got 2.0"),
+                                             ("5", 2, "n must be an integer of at least 0, got '5'"),
+                                             (6, "2", "m must be an integer of at least 0, got '2'")],
+                             ids=["float-n", "bool-n", "float-m", "str-n", "str-m"])
     def test_non_integer_size_rejected(self, n, m, message):
-        # the rule of StoppingRule's counts
+        # the rule of StoppingRule's counts, checked before n and m are
+        # compared, so a string is named rather than a TypeError raised
         with pytest.raises(ValueError, match=re.escape(message)):
             generate_random_saddle(n, m)
 
@@ -376,6 +379,20 @@ class TestMatrixMarket:
         path = tmp_path / "s.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 4\n1 1 4\n1 2 2\n2 1 2\n2 2 5\n")
         with pytest.raises(MatrixMarketError, match=r":4: entry \(1, 2\) above the diagonal"):
+            read_matrix_market(path)
+
+    @pytest.mark.parametrize("kind,body,message", [
+        ("general", "2 2 2\n1 1 1.0\n1 1 1.0\n", ":4: entry (1, 1) repeats line 3"),
+        ("general", "2 2 3\n2 1 1.0\n1 2 5.0\n2 1 -1.0\n", ":5: entry (2, 1) repeats line 3"),
+        ("symmetric", "2 2 3\n1 1 4.0\n2 2 5.0\n1 1 4.0\n", ":5: entry (1, 1) repeats line 3"),
+        ("symmetric", "2 2 3\n2 1 1.0\n1 1 4.0\n2 1 1.0\n", ":5: entry (2, 1) repeats line 3"),
+    ], ids=["general-twice", "general-cancelling", "symmetric-diagonal", "symmetric-lower"])
+    def test_repeated_entry_rejected(self, tmp_path, kind, body, message):
+        # summed, the first would read back as 2.0 and the second drop
+        # (2, 1) altogether
+        path = tmp_path / "r.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real {kind}\n" + body)
+        with pytest.raises(MatrixMarketError, match=re.escape(f"{path}{message}")):
             read_matrix_market(path)
 
     def test_array_format_rejected(self, tmp_path):

@@ -13,7 +13,6 @@ from sadprec.sparse import (
     add_scaled_identity,
     assemble_block_saddle,
     dense_cap,
-    gram_plus_identity,
     saddle_dense,
     spmv,
     spmv_transpose,
@@ -67,6 +66,12 @@ class TestConstruction:
         M = CsrMatrix.from_triplets(2, 2, [0, 0, 1, 1], [0, 0, 1, 1], [1.0, 2.0, 1.0, -1.0])
         assert M.nnz == 1
         assert to_dense(M)[0, 0] == 3.0
+
+    def test_duplicates_summed_first_plus_the_rest(self):
+        # np.add.reduceat sums a run as a[0] + (a[1] + a[2]); left to
+        # right, 1.0 would vanish into 1e16 and the entry would drop
+        M = CsrMatrix.from_triplets(1, 1, [0, 0, 0], [0, 0, 0], [1.0, 1e16, -1e16])
+        assert M.nnz == 1 and M.values[0] == 1.0
 
     def test_triplet_round_trip(self):
         rng = np.random.default_rng(7)
@@ -316,7 +321,7 @@ class TestShiftedAssembly:
     @pytest.mark.parametrize("s", [1e-2, 0.0])
     def test_gram_symmetric_and_matches_dense(self, make, s):
         B = make().B
-        G = gram_plus_identity(B, s)
+        G = add_scaled_identity(B._gram, s)
         Gd = to_dense(G)
         assert Gd.tobytes() == Gd.T.tobytes()  # exactly symmetric
         Bd = to_dense(B)
@@ -327,7 +332,7 @@ class TestShiftedAssembly:
         # Q1-P0: pressures of edge-neighbour elements cancel exactly,
         # leaving each element and its four diagonal neighbours
         B = generate_stokes_q1p0(StokesConfig(16, pin_pressure=False)).B
-        assert np.diff(gram_plus_identity(B, 0.01).row_ptr).max() == 5
+        assert np.diff(add_scaled_identity(B._gram, 0.01).row_ptr).max() == 5
 
     @pytest.mark.parametrize("B,want", [
         (CsrMatrix.zeros(0, 4), np.zeros((0, 0))),
@@ -338,8 +343,32 @@ class TestShiftedAssembly:
     ], ids=["no-rows", "zero-B", "one-column", "inf-beside-pad"])
     def test_gram_edge_shapes(self, B, want):
         with np.errstate(invalid="ignore"):
-            G = gram_plus_identity(B, 2.0)
+            G = add_scaled_identity(B._gram, 2.0)
         assert np.array_equal(to_dense(G), want)
+
+    @pytest.mark.parametrize("make", [
+        lambda: CsrMatrix.zeros(0, 4),
+        lambda: CsrMatrix.from_dense([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [0.0, 3.0, -1.0]]),
+        lambda: generate_stokes_q1p0(StokesConfig(8)).B,
+    ], ids=["no-rows", "empty-row", "stokes-q8"])
+    def test_gram_cached_exactly_symmetric_product(self, make):
+        B = make()
+        assert "_gram" not in vars(B)  # built on first read, not by a constructor
+        G = B._gram
+        assert B._gram is G
+        Gd = to_dense(G)
+        assert Gd.tobytes() == Gd.T.tobytes()
+        Bd = to_dense(B)
+        want = Bd @ Bd.T
+        assert np.abs(Gd - want).max(initial=0.0) <= 1e-14 * np.abs(want).max(initial=0.0)
+
+    def test_gram_empty_row_takes_the_shift(self):
+        # row 1 of B is empty, so its Gram row is too; the shift is inserted
+        B = CsrMatrix.from_dense([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [0.0, 3.0, -1.0]])
+        assert np.array_equal(B._gram.row_ptr, [0, 2, 2, 4])
+        want = [[5.0, 0.0, -2.0], [0.0, 0.0, 0.0], [-2.0, 0.0, 10.0]]
+        assert np.array_equal(to_dense(B._gram), want)
+        assert np.array_equal(to_dense(add_scaled_identity(B._gram, 0.25)), want + 0.25 * np.eye(3))
 
 
 def digest(*arrays):
@@ -376,7 +405,7 @@ class TestDerivedGolden:
         Y = rng.standard_normal((m, 5)) * 10.0 ** rng.uniform(-8, 8, (m, 5))
         matrices = {"A+0.1I": add_scaled_identity(sys_.A, 0.1),
                     "C+1e-3I": add_scaled_identity(sys_.C, 1e-3),
-                    "BBt+0.01I": gram_plus_identity(sys_.B, 0.01)}
+                    "BBt+0.01I": add_scaled_identity(sys_.B._gram, 0.01)}
         got = {name: digest(M.row_ptr, M.col_idx, M.values) for name, M in matrices.items()}
         got["B^T Y"] = digest(spmv_transpose(sys_.B, Y))
         assert got == self.DIGESTS[(q, pin)]
@@ -558,7 +587,7 @@ def diagonal_cases():
     yield "stokes32-A", lambda: unpinned_stokes(32).A
     yield "stokes64-A", lambda: unpinned_stokes(64).A
     yield "stokes64-A+0.1I", lambda: add_scaled_identity(unpinned_stokes(64).A, 0.1)
-    yield "stokes64-BBt+0.01I", lambda: gram_plus_identity(unpinned_stokes(64).B, 0.01)
+    yield "stokes64-BBt+0.01I", lambda: add_scaled_identity(unpinned_stokes(64).B._gram, 0.01)
     yield "band-with-holes", lambda: band_matrix(6000, 6000, (-70, -1, 0, 1, 70), seed=1)
     yield "tall-band", lambda: band_matrix(5000, 4000, (-9, -2, 0, 5), seed=2)
     yield "wide-band", lambda: band_matrix(6000, 7000, (1, 3, 800), seed=3)
