@@ -35,6 +35,12 @@ in one of two forms:
   rows take 16 B x rows x widest row).  No slot reads another component,
   so a NaN stays in its own component.
 
+``_solve_padded`` is the same solve on a right-hand side that already
+sits in a buffer followed by one zero slot, as the mgss and rmgss Schur
+matvec keeps B x.  Both forms write the solution back over it; the
+padded form's two products read their operands in place and write their
+results straight into the next buffer, with no copy.
+
 An explicit triangular inverse is accurate enough here (Du Croz and
 Higham, Stability of methods for matrix inversion, IMA J. Numer. Anal.
 1992); M^{-1} itself is never formed.
@@ -44,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sparse import _check_symmetric_dense, _padded_product, dense_cap
+from .sparse import _check_symmetric_dense, _padded_mul, _padded_product, dense_cap
 
 __all__ = [
     "CholeskyFactor",
@@ -217,3 +223,18 @@ def solve(fac, b):
         return inverse.T @ (inverse @ b)
     lo, up = inverse
     return _padded_product(up, _padded_product(lo, b, fac.size), fac.size)
+
+
+def _solve_padded(fac, bz):
+    # solve(fac, bz[:n]) written back over bz[:n], where bz[n] is 0: b
+    # already followed by the zero slot of the padded form.  There the
+    # Linv product goes straight into a second such buffer and the
+    # Linv^T product back into bz; both forms give solve's bits
+    n, inverse = fac.size, fac._inverse
+    if isinstance(inverse, np.ndarray):
+        bz[:n] = inverse.T @ (inverse @ bz[:n])
+        return
+    lo, up = inverse
+    cz = np.zeros_like(bz)
+    _padded_mul(lo, bz, n, out=cz[:n])
+    _padded_mul(up, cz, n, out=bz[:n])

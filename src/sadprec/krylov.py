@@ -7,12 +7,13 @@ handled without any linearity assumption.  Convergence tests use the
 true residual norm ||b - A x||, recomputed at every restart boundary.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import CsrMatrix, spmv
+from .sparse import CsrMatrix, _operand, _product, spmv
 
 __all__ = [
     "LinearOperator",
@@ -130,13 +131,22 @@ def cg(op, b, reduction_factor, max_iters):
     symmetric positive definite; a non-positive or NaN curvature p.Ap
     breaks the recurrences and raises, and so does a right-hand side
     whose norm is not finite.  ``reduction_factor`` must be finite and
-    at least 1, and ``max_iters`` an integer of at least 0.
+    at least 1, ``max_iters`` an integer of at least 0, and ``b`` of
+    shape ``(dim,)``.
+
+    The iterate, residual and search direction are updated in place
+    through one work vector, all made fresh by each call.  For a
+    ``CsrMatrix`` the search direction lives in the zero-padded operand
+    buffer of its product (``sparse._operand``), so a step copies no
+    operand and multiplies through ``sparse._product``, with the bits
+    of ``spmv``; any other operator is called as ``op(p)``.
     """
     if not 1.0 <= reduction_factor < np.inf:  # NaN fails too
         raise ValueError(f"reduction_factor must be finite and at least 1, got {reduction_factor}")
     _check_count("max_iters", max_iters, 0)
+    matrix = op if isinstance(op, CsrMatrix) else None
     op = as_operator(op)
-    b = np.asarray(b, dtype=np.float64)
+    b = _rhs(b, op.dim)
     r = b.copy()
     x = np.zeros(op.dim)
     rn0 = float(np.linalg.norm(r))
@@ -146,12 +156,16 @@ def cg(op, b, reduction_factor, max_iters):
     if rn0 == 0.0:
         return SolveReport(True, 0, 0, history, x, "tolerance")
     target = rn0 / reduction_factor
-    p = r.copy()
+    if matrix is None:
+        p = r.copy()
+    else:
+        pz, p = _operand(matrix, r)
+    work = np.empty(op.dim)
     rs = rn0 * rn0
     k = 0
     reason = "max_iters"
     while k < max_iters:
-        ap = op(p)
+        ap = op(p) if matrix is None else _product(matrix, pz, p)
         pap = float(np.dot(p, ap))
         if not pap > 0.0:  # NaN fails too
             raise ValueError(
@@ -159,15 +173,16 @@ def cg(op, b, reduction_factor, max_iters):
                 "operator is not symmetric positive definite"
             )
         alpha = rs / pap
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(p, alpha, out=work)
+        r -= np.multiply(ap, alpha, out=work)
         rs_new = float(np.dot(r, r))
         k += 1
-        history.append(np.sqrt(rs_new))
+        history.append(math.sqrt(rs_new))
         if history[-1] <= target:
             reason = "tolerance"
             break
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
     return SolveReport(reason == "tolerance", k, 0, history, x, reason)
 
@@ -260,10 +275,15 @@ def gmres_restarted(op, b, precond=None, rule=None):
     return SolveReport(reason == "tolerance", steps, inner, history, x, reason)
 
 
-def _finite_rhs(b, dim):
+def _rhs(b, dim):
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (dim,):
         raise ValueError(f"dimension mismatch: operator is {dim}x{dim}, right-hand side has shape {b.shape}")
+    return b
+
+
+def _finite_rhs(b, dim):
+    b = _rhs(b, dim)
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side has a non-finite entry (NaN or inf)")
     return b

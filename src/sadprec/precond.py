@@ -34,12 +34,20 @@ preconditioners share the analysis of C, and its hss ones at every
 alpha share those of A and B B^T.
 
 Applicators allocate fresh work vectors per call, so concurrent
-``apply`` calls are safe.  Only the ``inner_iterations`` statistics
-counter changes in place.  Everything built lazily is a
-``functools.cached_property``: the CG-mode hss blocks, assembled on the
-first ``apply``; each Cholesky factor's inverse factor, built on its
-first solve; and each sparse matrix's product layouts and Gram matrix,
-built on first use.  Racing first reads can only store identical values.
+``apply`` calls are safe.  Within a call they are updated in place:
+``krylov.cg`` keeps its iterate, residual and search direction across
+steps, and on a ``CsrMatrix`` block (hss CG mode) the search direction
+lives in the zero-padded operand buffer of the block's product.  The
+Schur matvec of mgss and rmgss pads x once for both A and B, and
+carries B x through both inverse factors of beta I + C to B^T in two
+zero-padded buffers (``factor._solve_padded``), with the bits of
+``spmv``, ``factor.solve`` and ``spmv_transpose``.  Only the
+``inner_iterations`` statistics counter changes across calls.
+Everything built lazily is a ``functools.cached_property``: the CG-mode
+hss blocks, assembled on the first ``apply``; each Cholesky factor's
+inverse factor, built on its first solve; and each sparse matrix's
+product layouts and Gram matrix, built on first use.  Racing first
+reads can only store identical values.
 """
 
 from functools import cached_property
@@ -48,7 +56,8 @@ import numpy as np
 
 from . import factor
 from .krylov import LinearOperator, cg
-from .sparse import add_scaled_identity, saddle_dense, spmv, spmv_transpose, to_dense
+from .sparse import (_operand, _padded_mul, _padded_operand, _padded_result, _product,
+                     add_scaled_identity, saddle_dense, spmv, spmv_transpose, to_dense)
 
 __all__ = [
     "PrecondSpec",
@@ -177,11 +186,20 @@ class MgssApplicator(_Applicator):
             return
 
         def schur_matvec(x):
+            # A x + alpha x + B^T (beta I + C)^{-1} B x with the bits of
+            # spmv, factor.solve and spmv_transpose: x is padded once, in
+            # A's operand buffer, where B's padded product reads it too,
+            # and B x goes through both inverse factors of beta I + C to
+            # B^T in zero-padded buffers, with no copy
             x = np.asarray(x, dtype=np.float64)
-            y = spmv(A, x)
+            xz, xv = _operand(A, x)
+            y = _product(A, xz, xv)
             if alpha != 0.0:
-                y = y + alpha * x
-            return y + spmv_transpose(B, factor.solve(shifted, spmv(B, x)))
+                y += alpha * x
+            bz = _padded_result(B, _padded_operand(A, xz))
+            factor._solve_padded(shifted, bz)
+            y += _padded_mul(B._padded_cols, bz, B.ncols)
+            return y
 
         self.schur = LinearOperator(sys.n, schur_matvec)
 
@@ -208,7 +226,8 @@ class HssApplicator(_Applicator):
     ``factor.cholesky(M, shift)`` of each and reads them in the
     constructor, so a block that is not SPD fails there.  CG mode
     assembles ``sparse.add_scaled_identity(M, shift)`` on the first
-    ``apply`` and applies each with one ``spmv`` per inner CG step.
+    ``apply`` and applies each with one product per inner CG step, in
+    the operand buffer where ``krylov.cg`` keeps its search direction.
     """
 
     def __init__(self, sys, spec):

@@ -202,8 +202,8 @@ class CsrMatrix:
     def _padded_rows(self):
         # a column-major (width, max(nrows, 2)) index array and value
         # array: column i holds row i's entries in storage order, padded
-        # to the widest row with index ncols (the zero slot
-        # _padded_product appends to x) and value 0.0.  With one column
+        # to the widest row with index ncols (the zero slot that follows
+        # x in the padded operand) and value 0.0.  With one column
         # numpy would sum it pairwise, not left to right.
         rows = self._rows
         idx = np.full((self._width(), max(self.nrows, 2)), self.ncols, dtype=np.int64)
@@ -217,22 +217,28 @@ class CsrMatrix:
     def _diagonals(self):
         # None, or the diagonal layout of a banded matrix: the window
         # start of each stored diagonal (offset col - row plus the zero
-        # padding _diagonal_product puts before x) in increasing offset
-        # order, a (ndiag, nrows) value array with 0.0 where a row
-        # stores nothing, and the padded operand's length.  Taken only
-        # when it holds no more slots than the padded-row layout and the
-        # product is large enough to pay for it (_DIAGONAL_MIN_SLOTS).
+        # padding _operand puts before x) in increasing offset order, a
+        # (ndiag, nrows) value array with 0.0 where a row stores nothing,
+        # the padding before x and the padded operand's length, which
+        # leaves at least one zero after x: the padded product's zero
+        # slot.  Taken only when it holds no more slots than the
+        # padded-row layout and the product is large enough to pay for
+        # it (_DIAGONAL_MIN_SLOTS).  The offsets are the nonzero bins of
+        # one bincount of col - row + nrows - 1, and a diagonal's number
+        # is the count of nonzero bins up to its own.
         width = self._width()
         if self.nrows < 2 or width * self.nrows < _DIAGONAL_MIN_SLOTS:
             return None
         rows = self._rows
-        offsets, which = np.unique(self.col_idx - rows, return_inverse=True)
+        key = self.col_idx - rows + (self.nrows - 1)
+        stored = np.bincount(key) > 0
+        offsets = np.flatnonzero(stored) - (self.nrows - 1)
         if offsets.size > width:
             return None
         val = np.zeros((offsets.size, self.nrows))
-        val[which, rows] = self.values
+        val[(np.cumsum(stored) - 1)[key], rows] = self.values
         before = max(0, -int(offsets[0]))
-        after = max(0, self.nrows + int(offsets[-1]) - self.ncols)
+        after = max(1, self.nrows + int(offsets[-1]) - self.ncols)
         return offsets + before, val, before, before + self.ncols + after
 
     @cached_property
@@ -361,16 +367,22 @@ def _merge_sorted(nrows, ncols, rows, cols, vals):
 
 
 def _padded_product(layout, x, nout):
-    # one gather, one in-place multiply, one reduction over the padded
-    # axis; the outer-axis reduction adds each row left to right.
-    # take() reads the same elements as xz[idx] at a fraction of the
-    # cost of fancy indexing on a block.
-    idx, val = layout
     xz = np.zeros((x.shape[0] + 1,) + x.shape[1:])
     xz[:-1] = x
+    return _padded_mul(layout, xz, nout)
+
+
+def _padded_mul(layout, xz, nout, out=None):
+    # the padded product of an operand followed by its zero slot: one
+    # gather, one in-place multiply, one reduction over the padded axis;
+    # the outer-axis reduction adds each row left to right, into out if
+    # given (one row per layout row, the same bits).  take() reads the
+    # same elements as xz[idx] at a fraction of the cost of fancy
+    # indexing on a block.
+    idx, val = layout
     prod = xz.take(idx, axis=0)
-    prod *= val if x.ndim == 1 else val[:, :, None]
-    return np.add.reduce(prod, axis=0, initial=0.0)[:nout]
+    prod *= val if xz.ndim == 1 else val[:, :, None]
+    return np.add.reduce(prod, axis=0, initial=0.0, out=out)[:nout]
 
 
 # below about this many slots (rows x widest row) the diagonal product
@@ -383,22 +395,76 @@ _DIAGONAL_MIN_SLOTS = 1 << 14
 
 
 def _diagonal_product(layout, x):
+    _, _, before, length = layout
+    xz = np.zeros((length,) + x.shape[1:])
+    xz[before:before + x.shape[0]] = x
+    return _diagonal_mul(layout, xz)
+
+
+def _diagonal_mul(layout, xz):
     # y[i] = sum over diagonals k of val[k, i] * x[i + offset_k]: the
-    # rows of a strided window over the zero-padded operand are x
+    # rows of a strided window over the zero-padded operand xz are x
     # shifted by each offset, so one fancy-indexed read gathers them
     # with no index array.  Offsets increase, so each row adds its
     # entries in column order; the slots a row does not store add
     # 0.0 * finite = +-0.0 to a sum that starts at +0.0, which leaves
     # it unchanged, so the result has the padded product's bits.
-    starts, val, before, length = layout
-    xz = np.zeros((length,) + x.shape[1:])
-    xz[before:before + x.shape[0]] = x
+    starts, val, _, length = layout
     nrows = val.shape[1]
-    window = np.ndarray((length - nrows + 1, nrows) + x.shape[1:], buffer=xz,
+    window = np.ndarray((length - nrows + 1, nrows) + xz.shape[1:], buffer=xz,
                         strides=xz.strides[:1] + xz.strides)
     prod = window[starts]
-    prod *= val if x.ndim == 1 else val[:, :, None]
+    prod *= val if xz.ndim == 1 else val[:, :, None]
     return np.add.reduce(prod, axis=0, initial=0.0)
+
+
+def _operand(M, x):
+    # x (a vector or a block) copied into a zero buffer laid out for M's
+    # product, and the view of the buffer that holds it: x after the
+    # diagonal layout's leading zeros if M has one, else x followed by
+    # the padded layout's zero slot.  Writing the view changes the
+    # operand, so an iteration can keep its vector there
+    diagonals = M._diagonals
+    if diagonals is None:
+        xz = np.zeros((M.ncols + 1,) + x.shape[1:])
+        view = xz[:-1]
+    else:
+        _, _, before, length = diagonals
+        xz = np.zeros((length,) + x.shape[1:])
+        view = xz[before:before + M.ncols]
+    view[...] = x
+    return xz, view
+
+
+def _padded_operand(M, xz):
+    # x followed by its zero slot within its buffer xz from _operand(M, .),
+    # past the diagonal layout's leading zeros: the operand of any padded
+    # product with M's number of columns
+    diagonals = M._diagonals
+    return xz if diagonals is None else xz[diagonals[2]:]
+
+
+def _padded_result(M, xz):
+    # M @ x on its padded layout, for x followed by its zero slot in xz,
+    # written straight into a zero buffer where it is followed by a zero
+    # slot too: the operand of a next padded product.  The buffer has a
+    # row per layout row, max(nrows, 2); a row past nrows sums only
+    # padding, to +0.0
+    idx, _ = layout = M._padded_rows
+    out = np.zeros((idx.shape[1] + 1,) + xz.shape[1:])
+    _padded_mul(layout, xz, M.nrows, out=out[:-1])
+    return out
+
+
+def _product(M, xz, x):
+    # M @ x for the operand x in its buffer xz from _operand(M, .): the
+    # diagonal layout for a finite x, else the padded layout
+    diagonals = M._diagonals
+    if diagonals is None:
+        return _padded_mul(M._padded_rows, xz, M.nrows)
+    if np.isfinite(x).all():
+        return _diagonal_mul(diagonals, xz)
+    return _padded_mul(M._padded_rows, _padded_operand(M, xz), M.nrows)
 
 
 def _check_operand(M, x, nin):
@@ -419,14 +485,15 @@ def spmv(M, x):
     diagonal layout if M is banded, else its padded-row layout (see
     ``CsrMatrix`` for when each is taken and what it costs); a banded M
     builds its padded layout too only on an operand with inf or NaN.
-    Both give the same bits for a finite operand.  A block product holds
-    a temporary of (diagonals or widest row) x rows x columns.
+    Both give the same bits for a finite operand.  Each call copies x
+    into a fresh zero buffer laid out for M's product (``_operand``) and
+    multiplies it there (``_product``), the path ``krylov.cg`` takes for
+    a ``CsrMatrix`` with its search direction kept in such a buffer.  A
+    block product holds a temporary of (diagonals or widest row) x rows
+    x columns.
     """
     x = _check_operand(M, x, M.ncols)
-    diagonals = M._diagonals
-    if diagonals is not None and np.isfinite(x).all():
-        return _diagonal_product(diagonals, x)
-    return _padded_product(M._padded_rows, x, M.nrows)
+    return _product(M, *_operand(M, x))
 
 
 def spmv_transpose(M, x):

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from sadprec.krylov import (
     LinearOperator,
     StoppingRule,
+    as_operator,
     cg,
     gmres_restarted,
     saddle_operator,
@@ -14,7 +16,7 @@ from sadprec.krylov import (
 )
 from sadprec.precond import MgssApplicator, PrecondSpec, make_preconditioner
 from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
-from sadprec.sparse import CsrMatrix, assemble_block_saddle, to_dense
+from sadprec.sparse import CsrMatrix, add_scaled_identity, assemble_block_saddle, to_dense
 
 
 class TestCg:
@@ -279,6 +281,62 @@ class TestDimensions:
         for b in (np.ones(3), np.ones((2, 1))):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 stationary_richardson(saddle_operator(toy_t1), b, prec)
+
+    @pytest.mark.parametrize("b", [np.ones((3, 3)), np.ones((3, 1)), np.ones(4)],
+                             ids=["square-block", "column", "length-4"])
+    def test_cg_rhs_shape_checked(self, b):
+        # a (3, 3) block used to fail converting p.Ap to a float, a (3, 1)
+        # column in np.dot; both now fail before any step, as in GMRES
+        message = f"dimension mismatch: operator is 3x3, right-hand side has shape {b.shape}"
+        for op in (CsrMatrix.identity(3), as_operator(CsrMatrix.identity(3))):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                cg(op, b, 100.0, 40)
+
+
+def cg_outcome(op, b):
+    # everything one inner CG reports: the solution's bytes, the residual
+    # history, the step count and stop reason, or the error it raised,
+    # together with the warnings it gave
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rep = cg(op, b, 100.0, 40)
+            got = (rep.solution.tobytes(), rep.residual_history, rep.outer_iterations, rep.stop_reason)
+        except ValueError as exc:
+            got = str(exc)
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+def scaled(M, factor):
+    return CsrMatrix(M.nrows, M.ncols, M.row_ptr, M.col_idx, M.values * factor)
+
+
+def unpinned(q):
+    return generate_stokes_q1p0(StokesConfig(q, pin_pressure=False))
+
+
+class TestCgOperatorPaths:
+    """A CsrMatrix keeps CG's search direction in its product's padded
+    operand; wrapped as a LinearOperator it goes through spmv.  Both
+    paths give the same bits, errors and warnings."""
+
+    @pytest.mark.parametrize("make,diagonal,rhs_scale", [
+        (lambda: add_scaled_identity(unpinned(32).A, 0.1), True, 1.0),
+        (lambda: add_scaled_identity(unpinned(64).A, 0.1), True, 1.0),
+        (lambda: add_scaled_identity(unpinned(64).B._gram, 0.01), True, 1.0),
+        (lambda: add_scaled_identity(unpinned(64).C, 0.1), False, 1.0),
+        # p.Ap overflows on step 1 and A p on step 2; on step 3 p is NaN,
+        # takes the padded layout and breaks down
+        (lambda: scaled(add_scaled_identity(unpinned(32).A, 0.1), 2.0 ** 1000), True, 2.0 ** 20),
+    ], ids=["alphaI+A-q32", "alphaI+A-q64", "BBt+alpha2I-q64", "alphaI+C-q64", "overflow-band"])
+    def test_same_bits(self, make, diagonal, rhs_scale):
+        M = make()
+        assert (M._diagonals is not None) == diagonal
+        b = np.random.default_rng(M.nrows).standard_normal(M.nrows) * rhs_scale
+        matrix, operator = cg_outcome(M, b), cg_outcome(as_operator(M), b)
+        assert matrix == operator
+        if rhs_scale != 1.0:
+            assert "CG breakdown" in matrix[0]
 
 
 class TestLinearOperator:

@@ -480,6 +480,37 @@ class TestSchur:
         x = rng.standard_normal(20)
         assert np.allclose(app.schur(x), S @ x, atol=1e-10 * np.linalg.norm(S))
 
+    @pytest.mark.parametrize("kind", ["mgss", "rmgss"])
+    @pytest.mark.parametrize("make,a_diagonal,c_dense", [
+        (lambda: generate_stokes_q1p0(StokesConfig(16)), False, False),
+        (lambda: generate_stokes_q1p0(StokesConfig(32, pin_pressure=False)), True, False),
+        (lambda: generate_random_saddle(60, 24, seed=12), False, True),
+        # B's padded layout has two rows for m < 2; the spare ones sum to +0.0
+        (lambda: generate_random_saddle(12, 1, seed=3), False, True),
+        (lambda: no_constraints(), False, False),
+    ], ids=["stokes-q16", "stokes-q32-unpinned", "random-60x24", "random-12x1", "m0"])
+    def test_operator_has_the_bits_of_its_products(self, kind, make, a_diagonal, c_dense):
+        # x padded once for A and B, and B x carried through both inverse
+        # factors to B^T in zero-padded buffers, give the bits of the
+        # products one by one: for a vector, a block of columns, and a
+        # vector with an inf, which a banded A multiplies on its padded
+        # layout.  A is on the diagonal layout for q=32; beta I + C is
+        # one dense component for the random systems, else padded
+        sys_ = make()
+        app = MgssApplicator(sys_, PrecondSpec(kind))
+        alpha, shifted = app.spec.alpha, app.shifted_factor
+        rng = np.random.default_rng(sys_.order)
+        inf = rng.standard_normal(sys_.n)
+        inf[3] = np.inf
+        for x in (rng.standard_normal(sys_.n), rng.standard_normal((sys_.n, 3)), inf):
+            with np.errstate(all="ignore"):
+                want = spmv(sys_.A, x)
+                if alpha != 0.0:
+                    want = want + alpha * x
+                want = want + spmv_transpose(sys_.B, factor.solve(shifted, spmv(sys_.B, x)))
+                assert app.schur(x).tobytes() == want.tobytes()
+        assert (sys_.A._diagonals is not None) == a_diagonal
+        assert isinstance(shifted._inverse, np.ndarray) == c_dense
 
     @pytest.mark.parametrize("kind", ["mgss", "rmgss"])
     def test_direct_setup_factors_shifted_block_once(self, kind, monkeypatch):

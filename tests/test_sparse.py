@@ -9,6 +9,7 @@ from sadprec.sparse import (
     CsrMatrix,
     SaddleSystem,
     _check_symmetric,
+    _diagonal_product,
     _padded_product,
     add_scaled_identity,
     assemble_block_saddle,
@@ -614,19 +615,22 @@ class TestDiagonalLayout:
         X = wide_range_columns(rng, M.ncols, k=5)
         block = spmv(M, X)
         assert np.array_equal(block, _padded_product(M._padded_rows, X, M.nrows))
+        assert np.array_equal(block, _diagonal_product(M._diagonals, X))
         for j in range(X.shape[1]):
             y = spmv(M, X[:, j])
             assert np.array_equal(y, _padded_product(M._padded_rows, X[:, j], M.nrows))
             assert np.array_equal(y, block[:, j])
 
     @pytest.mark.parametrize("case", [c for c in diagonal_cases()
-                                      if c[0] in ("stokes32-A", "band-with-holes", "tall-band")],
+                                      if c[0] in ("stokes32-A", "band-with-holes", "tall-band", "wide-band")],
                              ids=lambda c: c[0])
     def test_non_finite_x_stays_out_of_rows_without_entries(self, case):
         # 0 * inf would be NaN along a diagonal; the padded layout keeps
         # rows without an entry in an inf or NaN column exactly finite.
         # Column 3 is read by row 3, empty in the band matrices and an
-        # identity row of the Stokes A, through its main diagonal.
+        # identity row of the Stokes A, through its main diagonal.  The
+        # wide band's diagonals need no zero after x, but its padded
+        # product reads one from the same buffer.
         M = case[1]()
         assert M._diagonals is not None
         rng = np.random.default_rng(7)
@@ -636,6 +640,22 @@ class TestDiagonalLayout:
         X[0, 2] = -np.inf
         Y = wide_range_columns(rng, M.nrows, k=1)
         assert_matches_bincount(M, X, Y)
+
+    @pytest.mark.parametrize("case", [c for c in diagonal_cases()
+                                      if c[0] in ("band-with-holes", "tall-band", "wide-band")],
+                             ids=lambda c: c[0])
+    def test_offsets_match_unique(self, case):
+        # one bincount of the shifted offsets finds what np.unique with
+        # return_inverse found: the offsets and where each entry goes
+        M = case[1]()
+        starts, val, before, length = M._diagonals
+        offsets, which = np.unique(M.col_idx - M._rows, return_inverse=True)
+        want = np.zeros((offsets.size, M.nrows))
+        want[which, M._rows] = M.values
+        assert np.array_equal(starts - before, offsets) and starts.dtype == offsets.dtype
+        assert np.array_equal(val, want)
+        assert before == max(0, -offsets[0])
+        assert length == before + M.ncols + max(1, M.nrows + offsets[-1] - M.ncols)
 
     @pytest.mark.parametrize("case", list(padded_cases()), ids=lambda c: c[0])
     def test_stays_on_padded_layout(self, case):
@@ -657,10 +677,10 @@ class TestDiagonalLayout:
         from sadprec.krylov import StoppingRule, gmres_restarted, saddle_operator
         from sadprec.precond import PrecondSpec, make_preconditioner
 
-        def refuse(layout, x):
+        def refuse(layout, xz):
             raise AssertionError("a small workload reached the diagonal layout")
 
-        monkeypatch.setattr(sparse, "_diagonal_product", refuse)
+        monkeypatch.setattr(sparse, "_diagonal_mul", refuse)
         sys16 = generate_stokes_q1p0(StokesConfig(16))
         rule = StoppingRule(rel_tol=1e-9, max_outer=2000, restart=5)
         for spec in (PrecondSpec("mgss", alpha=1e-3, beta=1e-3), PrecondSpec("rmgss", beta=1e-3)):
