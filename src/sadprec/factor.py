@@ -29,17 +29,15 @@ in one of two forms:
 
 - one component: a dense k x k array, multiplied through BLAS;
 - several components: the block-diagonal Linv and Linv^T as padded
-  rows (``sparse._padded_product``, the ELLPACK kernel of ``spmv``), one
+  rows (``sparse._padded_mul``, the ELLPACK kernel of ``spmv``), one
   slot per column of the widest component.  They share one index array,
   so they take 24 B x rows x widest component (a ``CsrMatrix``'s padded
   rows take 16 B x rows x widest row).  No slot reads another component,
   so a NaN stays in its own component.
 
-``_solve_padded`` is the same solve on a right-hand side that already
-sits in a buffer followed by one zero slot, as the mgss and rmgss Schur
-matvec keeps B x.  Both forms write the solution back over it; the
-padded form's two products read their operands in place and write their
-results straight into the next buffer, with no copy.
+``solve`` copies b into an operand buffer (see ``sparse``) and solves
+there in place with ``_solve_padded``, which the mgss and rmgss Schur
+matvec calls on the buffer that holds B x.
 
 An explicit triangular inverse is accurate enough here (Du Croz and
 Higham, Stability of methods for matrix inversion, IMA J. Numer. Anal.
@@ -50,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sparse import _check_symmetric_dense, _padded_mul, _padded_product, dense_cap
+from .sparse import _check_symmetric_dense, _padded_mul, _zero_padded, dense_cap
 
 __all__ = [
     "CholeskyFactor",
@@ -210,31 +208,29 @@ def solve(fac, b):
 
     x = Linv^T (Linv b), two products with the inverse factor that the
     first solve caches on ``fac``: ``Linv.T @ (Linv @ b)`` through BLAS
-    for one component, two padded-row products for several.  In the
-    padded form each row adds its component's entries in column order,
-    so column j of a block solve is bitwise equal to the solve of
-    ``b[:, j]``.
+    for one component, two padded-row products for several, on b
+    copied into an operand buffer (see ``sparse``), so the bits do not
+    depend on b's memory layout.  In the padded form each row adds its
+    component's entries in column order, so column j of a block solve
+    is bitwise equal to the solve of ``b[:, j]``.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim not in (1, 2) or b.shape[0] != fac.size:
         raise ValueError(f"dimension mismatch: factor of size {fac.size}, operand has shape {b.shape}")
-    inverse = fac._inverse
-    if isinstance(inverse, np.ndarray):
-        return inverse.T @ (inverse @ b)
-    lo, up = inverse
-    return _padded_product(up, _padded_product(lo, b, fac.size), fac.size)
+    bz, x = _zero_padded(b, 0, fac.size + 1)
+    _solve_padded(fac, bz)
+    return x
 
 
 def _solve_padded(fac, bz):
-    # solve(fac, bz[:n]) written back over bz[:n], where bz[n] is 0: b
-    # already followed by the zero slot of the padded form.  There the
-    # Linv product goes straight into a second such buffer and the
-    # Linv^T product back into bz; both forms give solve's bits
+    # the solve of b = bz[:n] written back over it, where bz[n] is 0: the
+    # Linv product goes straight into a second such buffer and the Linv^T
+    # product back into bz
     n, inverse = fac.size, fac._inverse
     if isinstance(inverse, np.ndarray):
-        bz[:n] = inverse.T @ (inverse @ bz[:n])
+        np.matmul(inverse.T, inverse @ bz[:n], out=bz[:n])
         return
     lo, up = inverse
-    cz = np.zeros_like(bz)
+    cz = np.zeros(bz.shape)
     _padded_mul(lo, bz, n, out=cz[:n])
     _padded_mul(up, cz, n, out=bz[:n])

@@ -136,10 +136,9 @@ def cg(op, b, reduction_factor, max_iters):
 
     The iterate, residual and search direction are updated in place
     through one work vector, all made fresh by each call.  For a
-    ``CsrMatrix`` the search direction lives in the zero-padded operand
-    buffer of its product (``sparse._operand``), so a step copies no
-    operand and multiplies through ``sparse._product``, with the bits
-    of ``spmv``; any other operator is called as ``op(p)``.
+    ``CsrMatrix`` the search direction lives in the matrix's operand
+    buffer (see ``sparse``), so a step copies no operand and has the
+    bits of ``spmv``; any other operator is called as ``op(p)``.
     """
     if not 1.0 <= reduction_factor < np.inf:  # NaN fails too
         raise ValueError(f"reduction_factor must be finite and at least 1, got {reduction_factor}")
@@ -206,8 +205,9 @@ def gmres_restarted(op, b, precond=None, rule=None):
     1e-14 times the largest |H[i, j]| above it in its column.  A solve
     cut off by ``rule.max_outer`` reports ``"max_outer"`` or
     ``"stagnated"`` (see ``SolveReport``).  A ``b`` of length other
-    than ``op.dim`` or with a non-finite entry, or a non-finite true
-    residual at a restart, raises ``ValueError``.
+    than ``op.dim`` or with a non-finite entry, a non-finite true
+    residual at a restart, or a preconditioner result of shape other
+    than ``(dim,)`` raises ``ValueError``.
     """
     op = as_operator(op)
     rule = rule or StoppingRule()
@@ -237,8 +237,7 @@ def gmres_restarted(op, b, precond=None, rule=None):
         for j in range(kmax):
             z = V[:, j]
             if precond is not None:
-                z = precond.apply(z)
-                Z[:, j] = z
+                z = Z[:, j] = _precondition(precond, z)
             w = op(z)
             for i in range(j + 1):
                 H[i, j] = float(np.dot(V[:, i], w))
@@ -289,6 +288,17 @@ def _finite_rhs(b, dim):
     return b
 
 
+def _precondition(precond, r):
+    # P^{-1} r, refused unless it has r's shape; None is P = I
+    if precond is None:
+        return r
+    z = np.asarray(precond.apply(r), dtype=np.float64)
+    if z.shape != r.shape:
+        raise ValueError(f"preconditioner {type(precond).__name__} returned shape {z.shape} "
+                         f"for a residual of shape {r.shape}")
+    return z
+
+
 def _true_residual(op, b, x):
     # one scalar check per restart catches NaN or inf from the operator
     # or the preconditioner, which every later comparison would let through
@@ -317,8 +327,10 @@ def stationary_richardson(op, b, precond, rule=None):
     operator this is exactly the stationary scheme M u+ = N u + b.
     Residual growth past 10x the initial norm is flagged as divergence
     (converged False, stop_reason "diverged") rather than raised.  A
-    ``b`` of length other than ``op.dim``, or a non-finite ``b`` or true
-    residual, raises ``ValueError``.
+    ``precond`` of None is P = I, as in GMRES.  A ``b`` of length other
+    than ``op.dim``, a non-finite ``b`` or true residual, or a
+    preconditioner result of shape other than ``(dim,)`` raises
+    ``ValueError``.
     """
     op = as_operator(op)
     rule = rule or StoppingRule()
@@ -333,7 +345,7 @@ def stationary_richardson(op, b, precond, rule=None):
     its = 0
     reason = "max_outer"
     while its < rule.max_outer:
-        x += precond.apply(r)
+        x += _precondition(precond, r)
         r, rn = _true_residual(op, b, x)
         its += 1
         history.append(rn)

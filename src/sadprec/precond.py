@@ -34,15 +34,9 @@ preconditioners share the analysis of C, and its hss ones at every
 alpha share those of A and B B^T.
 
 Applicators allocate fresh work vectors per call, so concurrent
-``apply`` calls are safe.  Within a call they are updated in place:
-``krylov.cg`` keeps its iterate, residual and search direction across
-steps, and on a ``CsrMatrix`` block (hss CG mode) the search direction
-lives in the zero-padded operand buffer of the block's product.  The
-Schur matvec of mgss and rmgss pads x once for both A and B, and
-carries B x through both inverse factors of beta I + C to B^T in two
-zero-padded buffers (``factor._solve_padded``), with the bits of
-``spmv``, ``factor.solve`` and ``spmv_transpose``.  Only the
-``inner_iterations`` statistics counter changes across calls.
+``apply`` calls are safe; within a call the inner CG and the Schur
+matvec update them in place, in operand buffers (see ``sparse``).
+Only the ``inner_iterations`` statistics counter changes across calls.
 Everything built lazily is a ``functools.cached_property``: the CG-mode
 hss blocks, assembled on the first ``apply``; each Cholesky factor's
 inverse factor, built on its first solve; and each sparse matrix's
@@ -142,8 +136,9 @@ class _Applicator:
 
     def _split(self, r):
         r = np.asarray(r, dtype=np.float64)
-        if r.shape[0] != self.sys.order:
-            raise ValueError("residual length does not match the system order")
+        if r.ndim not in (1, 2) or r.shape[0] != self.sys.order:
+            raise ValueError(f"residual length does not match the system order {self.sys.order}: "
+                             f"shape {r.shape}")
         return r[:self.sys.n], r[self.sys.n:]
 
     def _spd_solve(self, block, rhs):
@@ -187,10 +182,9 @@ class MgssApplicator(_Applicator):
 
         def schur_matvec(x):
             # A x + alpha x + B^T (beta I + C)^{-1} B x with the bits of
-            # spmv, factor.solve and spmv_transpose: x is padded once, in
-            # A's operand buffer, where B's padded product reads it too,
-            # and B x goes through both inverse factors of beta I + C to
-            # B^T in zero-padded buffers, with no copy
+            # spmv, factor.solve and spmv_transpose: x is copied once, into
+            # A's operand buffer, which B's padded product reads too, and
+            # B x stays in operand buffers up to the B^T product
             x = np.asarray(x, dtype=np.float64)
             xz, xv = _operand(A, x)
             y = _product(A, xz, xv)

@@ -9,6 +9,18 @@ storage and ``SaddleSystem`` for the 2x2 block system
 
 with A symmetric positive definite, C symmetric positive semidefinite
 and B of size m x n, m <= n.  All arithmetic is float64.
+
+Operand buffers.  Every sparse product (``spmv``, ``spmv_transpose``,
+``factor.solve``, and the products inside ``krylov.cg`` and the
+mgss/rmgss Schur matvec) reads its operand x, a vector or a column
+block, from a zero buffer, and ``_zero_padded`` is the one place that
+copies x in.  A padded-row (ELLPACK) product reads x followed by the
+zero slot its padding indexes, a diagonal one x between the zeros its
+outermost diagonals reach, at least one after x (Saad, Iterative
+Methods for Sparse Linear Systems, 2nd ed., 2003, section 3.4).
+``_operand(M, x)`` returns M's buffer and the view that holds x, so an
+iteration that keeps its vector in the view multiplies with no copy;
+``_padded_result`` writes a padded product straight into such a buffer.
 """
 
 import os
@@ -366,12 +378,6 @@ def _merge_sorted(nrows, ncols, rows, cols, vals):
     return CsrMatrix(nrows, ncols, row_ptr, cols, vals)
 
 
-def _padded_product(layout, x, nout):
-    xz = np.zeros((x.shape[0] + 1,) + x.shape[1:])
-    xz[:-1] = x
-    return _padded_mul(layout, xz, nout)
-
-
 def _padded_mul(layout, xz, nout, out=None):
     # the padded product of an operand followed by its zero slot: one
     # gather, one in-place multiply, one reduction over the padded axis;
@@ -394,13 +400,6 @@ def _padded_mul(layout, xz, nout, out=None):
 _DIAGONAL_MIN_SLOTS = 1 << 14
 
 
-def _diagonal_product(layout, x):
-    _, _, before, length = layout
-    xz = np.zeros((length,) + x.shape[1:])
-    xz[before:before + x.shape[0]] = x
-    return _diagonal_mul(layout, xz)
-
-
 def _diagonal_mul(layout, xz):
     # y[i] = sum over diagonals k of val[k, i] * x[i + offset_k]: the
     # rows of a strided window over the zero-padded operand xz are x
@@ -418,38 +417,35 @@ def _diagonal_mul(layout, xz):
     return np.add.reduce(prod, axis=0, initial=0.0)
 
 
-def _operand(M, x):
-    # x (a vector or a block) copied into a zero buffer laid out for M's
-    # product, and the view of the buffer that holds it: x after the
-    # diagonal layout's leading zeros if M has one, else x followed by
-    # the padded layout's zero slot.  Writing the view changes the
-    # operand, so an iteration can keep its vector there
-    diagonals = M._diagonals
-    if diagonals is None:
-        xz = np.zeros((M.ncols + 1,) + x.shape[1:])
-        view = xz[:-1]
-    else:
-        _, _, before, length = diagonals
-        xz = np.zeros((length,) + x.shape[1:])
-        view = xz[before:before + M.ncols]
+def _zero_padded(x, before, length):
+    # x copied into a zero buffer of length rows, after before zero rows:
+    # the buffer and the view of it that holds x
+    xz = np.zeros((length,) + x.shape[1:])
+    view = xz[before:before + x.shape[0]]
     view[...] = x
     return xz, view
 
 
+def _operand(M, x):
+    # _zero_padded for M's product: x after the diagonal layout's leading
+    # zeros if M has one, else x followed by the padded layout's zero slot
+    diagonals = M._diagonals
+    if diagonals is None:
+        return _zero_padded(x, 0, M.ncols + 1)
+    return _zero_padded(x, diagonals[2], diagonals[3])
+
+
 def _padded_operand(M, xz):
-    # x followed by its zero slot within its buffer xz from _operand(M, .),
-    # past the diagonal layout's leading zeros: the operand of any padded
-    # product with M's number of columns
+    # the padded-row operand within x's buffer xz from _operand(M, .):
+    # x and its zero slot, past any leading zeros
     diagonals = M._diagonals
     return xz if diagonals is None else xz[diagonals[2]:]
 
 
 def _padded_result(M, xz):
-    # M @ x on its padded layout, for x followed by its zero slot in xz,
-    # written straight into a zero buffer where it is followed by a zero
-    # slot too: the operand of a next padded product.  The buffer has a
-    # row per layout row, max(nrows, 2); a row past nrows sums only
-    # padding, to +0.0
+    # M @ x on its padded layout, written into a padded-row operand
+    # buffer with a row per layout row, max(nrows, 2); a row past nrows
+    # sums only padding, to +0.0
     idx, _ = layout = M._padded_rows
     out = np.zeros((idx.shape[1] + 1,) + xz.shape[1:])
     _padded_mul(layout, xz, M.nrows, out=out[:-1])
@@ -486,11 +482,9 @@ def spmv(M, x):
     ``CsrMatrix`` for when each is taken and what it costs); a banded M
     builds its padded layout too only on an operand with inf or NaN.
     Both give the same bits for a finite operand.  Each call copies x
-    into a fresh zero buffer laid out for M's product (``_operand``) and
-    multiplies it there (``_product``), the path ``krylov.cg`` takes for
-    a ``CsrMatrix`` with its search direction kept in such a buffer.  A
-    block product holds a temporary of (diagonals or widest row) x rows
-    x columns.
+    into a fresh operand buffer (see the module docstring).  A block
+    product holds a temporary of (diagonals or widest row) x rows x
+    columns.
     """
     x = _check_operand(M, x, M.ncols)
     return _product(M, *_operand(M, x))
@@ -504,7 +498,8 @@ def spmv_transpose(M, x):
     x columns x widest column); the transposed matrix itself is not
     kept.
     """
-    return _padded_product(M._padded_cols, _check_operand(M, x, M.nrows), M.ncols)
+    xz, _ = _zero_padded(_check_operand(M, x, M.nrows), 0, M.nrows + 1)
+    return _padded_mul(M._padded_cols, xz, M.ncols)
 
 
 def add_scaled_identity(M, s):

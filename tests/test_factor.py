@@ -251,6 +251,25 @@ class TestShiftedCholesky:
             factor.cholesky(M, 1e6)
 
 
+def tile_solve(fac, b):
+    """x = Linv^T (Linv b) tile by tile, each row summed left to right from +0.0.
+
+    Linv is ``np.linalg.inv`` of each tile's factor, taken one tile at a
+    time; a vector b and each column of a block b give the same sums.
+    """
+    y, x = np.zeros_like(b), np.zeros_like(b)
+    for index, L in fac.blocks:
+        for rows, Lc in zip(index, L):
+            Linv = np.tril(np.linalg.inv(Lc))
+            for p, row in enumerate(rows):
+                for s, col in enumerate(rows):
+                    y[row] = y[row] + Linv[p, s] * b[col]
+            for p, row in enumerate(rows):
+                for s, col in enumerate(rows):
+                    x[row] = x[row] + Linv[s, p] * y[col]
+    return x
+
+
 class TestSolve:
     def test_identity(self):
         fac = factor.cholesky(CsrMatrix.identity(3))
@@ -301,6 +320,23 @@ class TestSolve:
             assert np.array_equal(X[:, j], factor.solve(fac, B[:, j]))
             ref = np.linalg.solve(dense, B[:, j])
             assert np.linalg.norm(X[:, j] - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("M", [tiled_spd(60, seed=8), stokes_shifted_q16()], ids=["tiled60", "stokes16"])
+    def test_tiles_have_the_bits_of_a_row_by_row_reference(self, M):
+        fac = factor.cholesky(M)
+        assert len(fac.blocks) > 1
+        rng = np.random.default_rng(12)
+        for b in (rng.standard_normal(M.nrows), rng.standard_normal((M.nrows, 3))):
+            assert factor.solve(fac, b).tobytes() == tile_solve(fac, b).tobytes()
+
+    @pytest.mark.parametrize("M", [random_spd(40, seed=3), tiled_spd(60, seed=8)], ids=["one", "tiled60"])
+    def test_block_bits_do_not_depend_on_memory_layout(self, M):
+        # b is copied into a C-ordered operand buffer first
+        fac = factor.cholesky(M)
+        B = np.random.default_rng(13).standard_normal((M.nrows, 30))
+        want = factor.solve(fac, B).tobytes()
+        for layout in (np.asfortranarray(B), np.repeat(B, 2, axis=1)[:, ::2]):
+            assert factor.solve(fac, layout).tobytes() == want
 
     def test_nan_stays_in_its_tile(self):
         M = stokes_shifted_q16()

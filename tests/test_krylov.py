@@ -235,6 +235,43 @@ class TestStationary:
         assert rep.stop_reason == "max_outer" and not rep.converged
 
 
+class Returning:
+    """A preconditioner whose apply returns what ``result(r)`` makes of r."""
+
+    def __init__(self, result):
+        self.result = result
+
+    def apply(self, r):
+        return self.result(r)
+
+
+class TestPreconditionerResult:
+    @pytest.mark.parametrize("result,shape", [
+        (lambda r: 1.0, ()),
+        (lambda r: np.ones(1), (1,)),
+        (lambda r: r[:-1].copy(), (49,)),
+        (lambda r: r[:, None].copy(), (50, 1)),
+    ], ids=["scalar", "length-1", "short", "column"])
+    @pytest.mark.parametrize("solver", [gmres_restarted, stationary_richardson], ids=["gmres", "richardson"])
+    def test_shape_other_than_dim_refused(self, solver, result, shape):
+        # a scalar or length-1 result used to broadcast into the
+        # stationary iterate, or to fail in GMRES naming the operator
+        sys_ = generate_random_saddle(30, 20, seed=0)
+        message = f"preconditioner Returning returned shape {shape} for a residual of shape (50,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solver(saddle_operator(sys_), sys_.rhs(), Returning(result), StoppingRule(1e-9, 20, 5))
+
+    def test_stationary_none_is_the_identity(self):
+        op = CsrMatrix.from_dense(np.diag(np.linspace(0.5, 1.5, 20)))
+        b = np.random.default_rng(2).standard_normal(20)
+        rule = StoppingRule(1e-9, 200, 5)
+        rep = stationary_richardson(op, b, None, rule)
+        same = stationary_richardson(op, b, Returning(lambda r: r.copy()), rule)
+        assert rep.converged and rep.total_inner_cg_iterations == 0
+        assert rep.solution.tobytes() == same.solution.tobytes()
+        assert rep.residual_history == same.residual_history
+
+
 def nan_operator(dim):
     return LinearOperator(dim, lambda x: np.full(dim, np.nan))
 

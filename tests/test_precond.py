@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -338,6 +340,20 @@ class TestBatchedResidual:
         sys_ = generate_random_saddle(10, 4, seed=0)
         with pytest.raises(ValueError, match="batched application requires inner='direct'"):
             make_preconditioner(sys_, spec).apply(np.ones((sys_.order, 3)))
+
+
+class TestResidualShape:
+    @pytest.mark.parametrize("shape", [(), (24, 2, 2), (23,), (23, 3)], ids=["0d", "3d", "short", "short-block"])
+    @pytest.mark.parametrize("inner", ["cg", "direct"])
+    @pytest.mark.parametrize("kind", ["mgss", "hss"])
+    def test_only_vectors_and_blocks_of_the_order(self, kind, inner, shape):
+        # a 0-d residual used to raise IndexError, a 3-D one an error
+        # naming an inner factor or operator
+        sys_ = generate_random_saddle(14, 10, seed=1)
+        app = make_preconditioner(sys_, PrecondSpec(kind, inner=inner))
+        message = f"residual length does not match the system order 24: shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            app.apply(np.ones(shape))
 
 
 class TestStokesShiftedBlock:
