@@ -36,8 +36,9 @@ in one of two forms:
   so a NaN stays in its own component.
 
 ``solve`` copies b into an operand buffer (see ``sparse``) and solves
-there in place with ``_solve_padded``, which the mgss and rmgss Schur
-matvec calls on the buffer that holds B x.
+there in place with ``_solve_padded``.  The mgss and rmgss Schur
+operator calls it on the buffer that holds B x, with a second buffer of
+its own for the Linv product; both are made once per inner CG call.
 
 An explicit triangular inverse is accurate enough here (Du Croz and
 Higham, Stability of methods for matrix inversion, IMA J. Numer. Anal.
@@ -222,15 +223,17 @@ def solve(fac, b):
     return x
 
 
-def _solve_padded(fac, bz):
+def _solve_padded(fac, bz, cz=None):
     # the solve of b = bz[:n] written back over it, where bz[n] is 0: the
-    # Linv product goes straight into a second such buffer and the Linv^T
-    # product back into bz
+    # Linv product goes straight into a second such buffer cz, the
+    # caller's if given (made here if None), and the Linv^T product back
+    # into bz
     n, inverse = fac.size, fac._inverse
     if isinstance(inverse, np.ndarray):
         np.matmul(inverse.T, inverse @ bz[:n], out=bz[:n])
         return
     lo, up = inverse
-    cz = np.zeros(bz.shape)
+    if cz is None:
+        cz = np.zeros(bz.shape)
     _padded_mul(lo, bz, n, out=cz[:n])
     _padded_mul(up, cz, n, out=bz[:n])

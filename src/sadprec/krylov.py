@@ -38,6 +38,14 @@ class LinearOperator:
     operand's shape.  ``apply`` must accept both, as every operator
     sadprec builds does; the Krylov solvers pass vectors only, and
     ``spectral.power_spectral_radius`` passes blocks or calls ``dense``.
+    A result that shares memory with the operand is copied, so a solver
+    may update either in place.
+
+    ``cg`` applies an operator through ``_operand(x)``, work buffers and
+    a copy of x that ``cg`` updates in place, and ``_product(work, x)``:
+    here None and ``self(x)``.  A ``CsrMatrix`` (through ``as_operator``)
+    and the mgss/rmgss Schur operator keep x in operand buffers, so a
+    product copies nothing.
     """
 
     def __init__(self, dim, apply):
@@ -52,11 +60,31 @@ class LinearOperator:
                 f"operator of dimension {self.dim} returned shape {y.shape} "
                 f"for an operand of shape {shape}"
             )
-        return y
+        return y.copy() if np.may_share_memory(y, x) else y
+
+    def _operand(self, x):
+        return None, np.array(x, dtype=np.float64)
+
+    def _product(self, work, x):
+        return self(x)
 
     def dense(self):
         """The operator as an array: its columns applied to the identity."""
         return self(np.eye(self.dim))
+
+
+class _MatrixOperator(LinearOperator):
+    # a square CsrMatrix, applied by spmv and, in cg, in its operand buffer
+
+    def __init__(self, M):
+        super().__init__(M.nrows, lambda x: spmv(M, x))
+        self.matrix = M
+
+    def _operand(self, x):
+        return _operand(self.matrix, x)
+
+    def _product(self, xz, x):
+        return _product(self.matrix, xz, x)
 
 
 def as_operator(M):
@@ -65,7 +93,7 @@ def as_operator(M):
     if isinstance(M, CsrMatrix):
         if M.nrows != M.ncols:
             raise ValueError("operator matrix must be square")
-        return LinearOperator(M.nrows, lambda x: spmv(M, x))
+        return _MatrixOperator(M)
     raise TypeError(f"cannot wrap {type(M)!r} as a linear operator")
 
 
@@ -135,15 +163,16 @@ def cg(op, b, reduction_factor, max_iters):
     shape ``(dim,)``.
 
     The iterate, residual and search direction are updated in place
-    through one work vector, all made fresh by each call.  For a
-    ``CsrMatrix`` the search direction lives in the matrix's operand
-    buffer (see ``sparse``), so a step copies no operand and has the
-    bits of ``spmv``; any other operator is called as ``op(p)``.
+    through one work vector, all made fresh by each call.  The search
+    direction is the operand of ``op._operand(r)`` (see
+    ``LinearOperator``), in buffers made fresh by each call too, and
+    every step multiplies it by ``op._product``: in the operand buffer
+    of a ``CsrMatrix`` (see ``sparse``) or of the mgss/rmgss Schur
+    operator a step copies no operand and has the bits of ``op(p)``.
     """
     if not 1.0 <= reduction_factor < np.inf:  # NaN fails too
         raise ValueError(f"reduction_factor must be finite and at least 1, got {reduction_factor}")
     _check_count("max_iters", max_iters, 0)
-    matrix = op if isinstance(op, CsrMatrix) else None
     op = as_operator(op)
     b = _rhs(b, op.dim)
     r = b.copy()
@@ -155,16 +184,13 @@ def cg(op, b, reduction_factor, max_iters):
     if rn0 == 0.0:
         return SolveReport(True, 0, 0, history, x, "tolerance")
     target = rn0 / reduction_factor
-    if matrix is None:
-        p = r.copy()
-    else:
-        pz, p = _operand(matrix, r)
+    pz, p = op._operand(r)
     work = np.empty(op.dim)
     rs = rn0 * rn0
     k = 0
     reason = "max_iters"
     while k < max_iters:
-        ap = op(p) if matrix is None else _product(matrix, pz, p)
+        ap = op._product(pz, p)
         pap = float(np.dot(p, ap))
         if not pap > 0.0:  # NaN fails too
             raise ValueError(
@@ -202,12 +228,16 @@ def gmres_restarted(op, b, precond=None, rule=None):
     number of restarts).  The residual history holds true residual
     norms, one entry per restart boundary.  A cycle ends early at a
     breakdown: an Arnoldi step whose new direction has norm at most
-    1e-14 times the largest |H[i, j]| above it in its column.  A solve
+    1e-14 times the largest |H[i, j]| above it in its column, which
+    drops that direction and leaves H[j + 1, j] at 0.  A solve
     cut off by ``rule.max_outer`` reports ``"max_outer"`` or
     ``"stagnated"`` (see ``SolveReport``).  A ``b`` of length other
-    than ``op.dim`` or with a non-finite entry, a non-finite true
-    residual at a restart, or a preconditioner result of shape other
-    than ``(dim,)`` raises ``ValueError``.
+    than ``op.dim`` or with a non-finite entry, a breakdown whose
+    rotated diagonal entry H[j, j] the same rule counts as 0 (the
+    operator is singular on the Krylov space, and the least-squares
+    update would divide by it), a non-finite true residual at a
+    restart, or a preconditioner result of shape other than ``(dim,)``
+    raises ``ValueError``.
     """
     op = as_operator(op)
     rule = rule or StoppingRule()
@@ -243,9 +273,10 @@ def gmres_restarted(op, b, precond=None, rule=None):
                 H[i, j] = float(np.dot(V[:, i], w))
                 w -= H[i, j] * V[:, i]
             hj = float(np.linalg.norm(w))
-            H[j + 1, j] = hj
-            happy = hj <= 1e-14 * float(np.max(np.abs(H[: j + 1, j])))
-            if not happy:
+            tiny = 1e-14 * float(np.max(np.abs(H[: j + 1, j])))
+            happy = hj <= tiny
+            if not happy:  # a breakdown drops the new direction, and H[j + 1, j] stays 0
+                H[j + 1, j] = hj
                 V[:, j + 1] = w / hj
             for i in range(j):
                 t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
@@ -254,6 +285,9 @@ def gmres_restarted(op, b, precond=None, rule=None):
             cs[j], sn[j] = _givens(H[j, j], H[j + 1, j])
             H[j, j] = cs[j] * H[j, j] + sn[j] * H[j + 1, j]
             H[j + 1, j] = 0.0
+            if happy and abs(H[j, j]) <= tiny:
+                raise ValueError(f"GMRES breakdown at Arnoldi step {steps + 1}: "
+                                 "the operator is singular on the Krylov space")
             gvec[j + 1] = -sn[j] * gvec[j]
             gvec[j] *= cs[j]
             steps += 1

@@ -33,10 +33,11 @@ shift)`` reuses M's cached pattern analysis, so one system's
 preconditioners share the analysis of C, and its hss ones at every
 alpha share those of A and B B^T.
 
-Applicators allocate fresh work vectors per call, so concurrent
-``apply`` calls are safe; within a call the inner CG and the Schur
-matvec update them in place, in operand buffers (see ``sparse``).
-Only the ``inner_iterations`` statistics counter changes across calls.
+Applicators allocate fresh work vectors per call and keep none, so
+concurrent ``apply`` calls are safe: each inner CG makes its vectors,
+and the Schur operator's operand and work buffers (see ``sparse``),
+once per CG call and updates them in place at every step.  Only the
+``inner_iterations`` statistics counter changes across calls.
 Everything built lazily is a ``functools.cached_property``: the CG-mode
 hss blocks, assembled on the first ``apply``; each Cholesky factor's
 inverse factor, built on its first solve; and each sparse matrix's
@@ -50,8 +51,8 @@ import numpy as np
 
 from . import factor
 from .krylov import LinearOperator, cg
-from .sparse import (_operand, _padded_mul, _padded_operand, _padded_result, _product,
-                     add_scaled_identity, saddle_dense, spmv, spmv_transpose, to_dense)
+from .sparse import (_operand, _padded_mul, _padded_operand, _product, add_scaled_identity,
+                     saddle_dense, spmv, spmv_transpose, to_dense)
 
 __all__ = [
     "PrecondSpec",
@@ -151,6 +152,50 @@ class _Applicator:
         return report.solution
 
 
+class _SchurOperator(LinearOperator):
+    """x -> S x = A x + alpha x + B^T (beta I + C)^{-1} B x, unassembled.
+
+    A product has the bits of ``spmv``, ``factor.solve`` and
+    ``spmv_transpose`` one by one.  ``_operand`` copies x once, into A's
+    operand buffer, which B's padded product reads too, and makes the
+    buffers the rest of the chain writes into: B x followed by its zero
+    slot, the second buffer of the padded inverse factor, and the
+    alpha x and B^T z outputs.  B x and B^T z take a row per row of the
+    padded layouts of B and B^T, max(nrows, 2).  ``cg`` makes them once
+    per call and ``__call__`` once per operand, a vector or a block of
+    columns.
+    """
+
+    def __init__(self, A, B, alpha, shifted):
+        super().__init__(A.nrows, None)  # applied by _product, not by an apply callable
+        self.A, self.B, self.alpha, self.shifted = A, B, alpha, shifted
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
+            raise ValueError(f"operator of dimension {self.dim} got an operand of shape {x.shape}")
+        return self._product(*self._operand(x))
+
+    def _operand(self, x):
+        xz, xv = _operand(self.A, x)
+        cols = x.shape[1:]
+        bz = np.zeros((self.B._padded_rows[0].shape[1] + 1,) + cols)
+        bt = np.empty((self.B._padded_cols[0].shape[1],) + cols)
+        return (xz, bz, np.zeros(bz.shape), np.empty(x.shape), bt), xv
+
+    def _product(self, work, x):
+        xz, bz, cz, ax, bt = work
+        A, B = self.A, self.B
+        y = _product(A, xz, x)
+        if self.alpha != 0.0:
+            y += np.multiply(x, self.alpha, out=ax)
+        # a layout row past B's rows sums only padding, to +0.0
+        _padded_mul(B._padded_rows, _padded_operand(A, xz), B.nrows, out=bz[:-1])
+        factor._solve_padded(self.shifted, bz, cz)
+        y += _padded_mul(B._padded_cols, bz, B.ncols, out=bt)
+        return y
+
+
 class MgssApplicator(_Applicator):
     """Applies the inverse of the mgss or rmgss splitting matrix.
 
@@ -179,23 +224,7 @@ class MgssApplicator(_Applicator):
         if spec.inner == "direct":
             self.schur = factor.cholesky_dense(_schur_dense(sys, alpha, shifted))
             return
-
-        def schur_matvec(x):
-            # A x + alpha x + B^T (beta I + C)^{-1} B x with the bits of
-            # spmv, factor.solve and spmv_transpose: x is copied once, into
-            # A's operand buffer, which B's padded product reads too, and
-            # B x stays in operand buffers up to the B^T product
-            x = np.asarray(x, dtype=np.float64)
-            xz, xv = _operand(A, x)
-            y = _product(A, xz, xv)
-            if alpha != 0.0:
-                y += alpha * x
-            bz = _padded_result(B, _padded_operand(A, xz))
-            factor._solve_padded(shifted, bz)
-            y += _padded_mul(B._padded_cols, bz, B.ncols)
-            return y
-
-        self.schur = LinearOperator(sys.n, schur_matvec)
+        self.schur = _SchurOperator(A, B, alpha, shifted)
 
     def apply(self, r):
         r1, r2 = self._split(r)

@@ -12,15 +12,17 @@ and B of size m x n, m <= n.  All arithmetic is float64.
 
 Operand buffers.  Every sparse product (``spmv``, ``spmv_transpose``,
 ``factor.solve``, and the products inside ``krylov.cg`` and the
-mgss/rmgss Schur matvec) reads its operand x, a vector or a column
+mgss/rmgss Schur operator) reads its operand x, a vector or a column
 block, from a zero buffer, and ``_zero_padded`` is the one place that
 copies x in.  A padded-row (ELLPACK) product reads x followed by the
 zero slot its padding indexes, a diagonal one x between the zeros its
 outermost diagonals reach, at least one after x (Saad, Iterative
 Methods for Sparse Linear Systems, 2nd ed., 2003, section 3.4).
 ``_operand(M, x)`` returns M's buffer and the view that holds x, so an
-iteration that keeps its vector in the view multiplies with no copy;
-``_padded_result`` writes a padded product straight into such a buffer.
+iteration that keeps its vector in the view multiplies with no copy.
+A padded product can also write straight into a zero buffer through
+``_padded_mul``'s ``out``: the Schur operator puts B x there, followed
+by its zero slot, for the inverse factor of beta I + C and then B^T.
 """
 
 import os
@@ -440,16 +442,6 @@ def _padded_operand(M, xz):
     # x and its zero slot, past any leading zeros
     diagonals = M._diagonals
     return xz if diagonals is None else xz[diagonals[2]:]
-
-
-def _padded_result(M, xz):
-    # M @ x on its padded layout, written into a padded-row operand
-    # buffer with a row per layout row, max(nrows, 2); a row past nrows
-    # sums only padding, to +0.0
-    idx, _ = layout = M._padded_rows
-    out = np.zeros((idx.shape[1] + 1,) + xz.shape[1:])
-    _padded_mul(layout, xz, M.nrows, out=out[:-1])
-    return out
 
 
 def _product(M, xz, x):

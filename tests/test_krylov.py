@@ -16,7 +16,7 @@ from sadprec.krylov import (
 )
 from sadprec.precond import MgssApplicator, PrecondSpec, make_preconditioner
 from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
-from sadprec.sparse import CsrMatrix, add_scaled_identity, assemble_block_saddle, to_dense
+from sadprec.sparse import CsrMatrix, add_scaled_identity, assemble_block_saddle, spmv, to_dense
 
 
 class TestCg:
@@ -187,6 +187,27 @@ class TestGmres:
         rep = gmres_restarted(saddle_operator(sys_), sys_.rhs(), prec, StoppingRule(1e-9, dim, dim))
         assert rep.converged and rep.outer_iterations <= m + 1
 
+    @pytest.mark.parametrize("b,step", [([0.0, 1.0, 0.0], 1), ([1.0, 1.0, 0.0], 2)])
+    def test_zero_pivot_at_breakdown_raises(self, b, step):
+        # diag(1, 0, 0) is singular on the Krylov space of both right-hand
+        # sides: the breakdown leaves a rotated diagonal entry of 0 (about
+        # 1e-16 for (1, 1, 0) under some OpenBLAS kernels), which used to
+        # reach the triangular solve as a division and then blame the
+        # operator for a NaN residual
+        A = CsrMatrix.from_triplets(3, 3, [0], [0], [1.0])
+        message = f"GMRES breakdown at Arnoldi step {step}: the operator is singular on the Krylov space"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                gmres_restarted(A, b)
+
+    def test_operator_returning_its_operand(self):
+        # the result is orthogonalised in place, which used to overwrite
+        # the basis vector it was the product of
+        rep = gmres_restarted(LinearOperator(3, lambda x: x), [1.0, 2.0, 3.0])
+        assert rep.converged and rep.outer_iterations == 1
+        assert np.array_equal(rep.solution, [1.0, 2.0, 3.0])
+
     def test_unpinned_stokes_count_independent_of_rounding(self):
         # The singular but consistent enclosed-flow system has no isolated
         # small eigenvalue, so last-digit changes to b leave GMRES(5) unmoved
@@ -353,9 +374,10 @@ def unpinned(q):
 
 
 class TestCgOperatorPaths:
-    """A CsrMatrix keeps CG's search direction in its product's padded
-    operand; wrapped as a LinearOperator it goes through spmv.  Both
-    paths give the same bits, errors and warnings."""
+    """A CsrMatrix, given as is or through as_operator, keeps CG's search
+    direction in its product's padded operand; a LinearOperator around
+    spmv copies it into a fresh one at every step.  Both paths give the
+    same bits, errors and warnings."""
 
     @pytest.mark.parametrize("make,diagonal,rhs_scale", [
         (lambda: add_scaled_identity(unpinned(32).A, 0.1), True, 1.0),
@@ -370,8 +392,9 @@ class TestCgOperatorPaths:
         M = make()
         assert (M._diagonals is not None) == diagonal
         b = np.random.default_rng(M.nrows).standard_normal(M.nrows) * rhs_scale
-        matrix, operator = cg_outcome(M, b), cg_outcome(as_operator(M), b)
-        assert matrix == operator
+        matrix = cg_outcome(M, b)
+        assert cg_outcome(as_operator(M), b) == matrix
+        assert cg_outcome(LinearOperator(M.nrows, lambda x: spmv(M, x)), b) == matrix
         if rhs_scale != 1.0:
             assert "CG breakdown" in matrix[0]
 
@@ -390,6 +413,12 @@ class TestLinearOperator:
         op = LinearOperator(4, lambda x: x[:, :1])
         with pytest.raises(ValueError, match=r"returned shape \(4, 1\) for an operand of shape \(4, 3\)"):
             op(np.ones((4, 3)))
+
+    def test_result_sharing_the_operand_is_copied(self):
+        x = np.arange(6.0).reshape(3, 2)
+        for apply in (lambda x: x, lambda x: x[:, ::-1][:, ::-1]):
+            y = LinearOperator(3, apply)(x)
+            assert np.array_equal(y, x) and not np.may_share_memory(y, x)
 
     def test_wrong_operand_length_raises(self):
         op = LinearOperator(4, lambda x: x)

@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -356,6 +358,46 @@ class TestResidualShape:
             app.apply(np.ones(shape))
 
 
+class TestConcurrentApply:
+    @pytest.mark.parametrize("kind", ["mgss", "rmgss", "hss"])
+    def test_two_threads_give_the_serial_bits(self, kind):
+        # an applicator keeps no work buffers, so two threads may apply it
+        # at once, the first hss apply assembling its CG blocks included;
+        # every result has the bits of the same apply run alone.  With
+        # twenty applies a thread, work buffers kept on the Schur operator
+        # failed this test in six runs out of six
+        sys_ = generate_stokes_q1p0(StokesConfig(16))
+        rng = np.random.default_rng(16)
+        residuals = [rng.standard_normal(sys_.order) for _ in range(2)]
+        serial = make_preconditioner(sys_, PrecondSpec(kind))
+        want = [serial.apply(r).tobytes() for r in residuals]
+        app = make_preconditioner(sys_, PrecondSpec(kind))
+        barrier = threading.Barrier(2)
+        got, errors = [[], []], []
+
+        def run(i):
+            try:
+                barrier.wait()
+                for _ in range(20):
+                    got[i].append(app.apply(residuals[i]).tobytes())
+            except Exception as exc:  # re-raised in the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the inner CG too
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert got == [[want[0]] * 20, [want[1]] * 20]
+
+
 class TestStokesShiftedBlock:
     # pinned Stokes q=16: beta I + C has order 255 and falls apart into
     # 63 tiles of 4 pressures and one of 3; a cap of 1e4 refuses its
@@ -496,6 +538,12 @@ class TestSchur:
         x = rng.standard_normal(20)
         assert np.allclose(app.schur(x), S @ x, atol=1e-10 * np.linalg.norm(S))
 
+    @pytest.mark.parametrize("shape", [(), (31,), (29, 2), (30, 2, 2)])
+    def test_operator_refuses_other_shapes(self, shape):
+        app = MgssApplicator(generate_random_saddle(30, 14, seed=10), PrecondSpec("mgss"))
+        with pytest.raises(ValueError, match=re.escape(f"got an operand of shape {shape}")):
+            app.schur(np.ones(shape))
+
     @pytest.mark.parametrize("kind", ["mgss", "rmgss"])
     @pytest.mark.parametrize("make,a_diagonal,c_dense", [
         (lambda: generate_stokes_q1p0(StokesConfig(16)), False, False),
@@ -525,6 +573,13 @@ class TestSchur:
                     want = want + alpha * x
                 want = want + spmv_transpose(sys_.B, factor.solve(shifted, spmv(sys_.B, x)))
                 assert app.schur(x).tobytes() == want.tobytes()
+        # the inner CG keeps its search direction in the operator's buffers
+        # and, through a LinearOperator, copies it into fresh ones per step
+        b = rng.standard_normal(sys_.n)
+        inplace = cg(app.schur, b, 100.0, 40)
+        copying = cg(LinearOperator(sys_.n, app.schur), b, 100.0, 40)
+        assert inplace.solution.tobytes() == copying.solution.tobytes()
+        assert inplace.residual_history == copying.residual_history
         assert (sys_.A._diagonals is not None) == a_diagonal
         assert isinstance(shifted._inverse, np.ndarray) == c_dense
 
