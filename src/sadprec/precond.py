@@ -25,8 +25,9 @@ either as an inner CG (``inner="cg"``, residual reduction 100, at most
 40 steps; the rule is fixed) or through a Cholesky factor
 (``inner="direct"``), which makes the preconditioner an exactly linear
 operator for spectral work.  The Schur matrix is applied unassembled in
-CG mode and formed densely in direct mode by ``_schur_complement``, as
-is ``spectral``'s predicted rmgss matrix.  hss shifts A and C by alpha
+CG mode and formed densely in direct mode by ``_schur_complement``;
+``spectral``'s predicted rmgss matrix has the same form but solves with
+A by LU.  hss shifts A and C by alpha
 and B's cached Gram matrix ``B._gram`` by alpha^2; CG mode assembles
 the shifted copies.  Direct mode assembles none: ``factor.cholesky(M,
 shift)`` reuses M's cached pattern analysis, so one system's

@@ -17,7 +17,12 @@ from ``sparse.saddle_dense``, the dense K: P from
 ``precond.dense_preconditioner_matrix``, Sigma + K for Gamma.  No
 preconditioner is built or factored, so these matrices need only be
 nonsingular, as they are for every valid shift; a singular one raises
-numpy's ``LinAlgError``.  ``sparse.dense_cap()`` (``SADPREC_DENSE_CAP``)
+numpy's ``LinAlgError``.  The two theory checks use neither builder:
+``iteration_matrix_check`` takes Gamma's eigenvalues through the
+Cayley map from those of Sigma^{-1} K (one ``eigvals``, no LU), and
+``predicted_rmgss_spectrum`` forms C + B A^{-1} B^T with one LU solve
+with A, after a Cholesky factorization that only checks A is positive
+definite.  ``sparse.dense_cap()`` (``SADPREC_DENSE_CAP``)
 is the only limit on the order of a spectrum: a few order x order
 arrays are alive at once, and the eigensolvers add no limit of their
 own.  ``save_gnuplot`` writes the plot script of a spectrum CSV.
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factor
-from .precond import PrecondSpec, _schur_complement, dense_preconditioner_matrix
+from .precond import PrecondSpec, dense_preconditioner_matrix, shift_diagonal
 from .sparse import _check_symmetric_dense, dense_cap, saddle_dense, to_dense
 from .stationary import IterationMatrixOperator
 
@@ -139,6 +144,11 @@ def dense_eigen_real_schur(M):
 # -- operator spectra ------------------------------------------------------
 
 
+def _column_norms(V):
+    # the bits of np.linalg.norm(V, axis=0), without its Python wrapper
+    return np.sqrt(np.add.reduce(V * V, axis=0))
+
+
 def power_spectral_radius(op):
     """Power-iteration estimate of the spectral radius (lower biased).
 
@@ -165,11 +175,11 @@ def power_spectral_radius(op):
     rng = np.random.default_rng(_POWER_SEED)
     # the same numbers as drawing the starts one after another
     V = rng.standard_normal((_POWER_RESTARTS, op.dim)).T
-    norms = np.linalg.norm(V, axis=0)
+    norms = _column_norms(V)
     live = norms > 0.0
     for _ in range(_POWER_ITERS):
         V = apply(V / np.where(live, norms, 1.0))
-        norms = np.linalg.norm(V, axis=0)
+        norms = _column_norms(V)
         top = norms.max()
         if not math.isfinite(top):
             raise ValueError(f"power iterate norm is {top}: the operator produced NaN or inf")
@@ -207,28 +217,50 @@ def predicted_rmgss_spectrum(sys, beta):
     """Predicted spectrum of the rmgss-preconditioned matrix.
 
     The multiset {1 with multiplicity n} plus mu_i / (beta + mu_i),
-    where mu_i are the eigenvalues of G = C + B A^{-1} B^T.  G is
-    formed densely through a Cholesky factorization of A.  beta must
-    be > 0 and finite, as for an rmgss ``PrecondSpec``.
+    where mu_i are the eigenvalues of G = C + B A^{-1} B^T.  A's
+    Cholesky factorization (``factor.cholesky_dense``) is only the
+    check that A is positive definite (else ``NotPositiveDefiniteError``);
+    G is formed with one LU solve, ``np.linalg.solve(A, B^T)`` (about
+    2/3 n^3 + 2 n^2 m flops), made exactly symmetric as
+    ``precond._schur_complement`` makes it, and its eigenvalues come
+    from ``np.linalg.eigh``.  beta must be > 0 and finite, as for an
+    rmgss ``PrecondSpec``.
     """
     beta = PrecondSpec("rmgss", beta=beta).beta
-    G = _schur_complement(to_dense(sys.C), to_dense(sys.B).T, factor.cholesky_dense(to_dense(sys.A)))
-    mu, _ = jacobi_symmetric(G)
+    A = to_dense(sys.A)
+    factor.cholesky_dense(A)
+    Bd = to_dense(sys.B)
+    G = to_dense(sys.C) + Bd @ np.linalg.solve(A, Bd.T)
+    mu, _ = jacobi_symmetric(0.5 * (G + G.T))
     return Spectrum(np.concatenate([np.ones(sys.n), mu / (beta + mu)]), PREDICTED)
 
 
 def iteration_matrix_check(sys, alpha, beta):
     """Spectral radius of the iteration matrix and distances to +-1.
 
-    Computes the full dense spectrum of Gamma = (Sigma + K)^{-1}
-    (Sigma - K) (``gamma_dense``: one LU solve) and
-    reports max |lambda| together with the minimum distance of any
-    eigenvalue to +1 and to -1.
+    Gamma = (Sigma + K)^{-1} (Sigma - K) is the Cayley transform
+    (I + T)^{-1} (I - T) of T = Sigma^{-1} K, so its eigenvalues are
+    lambda = (1 - mu) / (1 + mu) for the eigenvalues mu of T.  T is
+    the dense K of ``sparse.saddle_dense`` with row i divided by
+    sigma_i, so the cost is one ``np.linalg.eigvals`` of order n + m;
+    Gamma itself (``gamma_dense``, an LU solve of about 8/3 (n + m)^3
+    flops) is never formed.  Reports max |lambda| (``rho``) and
+    min |lambda -+ 1| over the spectrum, taken as 2 |mu| / |1 + mu| and
+    2 / |1 + mu|, which lose no digits to cancellation when lambda is
+    near -+1.  Sigma + K is nonsingular for every pair of positive
+    shifts, so 1 + mu is never 0.  Shifts so small that K / sigma
+    overflows (below about 5e-309 times K's largest entry) raise
+    ``ValueError``.
     """
-    spec = dense_eigen_real_schur(gamma_dense(sys, alpha, beta))
-    lam = spec.eigenvalues
+    T = saddle_dense(sys)
+    with np.errstate(over="ignore"):
+        T /= shift_diagonal(sys, PrecondSpec("mgss", alpha=alpha, beta=beta))[:, None]
+    if not np.isfinite(T).all():
+        raise ValueError("Sigma^{-1} K overflows: the shifts are too small for the scale of K")
+    mu = np.linalg.eigvals(T)
+    plus = np.abs(1.0 + mu)
     return {
-        "rho": float(np.max(np.abs(lam), initial=0.0)),
-        "min_dist_to_plus1": float(np.min(np.abs(lam - 1.0), initial=np.inf)),
-        "min_dist_to_minus1": float(np.min(np.abs(lam + 1.0), initial=np.inf)),
+        "rho": float(np.max(np.abs(1.0 - mu) / plus, initial=0.0)),
+        "min_dist_to_plus1": float(np.min(2.0 * np.abs(mu) / plus, initial=np.inf)),
+        "min_dist_to_minus1": float(np.min(2.0 / plus, initial=np.inf)),
     }

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sadprec.factor import NotPositiveDefiniteError
 from sadprec.krylov import LinearOperator, as_operator
 from sadprec.precond import MgssApplicator, PrecondSpec, dense_preconditioner_matrix, make_preconditioner
 from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
@@ -331,6 +332,13 @@ class TestPredictedSpectrum:
         with pytest.raises(ValueError, match="rmgss requires beta > 0|shift beta must be finite"):
             predicted_rmgss_spectrum(toy_t1, beta)
 
+    def test_indefinite_A_refused(self):
+        # A = [[1, 2], [2, 1]] is symmetric with eigenvalues 3 and -1
+        sys_ = SaddleSystem(CsrMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]]), CsrMatrix.from_dense([[1.0, 0.0]]),
+                            CsrMatrix.zeros(1, 1), np.zeros(2), np.zeros(1))
+        with pytest.raises(NotPositiveDefiniteError):
+            predicted_rmgss_spectrum(sys_, 0.5)
+
     @pytest.mark.parametrize("beta", [0.001, 0.1, 1.0])
     def test_matches_dense_spectrum(self, beta):
         sys_ = generate_random_saddle(40, 17, seed=8)
@@ -357,6 +365,40 @@ class TestIterationMatrixCheck:
         sys_ = generate_random_saddle(28, 12, seed=12)
         res = iteration_matrix_check(sys_, 10.0, 0.001)
         assert res["rho"] < 1.0
+
+    def test_distances_relative_on_known_spectrum(self):
+        # B = 0: Sigma^{-1} K = diag(1, 0.5, 0.25, 0.75) / 1e-8, so Gamma's eigenvalue
+        # nearest -1 is (1 - 1e8) / (1 + 1e8), at distance 2 / (1 + 1e8)
+        sys_ = SaddleSystem(CsrMatrix.from_dense(np.diag([1.0, 0.5, 0.25])), CsrMatrix.zeros(1, 3),
+                            CsrMatrix.from_dense([[0.75]]), np.zeros(3), np.zeros(1))
+        res = iteration_matrix_check(sys_, 1e-8, 1e-8)
+        assert res["min_dist_to_minus1"] == pytest.approx(2.0 / (1.0 + 1e8), rel=1e-14, abs=0.0)
+        assert res["min_dist_to_plus1"] == pytest.approx(2.0 * 2.5e7 / (1.0 + 2.5e7), rel=1e-14, abs=0.0)
+        assert res["rho"] == pytest.approx((1e8 - 1.0) / (1e8 + 1.0), rel=1e-14, abs=0.0)
+
+    def test_overflowing_shifts_refused(self):
+        sys_ = generate_random_saddle(12, 5, seed=0)
+        assert iteration_matrix_check(sys_, 1e-300, 1e-300)["rho"] <= 1.0
+        with pytest.raises(ValueError, match="overflows"):
+            iteration_matrix_check(sys_, 1e-310, 1e-310)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: generate_random_saddle(60, 24, seed=12), id="random12"),
+        pytest.param(lambda: generate_random_saddle(60, 24, seed=13), id="random13"),
+        pytest.param(lambda: generate_random_saddle(60, 24, seed=14), id="random14"),
+        pytest.param(lambda: generate_stokes_q1p0(StokesConfig(4)), id="stokes-q4"),
+        pytest.param(lambda: generate_stokes_q1p0(StokesConfig(8)), id="stokes-q8"),
+    ])
+    def test_cayley_route_matches_dense_gamma(self, make):
+        # the eigenvalues of Gamma itself; |lambda -+ 1| loses digits to cancellation there
+        sys_ = make()
+        for alpha in (1e-3, 0.1, 10.0):
+            for beta in (1e-3, 0.1, 10.0):
+                lam = dense_eigen_real_schur(gamma_dense(sys_, alpha, beta)).eigenvalues
+                res = iteration_matrix_check(sys_, alpha, beta)
+                assert res["rho"] == pytest.approx(np.abs(lam).max(), rel=0.0, abs=1e-10)
+                assert res["min_dist_to_plus1"] == pytest.approx(np.abs(lam - 1.0).min(), rel=1e-6)
+                assert res["min_dist_to_minus1"] == pytest.approx(np.abs(lam + 1.0).min(), rel=1e-6)
 
 
 class TestClusteringBound:
