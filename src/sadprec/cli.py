@@ -9,7 +9,8 @@ given identical inputs and seeds (wall times excepted).  Timings
 the preconditioner's constructor, so what is built on first use is
 timed: the hss CG-mode blocks, sparse product layouts and Cholesky
 inverse factors (see the ``precond`` docstring).  The process exits 0
-only if every requested solve converged.
+only if every requested solve converged, and 2 with an ``error:`` line
+on invalid input or a file it cannot read or write.
 """
 
 import argparse
@@ -298,7 +299,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

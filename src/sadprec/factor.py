@@ -36,9 +36,10 @@ in one of two forms:
   so a NaN stays in its own component.
 
 ``solve`` copies b into an operand buffer (see ``sparse``) and solves
-there in place with ``_solve_padded``.  The mgss and rmgss Schur
-operator calls it on the buffer that holds B x, with a second buffer of
-its own for the Linv product; both are made once per inner CG call.
+there in place with ``_solve_padded``: each product gathers its operand
+before it writes, so both write back into that one buffer.  The mgss
+and rmgss Schur operator calls it on the buffer that holds B x, made
+once per inner CG call.
 
 An explicit triangular inverse is accurate enough here (Du Croz and
 Higham, Stability of methods for matrix inversion, IMA J. Numer. Anal.
@@ -49,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sparse import _check_symmetric_dense, _padded_mul, _zero_padded, dense_cap
+from .sparse import _check_operand, _check_symmetric_dense, _padded_mul, _square, _zero_padded, dense_cap
 
 __all__ = [
     "CholeskyFactor",
@@ -173,9 +174,7 @@ def cholesky_dense(a):
     inf entry, wherever it sits, and a pivot that fails the rule of
     ``cholesky`` raise ``NotPositiveDefiniteError``.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
+    a = _square(a)
     if not np.isfinite(_check_symmetric_dense(a, "matrix")):
         raise _non_finite(a)
     return _factor(a.shape[0], [(np.arange(a.shape[0])[None], a[None])])
@@ -215,25 +214,20 @@ def solve(fac, b):
     component's entries in column order, so column j of a block solve
     is bitwise equal to the solve of ``b[:, j]``.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim not in (1, 2) or b.shape[0] != fac.size:
-        raise ValueError(f"dimension mismatch: factor of size {fac.size}, operand has shape {b.shape}")
+    b = _check_operand(b, fac.size, f"factor of size {fac.size}")
     bz, x = _zero_padded(b, 0, fac.size + 1)
     _solve_padded(fac, bz)
     return x
 
 
-def _solve_padded(fac, bz, cz=None):
+def _solve_padded(fac, bz):
     # the solve of b = bz[:n] written back over it, where bz[n] is 0: the
-    # Linv product goes straight into a second such buffer cz, the
-    # caller's if given (made here if None), and the Linv^T product back
-    # into bz
+    # Linv product and then the Linv^T product, each gathered from bz
+    # before it writes bz[:n]
     n, inverse = fac.size, fac._inverse
     if isinstance(inverse, np.ndarray):
         np.matmul(inverse.T, inverse @ bz[:n], out=bz[:n])
         return
     lo, up = inverse
-    if cz is None:
-        cz = np.zeros(bz.shape)
-    _padded_mul(lo, bz, n, out=cz[:n])
-    _padded_mul(up, cz, n, out=bz[:n])
+    _padded_mul(lo, bz, n, out=bz[:n])
+    _padded_mul(up, bz, n, out=bz[:n])

@@ -8,12 +8,11 @@ true residual norm ||b - A x||, recomputed at every restart boundary.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import CsrMatrix, _operand, _product, spmv
+from .sparse import CsrMatrix, _check_count, _operand, _product, spmv
 
 __all__ = [
     "LinearOperator",
@@ -138,16 +137,6 @@ class StoppingRule:
             raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
         _check_count("restart", self.restart, 1)
         _check_count("max_outer", self.max_outer, 0)
-
-
-def _is_integer(value):
-    # bool is an int subclass; numpy integers are Integral
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _check_count(name, value, low):
-    if not _is_integer(value) or value < low:
-        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 def cg(op, b, reduction_factor, max_iters):

@@ -52,8 +52,8 @@ import numpy as np
 
 from . import factor
 from .krylov import LinearOperator, cg
-from .sparse import (_operand, _padded_mul, _padded_operand, _product, add_scaled_identity,
-                     saddle_dense, spmv, spmv_transpose, to_dense)
+from .sparse import (_check_operand, _operand, _padded_mul, _padded_operand, _product,
+                     add_scaled_identity, saddle_dense, spmv, spmv_transpose, to_dense)
 
 __all__ = [
     "PrecondSpec",
@@ -137,10 +137,7 @@ class _Applicator:
         self.inner_iterations = 0
 
     def _split(self, r):
-        r = np.asarray(r, dtype=np.float64)
-        if r.ndim not in (1, 2) or r.shape[0] != self.sys.order:
-            raise ValueError(f"residual length does not match the system order {self.sys.order}: "
-                             f"shape {r.shape}")
+        r = _check_operand(r, self.sys.order, f"system of order {self.sys.order}")
         return r[:self.sys.n], r[self.sys.n:]
 
     def _spd_solve(self, block, rhs):
@@ -160,11 +157,11 @@ class _SchurOperator(LinearOperator):
     ``spmv_transpose`` one by one.  ``_operand`` copies x once, into A's
     operand buffer, which B's padded product reads too, and makes the
     buffers the rest of the chain writes into: B x followed by its zero
-    slot, the second buffer of the padded inverse factor, and the
-    alpha x and B^T z outputs.  B x and B^T z take a row per row of the
-    padded layouts of B and B^T, max(nrows, 2).  ``cg`` makes them once
-    per call and ``__call__`` once per operand, a vector or a block of
-    columns.
+    slot, which the inverse factor of beta I + C solves in place, and
+    the alpha x and B^T z outputs.  B x and B^T z take a row per row of
+    the padded layouts of B and B^T, max(nrows, 2).  ``cg`` makes them
+    once per call and ``__call__`` once per operand, a vector or a block
+    of columns.
     """
 
     def __init__(self, A, B, alpha, shifted):
@@ -172,9 +169,7 @@ class _SchurOperator(LinearOperator):
         self.A, self.B, self.alpha, self.shifted = A, B, alpha, shifted
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
-            raise ValueError(f"operator of dimension {self.dim} got an operand of shape {x.shape}")
+        x = _check_operand(x, self.dim, f"operator of dimension {self.dim}")
         return self._product(*self._operand(x))
 
     def _operand(self, x):
@@ -182,17 +177,17 @@ class _SchurOperator(LinearOperator):
         cols = x.shape[1:]
         bz = np.zeros((self.B._padded_rows[0].shape[1] + 1,) + cols)
         bt = np.empty((self.B._padded_cols[0].shape[1],) + cols)
-        return (xz, bz, np.zeros(bz.shape), np.empty(x.shape), bt), xv
+        return (xz, bz, np.empty(x.shape), bt), xv
 
     def _product(self, work, x):
-        xz, bz, cz, ax, bt = work
+        xz, bz, ax, bt = work
         A, B = self.A, self.B
         y = _product(A, xz, x)
         if self.alpha != 0.0:
             y += np.multiply(x, self.alpha, out=ax)
         # a layout row past B's rows sums only padding, to +0.0
         _padded_mul(B._padded_rows, _padded_operand(A, xz), B.nrows, out=bz[:-1])
-        factor._solve_padded(self.shifted, bz, cz)
+        factor._solve_padded(self.shifted, bz)
         y += _padded_mul(B._padded_cols, bz, B.ncols, out=bt)
         return y
 

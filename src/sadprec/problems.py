@@ -38,8 +38,7 @@ import os
 
 import numpy as np
 
-from .krylov import _check_count, _is_integer
-from .sparse import CsrMatrix, SaddleSystem
+from .sparse import CsrMatrix, SaddleSystem, _check_count, _is_integer
 
 __all__ = [
     "StokesConfig",
@@ -330,14 +329,17 @@ def read_vector(path):
     return np.array(values, dtype=np.float64)
 
 
+# a bundle's files: the blocks A, B, C, then the right-hand sides f, g
+_MATRIX_FILES, _VECTOR_FILES = ("A.mtx", "B.mtx", "C.mtx"), ("f.vec", "g.vec")
+
+
 def save_bundle(sys, dirpath, meta=None):
     """Persist a SaddleSystem as A.mtx, B.mtx, C.mtx, f.vec, g.vec, meta.json."""
     os.makedirs(dirpath, exist_ok=True)
-    write_matrix_market(sys.A, os.path.join(dirpath, "A.mtx"))
-    write_matrix_market(sys.B, os.path.join(dirpath, "B.mtx"))
-    write_matrix_market(sys.C, os.path.join(dirpath, "C.mtx"))
-    write_vector(sys.f, os.path.join(dirpath, "f.vec"))
-    write_vector(sys.g, os.path.join(dirpath, "g.vec"))
+    for name, M in zip(_MATRIX_FILES, (sys.A, sys.B, sys.C)):
+        write_matrix_market(M, os.path.join(dirpath, name))
+    for name, v in zip(_VECTOR_FILES, (sys.f, sys.g)):
+        write_vector(v, os.path.join(dirpath, name))
     record = {"n": sys.n, "m": sys.m}
     if meta:
         record.update(meta)
@@ -348,15 +350,11 @@ def save_bundle(sys, dirpath, meta=None):
 
 def load_bundle(dirpath):
     """Load a SaddleSystem bundle; returns (system, meta_dict)."""
-    needed = ["A.mtx", "B.mtx", "C.mtx", "f.vec", "g.vec"]
-    for name in needed:
+    for name in _MATRIX_FILES + _VECTOR_FILES:
         if not os.path.exists(os.path.join(dirpath, name)):
             raise FileNotFoundError(f"bundle {dirpath!r} is missing {name}")
-    A = read_matrix_market(os.path.join(dirpath, "A.mtx"))
-    B = read_matrix_market(os.path.join(dirpath, "B.mtx"))
-    C = read_matrix_market(os.path.join(dirpath, "C.mtx"))
-    f = read_vector(os.path.join(dirpath, "f.vec"))
-    g = read_vector(os.path.join(dirpath, "g.vec"))
+    A, B, C = (read_matrix_market(os.path.join(dirpath, name)) for name in _MATRIX_FILES)
+    f, g = (read_vector(os.path.join(dirpath, name)) for name in _VECTOR_FILES)
     meta_path = os.path.join(dirpath, "meta.json")
     meta = {}
     if os.path.exists(meta_path):

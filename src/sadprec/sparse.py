@@ -23,8 +23,11 @@ iteration that keeps its vector in the view multiplies with no copy.
 A padded product can also write straight into a zero buffer through
 ``_padded_mul``'s ``out``: the Schur operator puts B x there, followed
 by its zero slot, for the inverse factor of beta I + C and then B^T.
+``_check_operand`` is the one shape check of these operands, and
+``_square`` that of a dense matrix.
 """
 
+import numbers
 import os
 from functools import cached_property
 
@@ -69,13 +72,35 @@ def dense_cap():
     return int(cap)
 
 
+def _is_integer(value):
+    # bool is an int subclass; numpy integers are Integral
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_count(name, value, low):
+    if not _is_integer(value) or value < low:
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
+def _index_array(a, name):
+    # a as a contiguous int64 array, refused unless it holds integers (or
+    # nothing), so that no index is truncated
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got dtype {a.dtype}")
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
 class CsrMatrix:
     """Compressed sparse row matrix with canonical structure.
 
     Within each row the column indices are strictly increasing, there
     are no duplicate positions, and no explicitly stored zeros.  The
-    arrays are never mutated after construction, so instances can be
-    shared freely between threads.
+    dimensions must be integers of at least 0 and the index arrays must
+    hold integers (an empty one may have any dtype); anything else
+    raises ``ValueError`` rather than being truncated.  The arrays are
+    never mutated after construction, so instances can be shared freely
+    between threads.
 
     Products use one of two layouts, each a ``functools.cached_property``
     (``_diagonals``, ``_padded_rows``; ``_padded_cols`` for the
@@ -104,10 +129,12 @@ class CsrMatrix:
     """
 
     def __init__(self, nrows, ncols, row_ptr, col_idx, values):
+        _check_count("nrows", nrows, 0)
+        _check_count("ncols", ncols, 0)
         self.nrows = int(nrows)
         self.ncols = int(ncols)
-        self.row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
-        self.col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
+        self.row_ptr = _index_array(row_ptr, "row_ptr")
+        self.col_idx = _index_array(col_idx, "col_idx")
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self._validate()
 
@@ -121,12 +148,16 @@ class CsrMatrix:
         ``row * ncols + col`` (``np.ravel_multi_index``), so the entries at
         one position are summed in input order by ``_merge_sorted``'s rule.
         A shape whose key would overflow int64 (nrows * ncols >= 2**63)
-        raises ValueError.  The constructor for entries that may be
-        unordered or repeated; ``from_dense`` and ``transpose`` have theirs
-        in order already and skip the sort.
+        raises ValueError, and so do dimensions that are not integers of
+        at least 0 and index arrays that do not hold integers.  The
+        constructor for entries that may be unordered or repeated;
+        ``from_dense`` and ``transpose`` have theirs in order already and
+        skip the sort.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        _check_count("nrows", nrows, 0)
+        _check_count("ncols", ncols, 0)
+        rows = _index_array(rows, "row indices")
+        cols = _index_array(cols, "column indices")
         vals = np.asarray(vals, dtype=np.float64)
         if not (rows.shape == cols.shape == vals.shape):
             raise ValueError("triplet arrays must have identical length")
@@ -317,8 +348,6 @@ class CsrMatrix:
         return _merge_sorted(m, m, rows, cand.ravel(), prod.ravel())
 
     def _validate(self):
-        if self.nrows < 0 or self.ncols < 0:
-            raise ValueError("negative dimension")
         if self.row_ptr.shape != (self.nrows + 1,):
             raise ValueError("row_ptr has wrong length")
         if self.row_ptr[0] != 0 or self.row_ptr[-1] != self.col_idx.size:
@@ -384,9 +413,10 @@ def _padded_mul(layout, xz, nout, out=None):
     # the padded product of an operand followed by its zero slot: one
     # gather, one in-place multiply, one reduction over the padded axis;
     # the outer-axis reduction adds each row left to right, into out if
-    # given (one row per layout row, the same bits).  take() reads the
-    # same elements as xz[idx] at a fraction of the cost of fancy
-    # indexing on a block.
+    # given (one row per layout row, the same bits).  The gather copies
+    # xz before anything is written, so out may be xz's own rows.
+    # take() reads the same elements as xz[idx] at a fraction of the
+    # cost of fancy indexing on a block.
     idx, val = layout
     prod = xz.take(idx, axis=0)
     prod *= val if xz.ndim == 1 else val[:, :, None]
@@ -446,20 +476,28 @@ def _padded_operand(M, xz):
 
 def _product(M, xz, x):
     # M @ x for the operand x in its buffer xz from _operand(M, .): the
-    # diagonal layout for a finite x, else the padded layout
+    # diagonal layout of a banded M for a finite x, else the padded layout
     diagonals = M._diagonals
-    if diagonals is None:
-        return _padded_mul(M._padded_rows, xz, M.nrows)
-    if np.isfinite(x).all():
+    if diagonals is not None and np.isfinite(x).all():
         return _diagonal_mul(diagonals, xz)
     return _padded_mul(M._padded_rows, _padded_operand(M, xz), M.nrows)
 
 
-def _check_operand(M, x, nin):
+def _check_operand(x, n, what):
+    # x as float64, refused unless a vector of length n or a block of n
+    # rows; what names the operator in the message
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[0] != nin:
-        raise ValueError(f"dimension mismatch: matrix is {M.nrows}x{M.ncols}, operand has shape {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"dimension mismatch: {what}, operand has shape {x.shape}")
     return x
+
+
+def _square(a):
+    # a as a float64 array, refused unless it is a square matrix
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    return a
 
 
 def spmv(M, x):
@@ -478,7 +516,7 @@ def spmv(M, x):
     product holds a temporary of (diagonals or widest row) x rows x
     columns.
     """
-    x = _check_operand(M, x, M.ncols)
+    x = _check_operand(x, M.ncols, f"matrix is {M.nrows}x{M.ncols}")
     return _product(M, *_operand(M, x))
 
 
@@ -490,7 +528,8 @@ def spmv_transpose(M, x):
     x columns x widest column); the transposed matrix itself is not
     kept.
     """
-    xz, _ = _zero_padded(_check_operand(M, x, M.nrows), 0, M.nrows + 1)
+    x = _check_operand(x, M.nrows, f"matrix is {M.nrows}x{M.ncols}")
+    xz, _ = _zero_padded(x, 0, M.nrows + 1)
     return _padded_mul(M._padded_cols, xz, M.ncols)
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import factor
 from .precond import PrecondSpec, dense_preconditioner_matrix, shift_diagonal
-from .sparse import _check_symmetric_dense, dense_cap, saddle_dense, to_dense
+from .sparse import _check_symmetric_dense, _square, dense_cap, saddle_dense, to_dense
 from .stationary import IterationMatrixOperator
 
 __all__ = [
@@ -121,9 +121,7 @@ def jacobi_symmetric(M):
     acceptance tests and demos, which call it by that name.  A NaN or
     inf entry raises ``ValueError``: ``eigh`` reads one triangle only.
     """
-    a = np.asarray(M, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
+    a = _square(M)
     if not np.isfinite(_check_symmetric_dense(a, "symmetric eigensolver input")):
         raise ValueError("symmetric eigensolver input has a NaN or inf entry")
     return np.linalg.eigh(a)
@@ -135,10 +133,7 @@ def dense_eigen_real_schur(M):
     ``np.linalg.eigvals`` balances, reduces to Hessenberg form and runs
     the shifted QR iteration.
     """
-    a = np.asarray(M, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    return Spectrum(np.linalg.eigvals(a), COMPUTED_DENSE)
+    return Spectrum(np.linalg.eigvals(_square(M)), COMPUTED_DENSE)
 
 
 # -- operator spectra ------------------------------------------------------

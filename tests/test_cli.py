@@ -55,6 +55,15 @@ class TestGenerate:
         assert (a / "A.mtx").read_text() == (b / "A.mtx").read_text()
         assert (a / "f.vec").read_text() == (b / "f.vec").read_text()
 
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        # os.makedirs refuses an existing file with FileExistsError, an
+        # OSError like a missing bundle: an error line, no traceback
+        out = tmp_path / "A.mtx"
+        out.write_text("kept\n")
+        assert main(["generate", "stokes", "--q", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == "kept\n"
+
     def test_odd_q_rejected(self, tmp_path, capsys):
         rc = main(["generate", "stokes", "--q", "3", "--out", str(tmp_path / "x")])
         assert rc != 0
@@ -229,6 +238,14 @@ class TestSolve:
         assert int(cells[4]) == rec["it"]
         assert float(cells[7]) == rec["final_relres"]
         assert cells[11] == rec["stop_reason"] == "tolerance"
+
+    def test_csv_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        bundle = toy_bundle(tmp_path)
+        rc = main(["solve", "--in", bundle, "--method", "mgss", "--csv", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert json.loads(captured.out.strip().splitlines()[-1])["converged"]
 
     def test_csv_quotes_commas(self, tmp_path, capsys):
         # solve and sweep ids are both <generator>:<bundle directory>

@@ -353,7 +353,7 @@ class TestResidualShape:
         # naming an inner factor or operator
         sys_ = generate_random_saddle(14, 10, seed=1)
         app = make_preconditioner(sys_, PrecondSpec(kind, inner=inner))
-        message = f"residual length does not match the system order 24: shape {shape}"
+        message = f"dimension mismatch: system of order 24, operand has shape {shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
             app.apply(np.ones(shape))
 
@@ -541,7 +541,8 @@ class TestSchur:
     @pytest.mark.parametrize("shape", [(), (31,), (29, 2), (30, 2, 2)])
     def test_operator_refuses_other_shapes(self, shape):
         app = MgssApplicator(generate_random_saddle(30, 14, seed=10), PrecondSpec("mgss"))
-        with pytest.raises(ValueError, match=re.escape(f"got an operand of shape {shape}")):
+        message = f"dimension mismatch: operator of dimension 30, operand has shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             app.schur(np.ones(shape))
 
     @pytest.mark.parametrize("kind", ["mgss", "rmgss"])

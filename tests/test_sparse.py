@@ -1,10 +1,12 @@
 import functools
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
-from sadprec import sparse
+from sadprec import factor, sparse, spectral
+from sadprec.precond import PrecondSpec, make_preconditioner
 from sadprec.sparse import (
     CsrMatrix,
     SaddleSystem,
@@ -97,6 +99,41 @@ class TestConstruction:
     def test_unsorted_columns_rejected(self):
         with pytest.raises(ValueError):
             CsrMatrix(1, 3, [0, 2], [2, 0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("args,name", [
+        ((2, 2, [0, 1.7, 2], [0, 1], [1.0, 2.0]), "row_ptr"),
+        ((2, 2, [0, 1, 2], [0.9, 1.2], [1.0, 2.0]), "col_idx"),
+        ((2, 2, [0, 1, 2], [True, True], [1.0, 2.0]), "col_idx"),
+        ((2.7, 2, [0, 1, 2], [0, 1], [1.0, 2.0]), "nrows"),
+        ((2, np.float64(2.0), [0, 1, 2], [0, 1], [1.0, 2.0]), "ncols"),
+        ((True, 2, [0, 1], [0], [1.0]), "nrows"),
+        ((-1, 2, [0], [], []), "nrows"),
+    ], ids=["float-row_ptr", "float-col_idx", "bool-col_idx", "float-nrows", "float-ncols",
+            "bool-nrows", "negative-nrows"])
+    def test_non_integer_input_refused(self, args, name):
+        # int64 conversion used to truncate each of these to a valid matrix
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            CsrMatrix(*args)
+
+    @pytest.mark.parametrize("args,name", [
+        ((2, 2, [0.5, 1.5], [0, 1], [1.0, 1.0]), "row indices"),
+        ((2, 2, [0, 1], [0.0, 1.0], [1.0, 1.0]), "column indices"),
+        ((2.5, 2, [0, 1], [0, 1], [1.0, 1.0]), "nrows"),
+        ((2, 2.0, [0, 1], [0, 1], [1.0, 1.0]), "ncols"),
+    ], ids=["float-rows", "float-cols", "float-nrows", "float-ncols"])
+    def test_non_integer_triplets_refused(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            CsrMatrix.from_triplets(*args)
+
+    def test_empty_index_arrays_of_any_dtype(self):
+        # CsrMatrix.zeros passes [] (float64 to numpy); numpy integer
+        # dimensions and int32 indices stay accepted
+        assert CsrMatrix.zeros(2, 3).col_idx.dtype == np.int64
+        assert CsrMatrix.from_triplets(2, 3, [], [], []).nnz == 0
+        M = CsrMatrix(np.int32(2), np.int64(3), np.array([0, 1, 1], dtype=np.int32),
+                      np.array([2], dtype=np.uint8), [1.0])
+        assert M.shape == (2, 3) and type(M.nrows) is int and M.col_idx.dtype == np.int64
+        assert to_dense(M)[0, 2] == 1.0
 
     def test_add_scaled_identity(self):
         M = CsrMatrix.from_dense([[1.0, 2.0], [2.0, -3.0]])
@@ -862,3 +899,40 @@ class TestSaddleSystem:
         sys_ = generate_stokes_q1p0(StokesConfig(16, pin_pressure=False))
         acal = assemble_block_saddle(sys_)
         assert acal.shape == (834, 834)  # 578 + 256
+
+
+@functools.cache
+def operand_entry_points():
+    # each entry point that takes a vector or a block of columns: the
+    # call, the number of rows it takes and how its message names it
+    sys_ = generate_random_saddle(14, 10, seed=1)
+    app = make_preconditioner(sys_, PrecondSpec("mgss"))
+    return {
+        "spmv": (lambda x: spmv(sys_.B, x), 14, "matrix is 10x14"),
+        "spmv_transpose": (lambda x: spmv_transpose(sys_.B, x), 10, "matrix is 10x14"),
+        "factor.solve": (lambda x: factor.solve(app.shifted_factor, x), 10, "factor of size 10"),
+        "apply": (app.apply, 24, "system of order 24"),
+        "schur": (app.schur, 14, "operator of dimension 14"),
+    }
+
+
+class TestInputChecks:
+    # sparse._check_operand and sparse._square are the one home of each refusal
+
+    @pytest.mark.parametrize("shape", [lambda n: (), lambda n: (n + 1,), lambda n: (n, 2, 2)],
+                             ids=["0d", "long", "3d"])
+    @pytest.mark.parametrize("entry", ["spmv", "spmv_transpose", "factor.solve", "apply", "schur"])
+    def test_operand_refusal(self, entry, shape):
+        call, n, what = operand_entry_points()[entry]
+        shape = shape(n)
+        message = f"dimension mismatch: {what}, operand has shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)], ids=["2x3", "1d", "3d"])
+    @pytest.mark.parametrize("entry", [factor.cholesky_dense, spectral.jacobi_symmetric,
+                                       spectral.dense_eigen_real_schur],
+                             ids=["cholesky_dense", "jacobi_symmetric", "dense_eigen_real_schur"])
+    def test_square_refusal(self, entry, shape):
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            entry(np.ones(shape))
