@@ -7,8 +7,9 @@ it, a gnuplot script that plots it.  All commands are deterministic
 given identical inputs and seeds (wall times excepted).  Timings
 (``timing_scope``) cover the solver call only: the clock starts after
 the preconditioner's constructor, so what is built on first use is
-timed: the hss CG-mode blocks, sparse product layouts and Cholesky
-inverse factors (see the ``precond`` docstring).  The process exits 0
+timed: the hss CG-mode blocks, sparse product layouts, Cholesky
+inverse factors and the explicit (beta I + C)^{-1} of the mgss/rmgss
+Schur operator (see the ``precond`` docstring).  The process exits 0
 only if every requested solve converged, and 2 with an ``error:`` line
 on invalid input or a file it cannot read or write.
 """

@@ -23,27 +23,32 @@ one analysis of C, and factor no assembled shifted copy.
 
 ``solve`` multiplies by the inverse factor Linv = L^{-1} and then by
 its transpose, x = Linv^T (Linv b): two products, vector or column
-block, with no loop over components.  The first solve builds Linv
-(``np.linalg.inv`` of each component's factor) and the factor keeps it
-in one of two forms:
+block, with no loop over components.  Linv is built on first use
+(``np.linalg.inv`` of each component's factor) and M^{-1} = Linv^T
+Linv, from it, by the first product of the mgss/rmgss Schur operator;
+the factor keeps each in one of two forms:
 
 - one component: a dense k x k array, multiplied through BLAS;
-- several components: the block-diagonal Linv and Linv^T as padded
-  rows (``sparse._padded_mul``, the ELLPACK kernel of ``spmv``), one
-  slot per column of the widest component.  They share one index array,
-  so they take 24 B x rows x widest component (a ``CsrMatrix``'s padded
-  rows take 16 B x rows x widest row).  No slot reads another component,
-  so a NaN stays in its own component.
+- several components: the block-diagonal Linv, Linv^T and M^{-1} as
+  padded rows (``sparse._padded_mul``, the ELLPACK kernel of ``spmv``),
+  one slot per column of the widest component.  They share one index
+  array, so Linv and Linv^T take 24 B x rows x widest component and
+  M^{-1} 8 B more (a ``CsrMatrix``'s padded rows take 16 B x rows x
+  widest row).  No slot reads another component, so a NaN stays in its
+  own component.
 
 ``solve`` copies b into an operand buffer (see ``sparse``) and solves
 there in place with ``_solve_padded``: each product gathers its operand
 before it writes, so both write back into that one buffer.  The mgss
-and rmgss Schur operator calls it on the buffer that holds B x, made
-once per inner CG call.
+and rmgss Schur operator calls ``_inverse_mul_padded``, one product
+with M^{-1}, on the buffer that holds B x, made once per inner CG call.
 
 An explicit triangular inverse is accurate enough here (Du Croz and
 Higham, Stability of methods for matrix inversion, IMA J. Numer. Anal.
-1992); M^{-1} itself is never formed.
+1992).  ``solve`` keeps two products, which are backward stable.  The
+one product with M^{-1} has a forward error of the same order, cond(M)
+eps, but not a small backward error; an inner CG asks only forward
+accuracy of its operator.
 """
 
 from functools import cached_property
@@ -85,7 +90,8 @@ class CholeskyFactor:
     ``functools.cached_property`` that the first ``solve`` (never
     ``cholesky``) builds: one k x k array for a single component of
     order k, else the padded Linv and Linv^T, 24 B x rows x widest
-    component.
+    component.  ``_full_inverse``, M^{-1} in the same forms, is built
+    from it by the first Schur product, never by ``solve``.
     """
 
     def __init__(self, size, blocks):
@@ -111,6 +117,22 @@ class CholeskyFactor:
             lo[:k, index] = Linv.transpose(2, 0, 1)
             up[:k, index] = Linv.transpose(1, 0, 2)
         return (idx, lo), (idx, up)
+
+    @cached_property
+    def _full_inverse(self):
+        # M^{-1} = Linv^T Linv in _inverse's forms, from the Linv stacks
+        # read back out of its padded Linv: slot s of row index[c, p]
+        # holds M^{-1}[index[c, p], index[c, s]]
+        inverse = self._inverse
+        if isinstance(inverse, np.ndarray):
+            return inverse.T @ inverse
+        (idx, lo), _ = inverse
+        val = np.zeros(idx.shape)
+        for index, _ in self.blocks:
+            k = index.shape[1]
+            Linv = lo[:k, index].transpose(1, 2, 0)
+            val[:k, index] = (Linv.transpose(0, 2, 1) @ Linv).transpose(2, 0, 1)
+        return idx, val
 
 
 def cholesky(M, shift=0.0):
@@ -231,3 +253,13 @@ def _solve_padded(fac, bz):
     lo, up = inverse
     _padded_mul(lo, bz, n, out=bz[:n])
     _padded_mul(up, bz, n, out=bz[:n])
+
+
+def _inverse_mul_padded(fac, bz):
+    # M^{-1} b for b = bz[:n] written back over it, where bz[n] is 0: the
+    # one product with _full_inverse, gathered from bz before it writes
+    n, inverse = fac.size, fac._full_inverse
+    if isinstance(inverse, np.ndarray):
+        bz[:n] = inverse @ bz[:n]
+        return
+    _padded_mul(inverse, bz, n, out=bz[:n])

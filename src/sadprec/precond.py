@@ -41,7 +41,8 @@ once per CG call and updates them in place at every step.  Only the
 ``inner_iterations`` statistics counter changes across calls.
 Everything built lazily is a ``functools.cached_property``: the CG-mode
 hss blocks, assembled on the first ``apply``; each Cholesky factor's
-inverse factor, built on its first solve; and each sparse matrix's
+inverse factor, built on its first solve, and its explicit inverse,
+built by the first Schur product; and each sparse matrix's
 product layouts and Gram matrix, built on first use.  Racing first
 reads can only store identical values.
 """
@@ -153,11 +154,13 @@ class _Applicator:
 class _SchurOperator(LinearOperator):
     """x -> S x = A x + alpha x + B^T (beta I + C)^{-1} B x, unassembled.
 
-    A product has the bits of ``spmv``, ``factor.solve`` and
-    ``spmv_transpose`` one by one.  ``_operand`` copies x once, into A's
-    operand buffer, which B's padded product reads too, and makes the
-    buffers the rest of the chain writes into: B x followed by its zero
-    slot, which the inverse factor of beta I + C solves in place, and
+    A product has the bits of ``spmv``, one product with the explicit
+    M^{-1} = (beta I + C)^{-1} that the factor builds on first use (where
+    ``factor.solve`` takes two, with the same forward accuracy, all an
+    inner CG needs) and ``spmv_transpose``, one by one.  ``_operand``
+    copies x once, into A's operand buffer, which B's padded product
+    reads too, and makes the buffers the rest of the chain writes into:
+    B x followed by its zero slot, which M^{-1} multiplies in place, and
     the alpha x and B^T z outputs.  B x and B^T z take a row per row of
     the padded layouts of B and B^T, max(nrows, 2).  ``cg`` makes them
     once per call and ``__call__`` once per operand, a vector or a block
@@ -187,7 +190,7 @@ class _SchurOperator(LinearOperator):
             y += np.multiply(x, self.alpha, out=ax)
         # a layout row past B's rows sums only padding, to +0.0
         _padded_mul(B._padded_rows, _padded_operand(A, xz), B.nrows, out=bz[:-1])
-        factor._solve_padded(self.shifted, bz)
+        factor._inverse_mul_padded(self.shifted, bz)
         y += _padded_mul(B._padded_cols, bz, B.ncols, out=bt)
         return y
 

@@ -22,7 +22,7 @@ Methods for Sparse Linear Systems, 2nd ed., 2003, section 3.4).
 iteration that keeps its vector in the view multiplies with no copy.
 A padded product can also write straight into a zero buffer through
 ``_padded_mul``'s ``out``: the Schur operator puts B x there, followed
-by its zero slot, for the inverse factor of beta I + C and then B^T.
+by its zero slot, for (beta I + C)^{-1} and then B^T.
 ``_check_operand`` is the one shape check of these operands, and
 ``_square`` that of a dense matrix.
 """

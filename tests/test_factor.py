@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sadprec import factor, sparse
+from sadprec.precond import MgssApplicator, PrecondSpec
 from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
 from sadprec.sparse import CsrMatrix, add_scaled_identity, spmv, to_dense
 
@@ -413,6 +414,60 @@ class TestSolve:
         fac = factor.cholesky(CsrMatrix.zeros(0, 0))
         assert factor.solve(fac, np.zeros(0)).shape == (0,)
         assert factor.solve(fac, np.zeros((0, 3))).shape == (0, 3)
+
+
+def no_constraints():
+    """A saddle system with m = 0: a 4 x 4 SPD A and no constraint rows."""
+    A = CsrMatrix.from_dense(2.0 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1))
+    return sparse.SaddleSystem(A, CsrMatrix.zeros(0, 4), CsrMatrix.zeros(0, 0),
+                               np.ones(4), np.zeros(0))
+
+
+class TestFullInverse:
+    """M^{-1} = Linv^T Linv, the one product of the mgss/rmgss Schur operator."""
+
+    @pytest.mark.parametrize("M", [random_spd(40, seed=3), tiled_spd(60, seed=8), stokes_shifted_q16()],
+                             ids=["one", "tiled60", "stokes16"])
+    def test_is_the_inverse(self, M):
+        fac = factor.cholesky(M)
+        inverse = fac._full_inverse
+        if isinstance(inverse, np.ndarray):
+            dense = inverse
+        else:
+            idx, val = inverse
+            dense = np.zeros((M.nrows, M.nrows + 1))
+            rows = np.broadcast_to(np.arange(M.nrows), idx.shape)
+            dense[rows, idx] = val  # slots past a component's order write the zero slot's column
+            dense = dense[:, :-1]
+        want = np.linalg.inv(to_dense(M))
+        assert np.linalg.norm(dense - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("make,dense", [
+        (lambda: generate_stokes_q1p0(StokesConfig(16)), False),
+        (lambda: generate_random_saddle(30, 14, seed=10), True),
+        (no_constraints, False),
+    ], ids=["stokes-q16", "random-30x14", "m0"])
+    @pytest.mark.parametrize("solve_first", [True, False], ids=["solve-first", "schur-first"])
+    def test_built_by_the_first_schur_product_only(self, make, dense, solve_first, monkeypatch):
+        # neither cholesky nor solve builds M^{-1}; the first Schur product
+        # builds it once, and np.linalg.inv runs once per component-size
+        # group for the inverse factor and M^{-1} together
+        sys_ = make()
+        calls = counting_inv(monkeypatch)
+        app = MgssApplicator(sys_, PrecondSpec("mgss"))
+        fac = app.shifted_factor
+        assert "_full_inverse" not in vars(fac) and calls == []
+        x = np.random.default_rng(0).standard_normal(sys_.n)
+        if solve_first:
+            factor.solve(fac, np.ones(sys_.m))
+            assert "_full_inverse" not in vars(fac)
+        first = app.schur(x)
+        held = vars(fac)["_full_inverse"]
+        assert isinstance(held, np.ndarray) == dense
+        assert np.array_equal(app.schur(x), first)
+        factor.solve(fac, np.ones(sys_.m))
+        assert vars(fac)["_full_inverse"] is held
+        assert sorted(calls) == sorted(L.shape for _, L in fac.blocks)
 
 
 class TestFactorContract:

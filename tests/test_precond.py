@@ -538,6 +538,33 @@ class TestSchur:
         x = rng.standard_normal(20)
         assert np.allclose(app.schur(x), S @ x, atol=1e-10 * np.linalg.norm(S))
 
+    @pytest.mark.parametrize("kind", ["mgss", "rmgss"])
+    def test_ill_conditioned_shift_keeps_forward_accuracy(self, kind):
+        # C = V V^T has rank 7, so beta I + C at beta = 1e-10 has a condition
+        # number near 3e11.  The Schur product multiplies by the explicit
+        # M^{-1} = (beta I + C)^{-1}: its forward error stays within
+        # cond(beta I + C) eps ||S|| ||x|| of a dense reference (LU, not
+        # Cholesky), as an inner CG needs.  factor.solve on the same factor
+        # stays backward stable, which the one product with M^{-1} is not
+        sys_ = generate_random_saddle(30, 14, seed=0)
+        beta = 1e-10
+        app = MgssApplicator(sys_, PrecondSpec(kind, beta=beta))
+        M = to_dense(sys_.C) + beta * np.eye(sys_.m)
+        assert np.linalg.matrix_rank(to_dense(sys_.C)) == 7
+        Bd = to_dense(sys_.B)
+        S = to_dense(sys_.A) + app.spec.alpha * np.eye(sys_.n) + Bd.T @ np.linalg.solve(M, Bd)
+        bound = np.linalg.cond(M) * np.finfo(float).eps * np.linalg.norm(S, 2)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            x = rng.standard_normal(sys_.n)
+            assert np.linalg.norm(app.schur(x) - S @ x) <= bound * np.linalg.norm(x)
+        b = M @ rng.standard_normal(sys_.m)
+        norm_M = np.linalg.norm(M, 2)
+        x = factor.solve(app.shifted_factor, b)
+        assert np.linalg.norm(M @ x - b) <= 1e-13 * norm_M * np.linalg.norm(x)
+        x = app.shifted_factor._full_inverse @ b
+        assert np.linalg.norm(M @ x - b) > 1e-13 * norm_M * np.linalg.norm(x)
+
     @pytest.mark.parametrize("shape", [(), (31,), (29, 2), (30, 2, 2)])
     def test_operator_refuses_other_shapes(self, shape):
         app = MgssApplicator(generate_random_saddle(30, 14, seed=10), PrecondSpec("mgss"))
@@ -555,12 +582,14 @@ class TestSchur:
         (lambda: no_constraints(), False, False),
     ], ids=["stokes-q16", "stokes-q32-unpinned", "random-60x24", "random-12x1", "m0"])
     def test_operator_has_the_bits_of_its_products(self, kind, make, a_diagonal, c_dense):
-        # x padded once for A and B, and B x carried through both inverse
-        # factors to B^T in zero-padded buffers, give the bits of the
-        # products one by one: for a vector, a block of columns, and a
-        # vector with an inf, which a banded A multiplies on its padded
-        # layout.  A is on the diagonal layout for q=32; beta I + C is
-        # one dense component for the random systems, else padded
+        # x padded once for A and B, and B x carried through the one
+        # product with M^{-1} = (beta I + C)^{-1} to B^T in zero-padded
+        # buffers, give the bits of the products one by one: for a vector,
+        # a block of columns, and a vector with an inf, which a banded A
+        # multiplies on its padded layout.  A is on the diagonal layout for
+        # q=32; beta I + C is one dense component for the random systems,
+        # else padded, and then M^{-1}'s tiles as a CsrMatrix, whose
+        # columns within a row are in padded-slot order, give its bits
         sys_ = make()
         app = MgssApplicator(sys_, PrecondSpec(kind))
         alpha, shifted = app.spec.alpha, app.shifted_factor
@@ -569,11 +598,12 @@ class TestSchur:
         inf[3] = np.inf
         for x in (rng.standard_normal(sys_.n), rng.standard_normal((sys_.n, 3)), inf):
             with np.errstate(all="ignore"):
+                y = app.schur(x)
                 want = spmv(sys_.A, x)
                 if alpha != 0.0:
                     want = want + alpha * x
-                want = want + spmv_transpose(sys_.B, factor.solve(shifted, spmv(sys_.B, x)))
-                assert app.schur(x).tobytes() == want.tobytes()
+                want = want + spmv_transpose(sys_.B, inverse_product(shifted, spmv(sys_.B, x)))
+                assert y.tobytes() == want.tobytes()
         # the inner CG keeps its search direction in the operator's buffers
         # and, through a LinearOperator, copies it into fresh ones per step
         b = rng.standard_normal(sys_.n)
@@ -635,6 +665,18 @@ class TestSchurComplement:
         predicted = spectral.predicted_rmgss_spectrum(sys_, 1e-3).eigenvalues
         spectrum = np.sort(np.concatenate([np.ones(sys_.n), mu / (1e-3 + mu)])).astype(np.complex128)
         assert predicted.tobytes() == spectrum.tobytes()
+
+
+def inverse_product(fac, b):
+    # M^{-1} b by the explicit inverse the Schur operator caches on fac:
+    # BLAS for one dense component, else spmv of its padded tiles
+    inverse, m = fac._full_inverse, fac.size
+    if isinstance(inverse, np.ndarray):
+        return inverse @ b
+    idx, val = inverse
+    keep = idx < m  # slots that read a column, not the zero slot
+    rows = np.broadcast_to(np.arange(m), idx.shape)[keep]
+    return spmv(CsrMatrix.from_triplets(m, m, rows, idx[keep], val[keep]), b)
 
 
 def no_constraints(n=6):
