@@ -300,6 +300,8 @@ def dense_preconditioner_matrix(sys, spec):
     the skew part [[0, B^T], [-B, 0]] of K.  P is nonsingular for every
     valid spec, so ``spectral.preconditioned_dense`` and
     ``stationary.IterationMatrixOperator.dense`` solve with it by LU.
+    rmgss's alpha is 0, so its first n columns are K's bitwise, and
+    ``preconditioned_dense`` maps them to e_j without solving for them.
     Every kind but ``none`` is refused above ``sparse.dense_cap()``, as K is.
     """
     if spec.kind == "none":

@@ -10,22 +10,26 @@ consists of the eigenvalue 1 with multiplicity n together with
 mu_i / (beta + mu_i) where mu_i are the eigenvalues of
 C + B A^{-1} B^T.
 
-``preconditioned_dense`` is the one builder of P^{-1} K for every
-kind, and ``gamma_dense`` (``IterationMatrixOperator.dense``) of Gamma.
-Each is one LU solve (``np.linalg.solve``) with a dense matrix built
-from ``sparse.saddle_dense``, the dense K: P from
-``precond.dense_preconditioner_matrix``, Sigma + K for Gamma.  No
-preconditioner is built or factored, so these matrices need only be
-nonsingular, as they are for every valid shift; a singular one raises
-numpy's ``LinAlgError``.  The two theory checks use neither builder:
-``iteration_matrix_check`` takes Gamma's eigenvalues through the
-Cayley map from those of Sigma^{-1} K (one ``eigvals``, no LU), and
+``preconditioned_dense`` is the one builder of P^{-1} K for every kind,
+and ``gamma_dense`` (``IterationMatrixOperator.dense``) of Gamma.  Each
+is one LU solve (``np.linalg.solve``) with a dense matrix built from
+``sparse.saddle_dense``, the dense K: P from
+``precond.dense_preconditioner_matrix``, Sigma + K for Gamma.  P^{-1} K
+is solved for only in the columns where P differs from K; a column where
+they are equal is its unit vector, exactly.  For rmgss those are the n
+velocity columns, so its n eigenvalues 1 come out exactly 1.0: LAPACK's
+balancing isolates them, and the QR iteration runs on the m x m pressure
+block alone.  No preconditioner is built or factored, so these matrices
+need only be nonsingular, as they are for every valid shift; a singular
+one raises numpy's ``LinAlgError``.  The two theory checks use neither
+builder: ``iteration_matrix_check`` takes Gamma's eigenvalues through
+the Cayley map from those of Sigma^{-1} K (one ``eigvals``, no LU), and
 ``predicted_rmgss_spectrum`` forms C + B A^{-1} B^T with one LU solve
 with A, after a Cholesky factorization that only checks A is positive
-definite.  ``sparse.dense_cap()`` (``SADPREC_DENSE_CAP``)
-is the only limit on the order of a spectrum: a few order x order
-arrays are alive at once, and the eigensolvers add no limit of their
-own.  ``save_gnuplot`` writes the plot script of a spectrum CSV.
+definite.  ``sparse.dense_cap()`` (``SADPREC_DENSE_CAP``) is the only
+limit on the order of a spectrum: a few order x order arrays are alive
+at once, and the eigensolvers add no limit of their own.
+``save_gnuplot`` writes the plot script of a spectrum CSV.
 """
 
 import math
@@ -101,11 +105,13 @@ def save_gnuplot(csv_path, title):
     """Write a gnuplot script that plots a ``Spectrum.save_csv`` file; return its path.
 
     The script is ``<csv stem>.gp`` beside the CSV, so it names the CSV
-    by its basename.
+    by its basename.  The name and the title go in single quotes, in
+    which gnuplot reads ``''`` as one ``'``.
     """
     gp_path = os.path.splitext(csv_path)[0] + ".gp"
+    csv = os.path.basename(csv_path)
     with open(gp_path, "w") as fh:
-        fh.write(_GNUPLOT.format(title=title, csv=os.path.basename(csv_path)))
+        fh.write(_GNUPLOT.format(title=title.replace("'", "''"), csv=csv.replace("'", "''")))
     return gp_path
 
 
@@ -131,7 +137,11 @@ def dense_eigen_real_schur(M):
     """All eigenvalues of a real square matrix, via LAPACK's real Schur form.
 
     ``np.linalg.eigvals`` balances, reduces to Hessenberg form and runs
-    the shifted QR iteration.
+    the shifted QR iteration.  Balancing permutes a column that is a
+    unit vector e_j out of the iteration, with the exact eigenvalue
+    M[j, j]: the n velocity columns of ``preconditioned_dense``'s rmgss
+    matrix give exactly n eigenvalues 1.0, and the iteration runs on
+    the remaining m x m block.
     """
     return Spectrum(np.linalg.eigvals(_square(M)), COMPUTED_DENSE)
 
@@ -139,9 +149,24 @@ def dense_eigen_real_schur(M):
 # -- operator spectra ------------------------------------------------------
 
 
+# a column norm outside [2^-500, 2^500] may have lost its value to squared
+# entries that underflowed or overflowed: it is taken again from the column
+# divided by its largest |entry|
+_NORM_BAND = (2.0 ** -500, 2.0 ** 500)
+
+
 def _column_norms(V):
     # the bits of np.linalg.norm(V, axis=0), without its Python wrapper
     return np.sqrt(np.add.reduce(V * V, axis=0))
+
+
+def _scaled_column_norms(V):
+    big = np.abs(V).max(axis=0)
+    norms = big * _column_norms(V / np.where(big > 0.0, big, 1.0))
+    top = norms.max()
+    if not math.isfinite(top):
+        raise ValueError(f"power iterate norm is {top}: the operator produced NaN or inf")
+    return norms
 
 
 def power_spectral_radius(op):
@@ -151,7 +176,13 @@ def power_spectral_radius(op):
     ratio after 100 applications.  The starts are iterated together as
     the columns of one ``(op.dim, 5)`` block, so ``op`` must accept
     column blocks, as every operator sadprec builds does.  A start or
-    iterate of norm 0 scores 0; a NaN or inf norm raises ``ValueError``.
+    iterate of norm 0 scores 0; a NaN or inf entry raises ``ValueError``.
+    The estimate scales with the operator: a column norm outside
+    [2^-500, 2^500], whose squared entries may underflow or overflow, is
+    taken again from the column divided by its largest |entry|.  Only a
+    step with such a norm, or with a dead start, takes that branch and
+    the mask of live starts; on every other step the norms are those of
+    ``np.linalg.norm``.
 
     When the operator's order is at most 500 (the 100 x 5 columns the
     iteration would apply it to) and its dense matrix fits
@@ -170,15 +201,18 @@ def power_spectral_radius(op):
     rng = np.random.default_rng(_POWER_SEED)
     # the same numbers as drawing the starts one after another
     V = rng.standard_normal((_POWER_RESTARTS, op.dim)).T
-    norms = _column_norms(V)
-    live = norms > 0.0
-    for _ in range(_POWER_ITERS):
-        V = apply(V / np.where(live, norms, 1.0))
-        norms = _column_norms(V)
-        top = norms.max()
-        if not math.isfinite(top):
-            raise ValueError(f"power iterate norm is {top}: the operator produced NaN or inf")
-        live &= norms > 0.0
+    lo, hi = _NORM_BAND
+    live = True  # no mask until the slow branch has run
+    # an overflowed square fails the band check, and the slow branch
+    # raises on NaN or inf, so their warnings would say nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(_POWER_ITERS + 1):
+            if step:
+                V = apply(V / (norms if live is True else np.where(live, norms, 1.0)))
+            norms = _column_norms(V)
+            if not lo <= norms.min() <= norms.max() <= hi:
+                norms = _scaled_column_norms(V)
+                live = live & (norms > 0.0)
     return float(np.max(norms, where=live, initial=0.0))
 
 
@@ -194,14 +228,25 @@ def gamma_dense(sys, alpha, beta):
 def preconditioned_dense(sys, spec):
     """Dense P^{-1} K, one LU solve with ``dense_preconditioner_matrix``; K itself for ``none``.
 
-    Only ``spec``'s kind and shifts matter, not its inner mode.  P is
-    nonsingular for every valid spec; a singular one raises numpy's
-    ``LinAlgError``.
+    A column where P equals K bitwise maps to its unit vector, exactly,
+    and only the other columns are solved for.  For rmgss (P = K +
+    blkdiag(0, beta I)) those are the m pressure columns, so the n
+    velocity columns are exactly e_j and LAPACK's balancing isolates
+    their eigenvalues 1 (``dense_eigen_real_schur``); for mgss and hss
+    every column differs and all are solved for.  Only ``spec``'s kind
+    and shifts matter, not its inner mode.  P is nonsingular for every
+    valid spec; a singular one raises numpy's ``LinAlgError``.
     """
     if spec.kind == "none":
         return saddle_dense(sys)
     P = dense_preconditioner_matrix(sys, spec)
-    return np.linalg.solve(P, saddle_dense(sys))
+    K = saddle_dense(sys)
+    solved = (P != K).any(axis=0)
+    if solved.all():
+        return np.linalg.solve(P, K)
+    X = np.eye(sys.order)
+    X[:, solved] = np.linalg.solve(P, K[:, solved])
+    return X
 
 
 def rmgss_preconditioned_dense(sys, beta):

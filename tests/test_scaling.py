@@ -7,7 +7,9 @@ both symmetry checks, the inner and outer stopping rules), so the
 scaled run takes the same branches on the same digits: solutions, step
 counts, spectral radii and spectra are bitwise those of the unscaled
 system, residual histories are s times theirs and Cholesky factors
-sqrt(s) times theirs.
+sqrt(s) times theirs.  The power probe is also checked at scales such
+as 2^-600 and 2^600, whose squared entries underflow or overflow; there
+the estimate scales to rounding.
 """
 
 import functools
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from sadprec import factor
-from sadprec.krylov import StoppingRule, cg, gmres_restarted, saddle_operator, stationary_richardson
+from sadprec.krylov import StoppingRule, as_operator, cg, gmres_restarted, saddle_operator, stationary_richardson
 from sadprec.precond import SHIFTS, PrecondSpec, make_preconditioner
 from sadprec.problems import StokesConfig, generate_random_saddle, generate_stokes_q1p0
 from sadprec.sparse import CsrMatrix, SaddleSystem
@@ -109,3 +111,20 @@ def test_small_non_symmetric_refused(check):
     with pytest.raises(ValueError, match="not symmetric") as exc:
         check(2.0 ** -64 * np.array([[4.0, 1.0], [0.0, 3.0]]))
     assert not isinstance(exc.value, factor.NotPositiveDefiniteError)
+
+
+@pytest.mark.parametrize("cap", [None, "0"], ids=["probe", "operator"])
+@pytest.mark.parametrize("s", [2.0 ** -600, 1e-300, 1e-170, 1e160, 1e200, 2.0 ** 600],
+                         ids=["2^-600", "1e-300", "1e-170", "1e160", "1e200", "2^600"])
+@pytest.mark.parametrize("M", [np.diag([1.0, 0.5, 0.25]), np.random.default_rng(5).standard_normal((7, 7))],
+                         ids=["diagonal", "random7"])
+def test_power_probe_is_scale_free(M, s, cap, monkeypatch):
+    # squared entries below about 1e-162 underflow and above 1e154 overflow
+    # (with a RuntimeWarning, an error in this suite): such column norms are
+    # taken from the columns divided by their largest |entry|, which rounds,
+    # so the estimate scales to rounding, not bitwise
+    if cap is not None:
+        monkeypatch.setenv("SADPREC_DENSE_CAP", cap)
+    want = power_spectral_radius(as_operator(CsrMatrix.from_dense(M)))
+    got = power_spectral_radius(as_operator(CsrMatrix.from_dense(M * s)))
+    assert abs(got / s - want) <= 1e-14 * want

@@ -20,6 +20,7 @@ from sadprec.spectral import (
     predicted_rmgss_spectrum,
     rmgss_preconditioned_dense,
     iteration_matrix_check,
+    save_gnuplot,
 )
 from sadprec.stationary import IterationMatrixOperator
 
@@ -195,6 +196,45 @@ class TestPowerRadius:
         assert power_spectral_radius(op) == 0.0 == power_radius_loop(op)
 
     @pytest.mark.parametrize("cap", [None, "0"], ids=["probe", "operator"])
+    def test_nilpotent_operator_dies_and_scores_zero(self, cap, monkeypatch):
+        # the shift matrix of order 6 maps every start to 0 at step 6
+        op = as_operator(CsrMatrix.from_dense(np.eye(6, k=1)))
+        if cap is not None:
+            monkeypatch.setenv("SADPREC_DENSE_CAP", cap)
+            counted, operands = counting(op)
+            assert power_spectral_radius(counted) == 0.0
+            assert np.all(np.any(operands[5], axis=0)) and not np.any(operands[6])
+        assert power_spectral_radius(op) == 0.0 == power_radius_loop(op)
+
+    def test_a_dying_start_drops_out(self, monkeypatch):
+        # the operator path, with an operator that maps the third start to 0
+        monkeypatch.setenv("SADPREC_DENSE_CAP", "0")
+        op = LinearOperator(6, lambda X: 0.5 * X * (np.arange(X.shape[-1]) != 2))
+        assert power_spectral_radius(op) == pytest.approx(0.5, rel=1e-15)
+
+    # the estimates of the block loop that masked every step, by float.hex:
+    # first under OpenBLAS's SkylakeX kernel with one thread, then what the
+    # SkylakeX, Haswell, Zen, SandyBridge and Prescott kernels with one and
+    # two threads rounded differently
+    MASKED_LOOP_ESTIMATES = {
+        ("random60x24", "probe"): ("0x1.fea0c1817ac9cp-1", "0x1.fea0c1817ac9ep-1",
+                                   "0x1.fea0c1817ac9fp-1", "0x1.fea0c1817aca1p-1"),
+        ("random60x24", "operator"): ("0x1.fea0c1817ac9dp-1",),
+        ("stokes8-pinned", "probe"): ("0x1.fd02748df8dcap-1", "0x1.fd02748df8dcbp-1", "0x1.fd02748df8dccp-1"),
+        ("stokes8-pinned", "operator"): ("0x1.fd02748df8dcbp-1", "0x1.fd02748df8dc9p-1", "0x1.fd02748df8dcap-1"),
+    }
+
+    @pytest.mark.parametrize("name,path", sorted(MASKED_LOOP_ESTIMATES), ids="-".join)
+    def test_estimates_are_the_masked_loops(self, name, path, monkeypatch):
+        make = {"random60x24": lambda: generate_random_saddle(60, 24, seed=12),
+                "stokes8-pinned": lambda: generate_stokes_q1p0(StokesConfig(8, pin_pressure=True))}[name]
+        op = IterationMatrixOperator(make(), 0.1, 0.1)
+        if path == "operator":
+            op(np.zeros(op.dim))  # builds the elimination, whose dense Schur matrix needs the cap
+            monkeypatch.setenv("SADPREC_DENSE_CAP", "0")
+        assert power_spectral_radius(op).hex() in self.MASKED_LOOP_ESTIMATES[name, path]
+
+    @pytest.mark.parametrize("cap", [None, "0"], ids=["probe", "operator"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_operator_raises(self, value, cap, monkeypatch):
         # a NaN column norm used to drop out of the score and read as 0
@@ -252,25 +292,55 @@ class TestPreconditionedDense:
     @pytest.mark.parametrize("kind", ["none", "mgss", "rmgss", "hss"])
     @pytest.mark.parametrize("name", SYSTEMS)
     def test_is_the_solve_with_the_preconditioner_matrix(self, name, kind):
-        # a CG-mode spec (the default) is applied in direct mode
+        # a CG-mode spec (the default) is applied in direct mode.  No column of
+        # the mgss or hss matrix equals K's, so theirs is the bits of one solve
+        # for every column; rmgss solves for its pressure columns alone
         sys_ = SYSTEMS[name]()
         spec = PrecondSpec(kind)
         K = to_dense(assemble_block_saddle(sys_))
         ref = np.linalg.solve(dense_preconditioner_matrix(sys_, spec), K)
-        assert np.linalg.norm(preconditioned_dense(sys_, spec) - ref) <= 1e-10 * np.linalg.norm(ref)
+        got = preconditioned_dense(sys_, spec)
+        if kind == "rmgss":
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+        else:
+            assert got.tobytes() == (K if kind == "none" else ref).tobytes()
 
     @pytest.mark.parametrize("name", SYSTEMS)
     def test_rmgss_is_the_direct_elimination_bitwise(self, name):
-        # the bits of one LU solve with the dense rmgss matrix; the direct
-        # block elimination agrees to rounding
+        # P = K + blkdiag(0, beta I): the velocity columns are exactly e_j,
+        # and the pressure columns are the bits of one LU solve for them
+        # alone.  The direct block elimination agrees to rounding
         sys_ = SYSTEMS[name]()
+        n = sys_.n
         spec = PrecondSpec("rmgss", beta=1e-3)
         got = preconditioned_dense(sys_, spec)
         assert got.tobytes() == rmgss_preconditioned_dense(sys_, 1e-3).tobytes()
         K = to_dense(assemble_block_saddle(sys_))
-        assert got.tobytes() == np.linalg.solve(dense_preconditioner_matrix(sys_, spec), K).tobytes()
+        assert got[:, :n].tobytes() == np.eye(sys_.order)[:, :n].tobytes()
+        assert got[:, n:].tobytes() == np.linalg.solve(dense_preconditioner_matrix(sys_, spec), K[:, n:]).tobytes()
         direct = MgssApplicator(sys_, PrecondSpec("rmgss", beta=1e-3, inner="direct")).apply(K)
         assert np.linalg.norm(got - direct) <= 1e-10 * np.linalg.norm(direct)
+
+    def test_rmgss_without_constraints_is_the_identity(self):
+        # with m = 0, P is K: nothing is solved for, but P is still factored,
+        # so a singular one raises
+        assert preconditioned_dense(SYSTEMS["m0"](), PrecondSpec("rmgss")).tobytes() == np.eye(2).tobytes()
+        singular = SaddleSystem(CsrMatrix.from_dense([[1.0, 1.0], [1.0, 1.0]]), CsrMatrix.zeros(0, 2),
+                                CsrMatrix.zeros(0, 0), np.ones(2), np.zeros(0))
+        with pytest.raises(np.linalg.LinAlgError):
+            preconditioned_dense(singular, PrecondSpec("rmgss"))
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: generate_random_saddle(60, 24, seed=12), id="random60x24"),
+        pytest.param(lambda: generate_stokes_q1p0(StokesConfig(8, pin_pressure=True)), id="stokes8-pinned"),
+        pytest.param(lambda: generate_stokes_q1p0(StokesConfig(16, pin_pressure=True)), id="stokes16-pinned"),
+    ])
+    def test_rmgss_spectrum_has_n_exact_unit_eigenvalues(self, make):
+        # balancing isolates the unit columns, so their eigenvalues are 1.0
+        # exactly; every other one, mu / (beta + mu), is below 1
+        sys_ = make()
+        lam = dense_eigen_real_schur(rmgss_preconditioned_dense(sys_, 1e-3)).eigenvalues
+        assert np.count_nonzero(lam == 1.0) == sys_.n
 
     @pytest.mark.parametrize("kind", ["none", "mgss", "rmgss", "hss"])
     @pytest.mark.parametrize("name", SYSTEMS)
@@ -308,6 +378,14 @@ class TestSpectrumCsv:
         )
         Spectrum(np.zeros(0), COMPUTED_DENSE).save_csv(tmp_path / "e.csv")
         assert (tmp_path / "e.csv").read_bytes() == b"re,im,source\n"
+
+    def test_gnuplot_script_doubles_single_quotes(self, tmp_path):
+        # gnuplot reads '' as one ' inside a single-quoted string
+        csv = str(tmp_path / "it's.csv")
+        assert save_gnuplot(csv, "P's spectrum") == str(tmp_path / "it's.gp")
+        script = (tmp_path / "it's.gp").read_text()
+        assert "set title 'eigenvalue distribution: P''s spectrum'\n" in script
+        assert "plot 'it''s.csv' every ::1 using 1:2" in script
 
 
 class TestPredictedSpectrum:
